@@ -178,6 +178,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     chosen = args.suites or list(SUITES)
     explicit = bool(args.suites)
     timings = []
+    failed = False
     for suite in chosen:
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}")
@@ -194,10 +195,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rows = len(report.results)
         rate = rows / elapsed if elapsed > 0 else float("inf")
         status = "ok" if report.ok() else "FAIL"
+        failed = failed or not report.ok()
         timings.append({"suite": suite, "rows": rows, "seconds": round(elapsed, 3)})
         print(f"{suite:<10} {rows:>8} rows  {elapsed:>8.2f}s  {rate:>9.0f} rows/s  {status}")
     _write_out(args, json.dumps(timings, sort_keys=True, indent=2) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

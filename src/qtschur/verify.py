@@ -14,7 +14,11 @@ collapses to plain commutation.
 Suites can run symbolically (exact Laurent coefficients), numerically
 (a rational sample point), or both; in combined mode the numeric pass
 runs first and gates the symbolic comparison, and both verdicts are
-recorded per row.  Reports are deterministic: same configuration and
+recorded per row.  Instances are evaluated in chunks of consecutive
+instances (one chunk per worker task), vector-major within a chunk:
+each battery vector goes through every instance with one memo of
+operator images, dropped before the next vector, and rows are emitted
+in instance order.  Reports are deterministic: same configuration and
 seed give byte-identical JSON, independent of the worker count.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -391,33 +396,46 @@ def _expr_terms(pd: ParityData, expr) -> tuple[list, dict, int]:
     return terms, weight, (pl + pr) % 2
 
 
-def _apply_leaves(space, leaves, u, cache, variant):
-    if not leaves:
-        return u
-    if leaves in cache:
-        return cache[leaves]
-    head = leaves[0]
-    v = _apply_leaves(space, leaves[1:], u, cache, variant)
-    if head[0] in ("E", "F", "K+", "K-"):
-        out = tor.toroidal_mode_apply(head[0], head[1], head[2], v)
+def _image(memo: dict, op: str, node: int, arg, v):
+    """Image of v under one operator, looked up in or added to memo.
+
+    arg is the mode of a current (E, F, K+, K-) or the wrap-around
+    variant of a Chevalley generator.  The memo is keyed on id(v) and
+    keeps v next to its image, so the id stays v's while the memo
+    lives; a word of several letters hits it because an inner image
+    comes back as the same object.  Sharing images between relations is
+    sound because no FunctorVector or DahaElement operation changes a
+    support dict in place: sums, scalings and products build new ones.
+    """
+    key = (op, node, arg, id(v))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    if op in ("E", "F", "K+", "K-"):
+        out = tor.toroidal_mode_apply(op, node, arg, v)
     else:
-        out = tor.functor_chevalley_apply(head[0], head[1], v, variant=variant)
-    cache[leaves] = out
+        out = tor.functor_chevalley_apply(op, node, v, variant=arg)
+    memo[key] = (v, out)
     return out
 
 
-def _expr_apply(space, pd, expr, u, variant="affine"):
+def _apply_leaves(memo, leaves, u):
+    if not leaves:
+        return u
+    return _image(memo, *leaves[0], _apply_leaves(memo, leaves[1:], u))
+
+
+def _expr_apply(memo, space, pd, expr, u):
     terms, _, _ = _expr_terms(pd, expr)
-    cache: dict = {}
     acc = space.zero()
     for leaves, sign, qexp in terms:
-        v = _apply_leaves(space, leaves, u, cache, variant)
+        v = _apply_leaves(memo, leaves, u)
         acc = acc + v.scale(space.R.qpow(qexp) * space.R.rational(sign))
     return acc
 
 
-def _leaf(fam, node, mode=None):
-    return ("leaf", (fam, node, mode))
+def _leaf(fam, node, arg=None):
+    return ("leaf", (fam, node, arg))
 
 
 def _lb(left, right):
@@ -432,9 +450,9 @@ def _super_sign(pd: ParityData, i: int, j: int) -> int:
     return -1 if node_parity(pd, i) and node_parity(pd, j) else 1
 
 
-def _toroidal_diff(space, pd, relation, nodes, modes, form, u):
+def _toroidal_diff(space, memo, pd, relation, nodes, modes, form, u):
     R = space.R
-    A = tor.toroidal_mode_apply
+    A = lambda fam, node, r, v: _image(memo, fam, node, r, v)
     if relation == "CK":
         if form == "KK":
             i, j = nodes
@@ -508,7 +526,7 @@ def _toroidal_diff(space, pd, relation, nodes, modes, form, u):
         out = space.zero()
         for x, y in ((r1, r2), (r2, r1)):
             expr = _lb(_leaf(fam, i, x), _lb(_leaf(fam, i, y), _leaf(fam, j, s)))
-            out = out + _expr_apply(space, pd, expr, u)
+            out = out + _expr_apply(memo, space, pd, expr, u)
         return out
     if relation in ("Serre3", "Serre4"):
         (i,) = nodes
@@ -522,7 +540,7 @@ def _toroidal_diff(space, pd, relation, nodes, modes, form, u):
                 _leaf(fam, i, x),
                 _lb(_leaf(fam, ip, w1), _lb(_leaf(fam, i, y), _leaf(fam, im, w2))),
             )
-            out = out + _expr_apply(space, pd, expr, u)
+            out = out + _expr_apply(memo, space, pd, expr, u)
         return out
     if relation == "weights":
         (i,) = nodes
@@ -534,9 +552,9 @@ def _toroidal_diff(space, pd, relation, nodes, modes, form, u):
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _affine_diff(space, pd, relation, nodes, modes, variant, u):
+def _affine_diff(space, memo, pd, relation, nodes, modes, variant, u):
     R = space.R
-    C = lambda kind, node, v: tor.functor_chevalley_apply(kind, node, v, variant=variant)
+    C = lambda kind, node, v: _image(memo, kind, node, variant, v)
     if relation == "tt":
         i, j = nodes
         return C("t", i, C("t", j, u)) - C("t", j, C("t", i, u))
@@ -561,17 +579,17 @@ def _affine_diff(space, pd, relation, nodes, modes, variant, u):
     if relation in ("serre-e-cubic", "serre-f-cubic"):
         i, j = nodes
         kind = "e" if relation == "serre-e-cubic" else "f"
-        expr = _lb(_leaf(kind, i), _lb(_leaf(kind, i), _leaf(kind, j)))
-        return _expr_apply(space, pd, expr, u, variant)
+        x, y = (_leaf(kind, k, variant) for k in (i, j))
+        expr = _lb(x, _lb(x, y))
+        return _expr_apply(memo, space, pd, expr, u)
     if relation in ("serre-e-quartic", "serre-f-quartic"):
         (i,) = nodes
         kind = "e" if relation == "serre-e-quartic" else "f"
         kappa = pd.kappa
         ip, im = (i + 1) % kappa, (i - 1) % kappa
-        expr = _lb(
-            _leaf(kind, i), _lb(_leaf(kind, ip), _lb(_leaf(kind, i), _leaf(kind, im)))
-        )
-        return _expr_apply(space, pd, expr, u, variant)
+        x, y, z = (_leaf(kind, k, variant) for k in (i, ip, im))
+        expr = _lb(x, _lb(y, _lb(x, z)))
+        return _expr_apply(memo, space, pd, expr, u)
     if relation == "t-chain":
         out = u
         for i in range(pd.kappa - 1, -1, -1):
@@ -602,45 +620,46 @@ class _SuiteContext:
             space = tor.FunctorSpace(self.pd, cfg.ell, R)
             self.stages.append((stage, space, tor.functor_battery(space)))
 
-    def rows_for(self, idx: int) -> list[dict]:
-        relation, nodes, modes, form = self.instances[idx]
-        if relation in ("Serre5", "Serre6"):
-            return [
-                {
-                    "relation": relation,
-                    "nodes": list(nodes),
-                    "modes": list(modes),
-                    "vector": "-",
-                    "status": "excluded",
-                    "note": "mn = 2 incompatible with kappa >= 4",
-                }
-            ]
+    def rows(self, lo: int, hi: int) -> list[dict]:
+        """Rows of instances lo..hi-1, in instance order.
+
+        Evaluation is vector-major: each battery vector is taken through
+        the stages (numeric first) and, per stage, through every
+        instance of the chunk with one fresh memo of operator images,
+        dropped when the vector is done.  A row whose numeric stage
+        failed is not evaluated symbolically.
+        """
         combined = self.cfg.mode == "both"
-        rows = []
         names = [name for name, _ in self.stages[-1][2]]
-        for k, vname in enumerate(names):
-            row = {
-                "relation": relation,
-                "nodes": list(nodes),
-                "modes": list(modes),
-                "vector": vname,
-                "status": "pass",
-            }
+        out, live = [], []
+        for relation, nodes, modes, form in self.instances[lo:hi]:
+            base = {"relation": relation, "nodes": list(nodes), "modes": list(modes)}
+            if relation in ("Serre5", "Serre6"):
+                note = "mn = 2 incompatible with kappa >= 4"
+                out.append(dict(base, vector="-", status="excluded", note=note))
+                continue
             if form is not None:
-                row["form"] = form
+                base["form"] = form
+            if combined:
+                base["symbolic"] = "skipped"
+            rows = [dict(base, vector=vname, status="pass") for vname in names]
+            out.extend(rows)
+            live.append(((relation, nodes, modes, form), rows))
+        for k in range(len(names)):
             for stage, space, battery in self.stages:
-                diff = self.diff(space, self.pd, relation, nodes, modes, form, battery[k][1])
-                ok = diff.is_zero()
-                if combined:
-                    row[stage] = "pass" if ok else "fail"
-                if not ok:
-                    row["status"] = "fail"
-                    row["residual"] = diff.render(limit=5)
-                    break
-            if combined and "symbolic" not in row:
-                row["symbolic"] = "skipped"
-            rows.append(row)
-        return rows
+                u, memo = battery[k][1], {}
+                for inst, rows in live:
+                    row = rows[k]
+                    if row["status"] == "fail":
+                        continue
+                    diff = self.diff(space, memo, self.pd, *inst, u)
+                    ok = diff.is_zero()
+                    if combined:
+                        row[stage] = "pass" if ok else "fail"
+                    if not ok:
+                        row["status"] = "fail"
+                        row["residual"] = diff.render(limit=5)
+        return out
 
 
 _WORKER_CONTEXTS: dict = {}
@@ -651,10 +670,19 @@ def _instance_worker(suite: str, cfg_key: tuple, lo: int, hi: int) -> list[dict]
     if ctx is None:
         ctx = _SuiteContext(suite, RunConfig(*cfg_key))
         _WORKER_CONTEXTS[(suite, cfg_key)] = ctx
-    out: list[dict] = []
-    for idx in range(lo, hi):
-        out.extend(ctx.rows_for(idx))
-    return out
+    return ctx.rows(lo, hi)
+
+
+def _plan(count: int, jobs: int) -> tuple[list[tuple[int, int]], int]:
+    """Instance ranges [lo, hi) for one run, and the worker count for them.
+
+    The worker count never exceeds the range count or the CPU count.
+    """
+    if jobs == 1 or count < 2 * jobs:
+        return [(0, count)], 1
+    step = max(1, (count + jobs * 4 - 1) // (jobs * 4))
+    ranges = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    return ranges, min(jobs, len(ranges), os.cpu_count() or 1)
 
 
 def _run_instances(suite: str, cfg: RunConfig) -> list[dict]:
@@ -663,12 +691,11 @@ def _run_instances(suite: str, cfg: RunConfig) -> list[dict]:
         count = len(toroidal_instances(pd, cfg.modes))
     else:
         count = len(affine_instances(pd))
-    if cfg.jobs == 1 or count < 2 * cfg.jobs:
+    ranges, workers = _plan(count, cfg.jobs)
+    if workers == 1:
         return _instance_worker(suite, cfg.key(), 0, count)
-    step = max(1, (count + cfg.jobs * 4 - 1) // (cfg.jobs * 4))
-    ranges = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
     rows: list[dict] = []
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_instance_worker, suite, cfg.key(), lo, hi) for lo, hi in ranges
         ]

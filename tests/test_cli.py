@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from qtschur import cli
 from qtschur.cli import main
+from qtschur.verify import Report
 
 
 def run_cli(*argv):
@@ -156,6 +158,13 @@ def test_bench_named_suites(capsys):
     assert run_cli("bench", "daha", "--ell", "1") == 0
     out = capsys.readouterr().out
     assert "daha" in out and "rows/s" in out
+
+
+def test_bench_exits_one_on_failing_suite(monkeypatch, capsys):
+    failing = Report("daha", {}, [{"relation": "x", "status": "fail"}])
+    monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: failing)
+    assert run_cli("bench", "daha", "--ell", "1") == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_bench_skips_invalid_defaults(capsys):

@@ -1,9 +1,14 @@
+import collections
+import dataclasses
+import hashlib
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtschur import verify
 from qtschur.superdata import ParityData, cartan, node_parity
 from qtschur.verify import (
     ConfigError,
@@ -12,6 +17,7 @@ from qtschur.verify import (
     _lb,
     _leaf,
     _mode_tuples,
+    _plan,
     _SuiteContext,
     affine_instances,
     run_affine_suite,
@@ -228,9 +234,52 @@ def test_affine_suite_small():
 
 
 def test_jobs_do_not_change_report():
-    base = run_toroidal_suite(RunConfig(ell=1, modes=0, mode="symbolic", jobs=1))
-    split = run_toroidal_suite(RunConfig(ell=1, modes=0, mode="symbolic", jobs=2))
-    assert base.to_json() == split.to_json()
+    for suite, cfg in (
+        ("toroidal", RunConfig(ell=1, modes=0, mode="symbolic")),
+        ("toroidal", RunConfig(ell=1, modes=0, mode="both")),
+        ("affine", RunConfig(ell=1, mode="both")),
+    ):
+        base = run_suite(suite, cfg)
+        split = run_suite(suite, dataclasses.replace(cfg, jobs=2))
+        assert base.to_json() == split.to_json(), (suite, cfg.mode)
+
+
+# report bytes pinned, so that no change of evaluation order can move
+# them; the digests come from evaluating one instance at a time
+
+
+@pytest.mark.parametrize(
+    "suite, cfg, digest",
+    [
+        (
+            "toroidal",
+            RunConfig(m=3, n=1, ell=1, modes=0),
+            "05fbb8bd0d81ef4850f63f74cb8d73126c1f76d58556af1b724d9008623b71ee",
+        ),
+        (
+            "affine",
+            RunConfig(m=3, n=1, ell=1),
+            "b46dfd1db78bf8bc7e0d5131ca9fdc974752c92aec5082746bd1b7208c48274f",
+        ),
+    ],
+)
+def test_report_bytes_pinned(suite, cfg, digest):
+    text = run_suite(suite, cfg).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_plan_clamps_workers(monkeypatch):
+    # only the plan is computed; no pool is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    ranges, workers = _plan(100_000, 10_000)
+    assert workers == 4
+    assert ranges[0][0] == 0 and ranges[-1][1] == 100_000
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _plan(100_000, 10_000)[1] == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _plan(100_000, 8)[1] == 8
+    assert _plan(9, 5) == ([(0, 9)], 1)
 
 
 def test_run_suite_dispatch():
@@ -247,17 +296,46 @@ def test_numeric_failure_gates_symbolic(monkeypatch):
         i for i, inst in enumerate(ctx.instances) if inst[0] == "EF"
     )
 
-    def broken_diff(space, pd, relation, nodes, modes, form, u):
+    def broken_diff(space, memo, pd, relation, nodes, modes, form, u):
         return u
 
     monkeypatch.setattr(ctx, "diff", broken_diff)
-    rows = ctx.rows_for(idx)
+    rows = ctx.rows(idx, idx + 1)
     assert rows
     for row in rows:
         assert row["status"] == "fail"
         assert row["numeric"] == "fail"
         assert row["symbolic"] == "skipped"
         assert row["residual"]
+
+
+# fault injection: shared operator images must not hide a wrong formula
+
+
+def _failing_rows(report):
+    return sorted(
+        (row["relation"], row["nodes"], row["modes"], row.get("form"), row["vector"])
+        for row in report.results
+        if row["status"] == "fail"
+    )
+
+
+def test_memo_does_not_hide_dropped_d_power(monkeypatch):
+    # with m(i, j) forced to 0 the d^m factor drops out of KE, KF and
+    # the quadratic relations; counts measured with the per-instance
+    # evaluator
+    monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
+    cfg = RunConfig(m=3, n=1, ell=1, modes=0)
+    both = run_toroidal_suite(cfg)
+    fails = [row for row in both.results if row["status"] == "fail"]
+    assert len(fails) == 168
+    counts = collections.Counter(row["relation"] for row in fails)
+    assert counts == {"KE": 56, "KF": 56, "EE-quadratic": 28, "FF-quadratic": 28}
+    assert all(
+        row["numeric"] == "fail" and row["symbolic"] == "skipped" for row in fails
+    )
+    symbolic = run_toroidal_suite(dataclasses.replace(cfg, mode="symbolic"))
+    assert _failing_rows(symbolic) == _failing_rows(both)
 
 
 # configuration validation
