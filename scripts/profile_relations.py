@@ -1,10 +1,13 @@
 """Per-relation timing for the toroidal suite, to guide budget choices.
 
 Usage: python3 scripts/profile_relations.py [--m 3] [--n 1] [--ell 1] [--modes 1]
+                                             [--mode symbolic|numeric]
 
 Prints mean evaluation time per battery vector, grouped by relation id,
-slowest first.  Symbolic mode only; the numeric pre-screen scales the
-same way with smaller constants.  Each instance is timed as a chunk of
+slowest first, for one verification stage: symbolic (the default, Laurent
+polynomials with int coefficients) or numeric (Fractions at the default
+sample point).  The two stages cost about the same per row, so time
+both when a change touches either.  Each instance is timed as a chunk of
 its own, so the memo of operator images is shared within one instance
 only: a full run, whose chunks span many instances, shares more and
 spends less per row.
@@ -27,9 +30,10 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=1)
     ap.add_argument("--ell", type=int, default=1)
     ap.add_argument("--modes", type=int, default=1)
+    ap.add_argument("--mode", choices=("symbolic", "numeric"), default="symbolic")
     args = ap.parse_args()
 
-    cfg = RunConfig(m=args.m, n=args.n, ell=args.ell, modes=args.modes, mode="symbolic")
+    cfg = RunConfig(m=args.m, n=args.n, ell=args.ell, modes=args.modes, mode=args.mode)
     cfg.validate("toroidal")
     ctx = _SuiteContext("toroidal", cfg)
     spent = defaultdict(float)
@@ -41,6 +45,7 @@ def main() -> int:
         counts[relation] += len(rows)
 
     total = sum(spent.values())
+    print(f"toroidal m{args.m} n{args.n} ell{args.ell} R{args.modes}, {args.mode} stage")
     print(f"{'relation':<16} {'rows':>8} {'total':>9} {'per row':>10}")
     for relation in sorted(spent, key=spent.get, reverse=True):
         per = spent[relation] / counts[relation] if counts[relation] else 0.0

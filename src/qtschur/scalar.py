@@ -4,6 +4,9 @@ All computations in this package happen over the Laurent-polynomial ring in
 q^{1/2} and d^{1/2} with rational coefficients, extended by one formal
 central monomial ``zeta`` that is only used by the standalone Hecke-algebra
 checks (everywhere else zeta is a concrete power of q1 = d*q^{-1}).
+Integral coefficients are stored as Python ints and other rationals as
+Fractions; every coefficient the verification suites produce is integral,
+so their arithmetic never leaves int.
 
 Besides the ring type this module holds the small amount of series
 machinery the rest of the package needs: expansions of the rational
@@ -17,37 +20,46 @@ Both expansions of psi_c are eventually constant, which keeps every mode
 coefficient a finite sum.
 
 A numeric specialization q -> q0, d -> d0 (rationals) doubles as a fast
-cross-check oracle for all symbolic identities.
+cross-check oracle for all symbolic identities.  Both coefficient
+contexts memoize the constants they hand out (powers, quantum integers,
+rationals); Scalar and Fraction are immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-import threading
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 # Exponent key: (a, b, c) encodes q^{a/2} * d^{b/2} * zeta^c.
 Key = tuple[int, int, int]
 
 
+def _exact(x) -> int | Fraction:
+    """x as an exact rational: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Scalar:
     """Immutable Laurent polynomial in q^{1/2}, d^{1/2} (and formal zeta).
 
-    Terms map exponent keys to nonzero Fractions; zero coefficients are
-    dropped eagerly so that equality and zero tests are dictionary
-    comparisons.
+    Terms map exponent keys to nonzero rationals, stored as int when
+    integral and as Fraction otherwise (the two compare and hash alike);
+    zero coefficients are dropped eagerly so that equality and zero tests
+    are dictionary comparisons.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Key, Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
+    def __init__(self, terms: Mapping[Key, int | Fraction] | None = None):
+        clean: dict[Key, int | Fraction] = {}
         if terms:
             for key, coeff in terms.items():
                 if coeff:
-                    clean[key] = Fraction(coeff)
+                    clean[key] = _exact(coeff)
         self._terms = clean
         self._hash: int | None = None
 
@@ -63,12 +75,12 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, x) -> "Scalar":
-        x = Fraction(x)
+        x = _exact(x)
         return cls({(0, 0, 0): x}) if x else _ZERO
 
     @classmethod
     def monomial(cls, coeff=1, qhalf: int = 0, dhalf: int = 0, zeta: int = 0) -> "Scalar":
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return _ZERO
         return cls({(qhalf, dhalf, zeta): coeff})
@@ -76,14 +88,11 @@ class Scalar:
     # -- inspection --------------------------------------------------
 
     @property
-    def terms(self) -> dict[Key, Fraction]:
+    def terms(self) -> dict[Key, int | Fraction]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -153,7 +162,7 @@ class Scalar:
             }
             out._hash = None
             return out
-        terms: dict[Key, Fraction] = {}
+        terms: dict[Key, int | Fraction] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
@@ -235,7 +244,7 @@ class Scalar:
         total = _ZERO
         for part in text.split(" + "):
             factors = part.split("*")
-            coeff = Fraction(factors[0])
+            coeff = _exact(factors[0])
             qhalf = dhalf = zexp = 0
             for fac in factors[1:]:
                 match = _FACTOR_RE.fullmatch(fac)
@@ -286,7 +295,7 @@ _ZERO = Scalar.__new__(Scalar)
 _ZERO._terms = {}
 _ZERO._hash = None
 _ONE = Scalar.__new__(Scalar)
-_ONE._terms = {(0, 0, 0): Fraction(1)}
+_ONE._terms = {(0, 0, 0): 1}
 _ONE._hash = None
 
 
@@ -313,22 +322,7 @@ def qint(k: int) -> Scalar:
         return _ZERO
     sign = 1 if k > 0 else -1
     k = abs(k)
-    return Scalar({(2 * e, 0, 0): Fraction(sign) for e in range(k - 1, -k - 1, -2)})
-
-
-def derived_params(m: int, n: int) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """The three multiplicative parameters and the loop constant.
-
-    q1 = d q^{-1}, q2 = q^2, q3 = d^{-1} q^{-1} (so q1 q2 q3 = 1), and
-    zeta = q1^{n-m}.  Rejects m = n, where the construction breaks down.
-    """
-    if m == n:
-        raise ValueError("m = n is not allowed")
-    q1 = Scalar.monomial(1, qhalf=-2, dhalf=2)
-    q2 = q_pow(2)
-    q3 = Scalar.monomial(1, qhalf=-2, dhalf=-2)
-    zeta = q1 ** (n - m)
-    return q1, q2, q3, zeta
+    return Scalar({(2 * e, 0, 0): sign for e in range(k - 1, -k - 1, -2)})
 
 
 # ----------------------------------------------------------------------
@@ -355,41 +349,6 @@ def psi_coeffs(r: int, direction: str, count: int) -> list[Scalar]:
         jump = q_pow(lead) - q_pow(-lead)
         out.extend([jump] * (count - 1))
     return out
-
-
-class SeriesTail:
-    """Lazily memoized coefficient stream of a one-sided expansion.
-
-    The generator is called at most once per index; concurrent readers
-    always observe the same value for the same index.
-    """
-
-    def __init__(self, direction: str, gen: Callable[[int], Scalar]):
-        assert direction in ("+", "-")
-        self.direction = direction
-        self._gen = gen
-        self._memo: dict[int, Scalar] = {}
-        self._lock = threading.Lock()
-
-    def coeff(self, k: int) -> Scalar:
-        assert k >= 0
-        memo = self._memo
-        value = memo.get(k)
-        if value is not None:
-            return value
-        with self._lock:
-            value = memo.get(k)
-            if value is None:
-                value = self._gen(k)
-                memo[k] = value
-        return value
-
-    def prefix(self, count: int) -> list[Scalar]:
-        return [self.coeff(k) for k in range(count)]
-
-
-def psi_tail(r: int, direction: str) -> SeriesTail:
-    return SeriesTail(direction, lambda k: psi_coeffs(r, direction, k + 1)[k])
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +409,22 @@ def specialize(x: Scalar, q0, d0, zeta0=None) -> Fraction:
 # The Hecke and representation engines are generic over the coefficient
 # ring: symbolically they work with Scalar, numerically with Fraction.
 # A context supplies the constants they need; the elements themselves
-# only ever go through +, -, *, == and truthiness.
+# only ever go through +, -, *, == and truthiness.  Each context memoizes
+# the constants it hands out, keyed by (method, argument).
+
+
+def _memoized(method):
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, x):
+        key = (name, x)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = method(self, x)
+        return hit
+
+    return cached
 
 
 class SymbolicContext:
@@ -468,24 +442,31 @@ class SymbolicContext:
                 raise ValueError("m = n is not allowed")
         self.one = _ONE
         self.zero = _ZERO
+        self._memo: dict = {}
 
+    @_memoized
     def qpow(self, e: int) -> Scalar:
         return q_pow(e)
 
+    @_memoized
     def dpow(self, e: int) -> Scalar:
         return d_pow(e)
 
+    @_memoized
     def q1pow(self, e: int) -> Scalar:
         return Scalar.monomial(1, qhalf=-2 * e, dhalf=2 * e)
 
+    @_memoized
     def zetapow(self, e: int) -> Scalar:
         if self.formal_zeta:
             return zeta_pow(e)
         return self.q1pow((self.n - self.m) * e)
 
+    @_memoized
     def qint(self, k: int) -> Scalar:
         return qint(k)
 
+    @_memoized
     def rational(self, x) -> Scalar:
         return Scalar.from_rational(x)
 
@@ -515,26 +496,33 @@ class NumericContext:
             self.zeta0 = None
         self.one = Fraction(1)
         self.zero = Fraction(0)
+        self._memo: dict = {}
 
+    @_memoized
     def qpow(self, e: int) -> Fraction:
         return self.q0**e
 
+    @_memoized
     def dpow(self, e: int) -> Fraction:
         return self.d0**e
 
+    @_memoized
     def q1pow(self, e: int) -> Fraction:
         return (self.d0 / self.q0) ** e
 
+    @_memoized
     def zetapow(self, e: int) -> Fraction:
         if self.zeta0 is None:
             raise ValueError("no zeta value configured")
         return self.zeta0**e
 
+    @_memoized
     def qint(self, k: int) -> Fraction:
         if k == 0:
             return Fraction(0)
         return (self.q0**k - self.q0**-k) / (self.q0 - 1 / self.q0)
 
+    @_memoized
     def rational(self, x) -> Fraction:
         return Fraction(x)
 

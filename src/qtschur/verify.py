@@ -406,7 +406,12 @@ def _image(memo: dict, op: str, node: int, arg, v):
     comes back as the same object.  Sharing images between relations is
     sound because no FunctorVector or DahaElement operation changes a
     support dict in place: sums, scalings and products build new ones.
+    A zero input is its own image and skips both the memo and the call:
+    every operator maps a space to itself (a rotation round trip lands
+    in the same space object).
     """
+    if not v.support:
+        return v
     key = (op, node, arg, id(v))
     hit = memo.get(key)
     if hit is not None:

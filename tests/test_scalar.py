@@ -1,6 +1,5 @@
 """Ring axioms, psi expansions, and the numeric oracle."""
 
-import threading
 from fractions import Fraction
 
 import pytest
@@ -10,14 +9,11 @@ from qtschur import scalar
 from qtschur.scalar import (
     NumericContext,
     Scalar,
-    SeriesTail,
     SymbolicContext,
     d_pow,
     delta_psi_mode,
-    derived_params,
     psi_coeffs,
     psi_product_mode,
-    psi_tail,
     q_pow,
     qint,
     specialize,
@@ -33,6 +29,9 @@ keys = st.tuples(
     st.integers(min_value=-2, max_value=2),
 )
 scalars = st.dictionaries(keys, coeffs, max_size=4).map(Scalar)
+mixed_scalars = st.dictionaries(
+    keys, st.one_of(st.integers(-20, 20), coeffs), max_size=4
+).map(Scalar)
 
 
 @given(scalars, scalars, scalars)
@@ -53,6 +52,53 @@ def test_ring_axioms(x, y, z):
 def test_canonical_form_has_no_zero_terms(x):
     assert all(c != 0 for c in x.terms.values())
     assert (x - x).terms == {}
+
+
+def _all_fraction(x):
+    """x with every coefficient stored as a Fraction, bypassing normalization."""
+    out = Scalar.__new__(Scalar)
+    out._terms = {k: Fraction(c) for k, c in x.terms.items()}
+    out._hash = None
+    return out
+
+
+def test_integral_coefficients_are_ints():
+    assert Scalar.parse("3*q^2 + -1/2*d").terms == {(4, 0, 0): 3, (0, 2, 0): Fraction(-1, 2)}
+    for x in (
+        Scalar.one(),
+        Scalar.from_rational(Fraction(6, 3)),
+        Scalar.monomial(Fraction(-4, 2), qhalf=1),
+        Scalar({(0, 0, 0): Fraction(5)}),
+        Scalar.monomial(Fraction(1, 3)).inverse(),
+        qint(4) * qint(-3),
+        Scalar.parse("2*q^{1/2} + -7*d^-1"),
+    ):
+        assert all(type(c) is int for c in x.terms.values()), x
+    assert type(Scalar.monomial(Fraction(3, 2)).terms[(0, 0, 0)]) is Fraction
+
+
+@given(mixed_scalars, mixed_scalars)
+@settings(max_examples=150, deadline=None)
+def test_mixed_coefficients_match_all_fraction_reference(x, y):
+    fx, fy = _all_fraction(x), _all_fraction(y)
+    for got, want in ((x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (x, fx)):
+        assert got == want
+        assert got.terms == want.terms
+        assert hash(got) == hash(want)
+        assert got.render() == want.render()
+    assert (x == y) == (fx == fy)
+
+
+def test_context_constants_are_memoized():
+    calls = [("qpow", -2), ("dpow", 3), ("q1pow", 1), ("zetapow", -1), ("qint", 3), ("rational", -1)]
+    for make in (lambda: SymbolicContext(3, 1), lambda: NumericContext(2, 3, 3, 1)):
+        ctx, fresh = make(), make()
+        for name, arg in calls:
+            first = getattr(ctx, name)(arg)
+            assert getattr(ctx, name)(arg) is first
+            assert getattr(fresh, name)(arg) == first
+    assert SymbolicContext(3, 1).qint(3) == qint(3)
+    assert NumericContext(2, 3).qpow(-2) == Fraction(1, 4)
 
 
 def test_monomial_units():
@@ -87,17 +133,18 @@ def test_qint_addition_rule():
 
 
 def test_derived_params():
+    # q1 = d q^{-1}, q2 = q^2, q3 = d^{-1} q^{-1}, zeta = q1^{n-m}
     for m, n in [(3, 1), (2, 3), (1, 4), (2, 2 + 1)]:
-        q1, q2, q3, zeta = derived_params(m, n)
+        R = SymbolicContext(m, n)
+        q1, q2, q3 = R.q1pow(1), R.qpow(2), R.dpow(-1) * R.qpow(-1)
         assert q1 * q2 * q3 == Scalar.one()
         assert q1 == d_pow(1) * q_pow(-1)
         assert q2 == q_pow(2)
-    _, _, _, zeta31 = derived_params(3, 1)
-    assert zeta31 == d_pow(-2) * q_pow(2)
-    _, _, _, zeta23 = derived_params(2, 3)
-    assert zeta23 == d_pow(1) * q_pow(-1)
+        assert R.zetapow(1) == q1 ** (n - m)
+    assert SymbolicContext(3, 1).zetapow(1) == d_pow(-2) * q_pow(2)
+    assert SymbolicContext(2, 3).zetapow(1) == d_pow(1) * q_pow(-1)
     with pytest.raises(ValueError):
-        derived_params(2, 2)
+        SymbolicContext(2, 2)
 
 
 def test_psi_coeffs_frozen_values():
@@ -121,41 +168,10 @@ def test_psi_inversion_identity():
         assert psi_coeffs(-c, "-", 8) == psi_coeffs(c, "+", 8)
 
 
-def test_psi_tail_memoizes_consistently():
-    calls = []
-
-    def gen(k):
-        calls.append(k)
-        return psi_coeffs(2, "+", k + 1)[k]
-
-    tail = SeriesTail("+", gen)
-    a = tail.coeff(3)
-    b = tail.coeff(3)
-    assert a == b
-    assert calls.count(3) == 1
-    assert tail.prefix(4) == psi_coeffs(2, "+", 4)
-
-
-def test_series_tail_threaded_reads_agree():
-    tail = psi_tail(1, "+")
-    seen = []
-
-    def reader():
-        seen.append(tuple(tail.coeff(k).render() for k in range(6)))
-
-    threads = [threading.Thread(target=reader) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(seen)) == 1
-
-
 def test_specialize_frozen_values():
     assert specialize(q_pow(1) + q_pow(-1), 2, 3) == Fraction(5, 2)
     assert specialize(Scalar.one(), 7, 11) == 1
-    _, _, _, zeta31 = derived_params(3, 1)
-    assert specialize(zeta31, 2, 3) == Fraction(4, 9)
+    assert specialize(SymbolicContext(3, 1).zetapow(1), 2, 3) == Fraction(4, 9)
 
 
 def test_specialize_rejects_bad_points():

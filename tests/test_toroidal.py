@@ -21,6 +21,7 @@ from qtschur.toroidal import (
     psi_inverse,
     psi_power,
     rotation_identity_check,
+    toroidal_mode_apply,
     vertical_mode_apply,
     weight_exponent,
     zero_current_apply,
@@ -269,6 +270,20 @@ def test_chevalley_variants_differ_by_letter():
     assert aff == sp.basis((1,), right_mul_Y(one, 1, 1)).scale(R31.rational(-1))
     vert = functor_chevalley_apply("f", 0, u4, variant="vertical")
     assert vert == aff.scale(R31.dpow(1))
+
+
+def test_symbolic_images_keep_int_coefficients():
+    # every coefficient of the symbolic stage is integral and must stay a
+    # plain int: an integral Fraction here means the fast path has decayed
+    sp = space31(1)
+    seen = 0
+    for _, u in functor_battery(sp):
+        for image in (u, toroidal_mode_apply("E", 1, 1, u), toroidal_mode_apply("K-", 0, -2, u)):
+            for w in image.support.values():
+                for coeff in w.support.values():
+                    assert all(type(c) is int for c in coeff.terms.values()), coeff
+                    seen += len(coeff)
+    assert seen  # not vacuous
 
 
 # ----------------------------------------------------------------------
