@@ -38,7 +38,7 @@ def main() -> int:
     ctx = _SuiteContext("toroidal", cfg)
     spent = defaultdict(float)
     counts = defaultdict(int)
-    for idx, (relation, _, _, _) in enumerate(ctx.instances):
+    for idx, (relation, _, _, _, _, _) in enumerate(ctx.instances):
         start = time.perf_counter()
         rows = ctx.rows(idx, idx + 1)
         spent[relation] += time.perf_counter() - start

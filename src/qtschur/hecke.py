@@ -691,9 +691,7 @@ def eval_side(e: DahaElement, side: list) -> DahaElement:
     return _combine(e.ctx, [(coeff, apply_word(e, word)) for coeff, word in side])
 
 
-def check_daha_presentation(
-    ctx: DahaContext, battery: list | None = None, collect_all: bool = True
-) -> list[dict]:
+def check_daha_presentation(ctx: DahaContext, battery: list | None = None) -> list[dict]:
     """Evaluate every presentation relation on every battery element.
 
     Returns one result record per (relation, vector): a dict with the
@@ -713,11 +711,7 @@ def check_daha_presentation(
             }
             if diff:
                 record["residual"] = diff.render()
-                results.append(record)
-                if not collect_all:
-                    return results
-            else:
-                results.append(record)
+            results.append(record)
     return results
 
 

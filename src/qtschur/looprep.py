@@ -273,23 +273,32 @@ def chevalley_apply(g: ChevalleyGen, v: PlainTensor) -> PlainTensor:
 # the two-slot Hecke operator
 
 
+def hecke_exchange_terms(space, i: int, labels):
+    """Two-slot exchange on slots i, i+1 of one key, as (labels, coeff) terms.
+
+    space is any bundle with parity data pd and coefficient context R.
+    """
+    pd, R = space.pd, space.R
+    a, b = labels[i - 1], labels[i]
+    if a == b:
+        sa = pd.sign(a)
+        return [(labels, R.rational(sa) * R.qpow(1 + sa))]
+    swapped = labels[: i - 1] + (b, a) + labels[i + 1 :]
+    sgn = -1 if pd.vector_parity(a) and pd.vector_parity(b) else 1
+    out = [(swapped, R.rational(sgn) * R.qpow(1))]
+    if a > b:
+        out.append((labels, R.qpow(2) - R.one))
+    return out
+
+
 def hecke_T_apply(i: int, v: PlainTensor) -> PlainTensor:
     """Adjacent-slot action on labels (xi-exponents ride along unchanged)."""
     space = v.space
     assert 1 <= i < space.ell, f"slot index {i} out of range"
-    pd, R = space.pd, space.R
     acc: dict = {}
     for (labels, nu), cin in v.support.items():
-        a, b = labels[i - 1], labels[i]
-        if a == b:
-            sa = pd.sign(a)
-            _acc(acc, (labels, nu), cin * R.rational(sa) * R.qpow(1 + sa))
-            continue
-        swapped = labels[: i - 1] + (b, a) + labels[i + 1 :]
-        sgn = -1 if pd.vector_parity(a) and pd.vector_parity(b) else 1
-        _acc(acc, (swapped, nu), cin * R.rational(sgn) * R.qpow(1))
-        if a > b:
-            _acc(acc, (labels, nu), cin * (R.qpow(2) - R.one))
+        for labels2, c in hecke_exchange_terms(space, i, labels):
+            _acc(acc, (labels2, nu), cin * c)
     return PlainTensor(space, acc)
 
 
@@ -297,20 +306,25 @@ def hecke_T_apply(i: int, v: PlainTensor) -> PlainTensor:
 # current modes
 
 
-def _mode_on_labels(space: TensorSpace, family: str, i: int, r: int, labels):
-    """General-key mode action on one label tuple.
+def mode_terms(space, family: str, i: int, r: int, labels, power, inverted: bool):
+    """Summands of one current mode on one label tuple.
 
     Yields (labels', sign, multiplier) with multiplier a map from
-    xi-exponent vectors to coefficients.  psi factors occupy every
+    per-slot exponent vectors to coefficients.  psi factors occupy every
     slot carrying label i or i+1 on the relevant side of the delta
-    slot; on nondecreasing input this reduces to the published ranges.
+    slot: after it for x^+, before it for x^-.  power is the context
+    power whose mu_i-th powers scale the arguments (qpow on the loop
+    legs, q1pow on the algebra side); inverted selects arguments of
+    shape scale*var*z, which negates each psi coefficient.  space is any
+    bundle with parity data pd, coefficient context R and length ell.
     """
     pd, R, ell = space.pd, space.R, space.ell
     mu_i = mu(pd, i)
-    scale_pow = lambda e: R.qpow(mu_i * e)
+    scale = lambda e: power(mu_i * e)
+    flip = -1 if inverted else 1
 
     def psi_c(label: int) -> int:
-        return pd.sign(i) if label == i else -pd.sign(i + 1)
+        return flip * (pd.sign(i) if label == i else -pd.sign(i + 1))
 
     if family == "x+":
         for ridx, lab in enumerate(labels):
@@ -321,7 +335,7 @@ def _mode_on_labels(space: TensorSpace, family: str, i: int, r: int, labels):
                 for p in range(ridx + 1, ell)
                 if labels[p] in (i, i + 1)
             ]
-            mult = delta_psi_mode(R, ell, r, "+", ridx, slots, scale_pow, False)
+            mult = delta_psi_mode(R, ell, r, "+", ridx, slots, scale, inverted)
             out = labels[:ridx] + (i,) + labels[ridx + 1 :]
             yield out, koszul_sign(pd, i, ridx + 1, labels), mult
     elif family == "x-":
@@ -332,12 +346,12 @@ def _mode_on_labels(space: TensorSpace, family: str, i: int, r: int, labels):
             slots = [
                 (p, psi_c(labels[p])) for p in range(ridx) if labels[p] in (i, i + 1)
             ]
-            mult = delta_psi_mode(R, ell, r, "-", ridx, slots, scale_pow, False)
+            mult = delta_psi_mode(R, ell, r, "-", ridx, slots, scale, inverted)
             out = labels[:ridx] + (i + 1,) + labels[ridx + 1 :]
             yield out, si * koszul_sign(pd, i, ridx + 1, labels), mult
     elif family in ("k+", "k-"):
         slots = [(p, psi_c(lab)) for p, lab in enumerate(labels) if lab in (i, i + 1)]
-        mult = psi_product_mode(R, ell, r, family[1], slots, scale_pow, False)
+        mult = psi_product_mode(R, ell, r, family[1], slots, scale, inverted)
         yield labels, 1, mult
     else:
         raise ValueError(f"unknown mode family {family!r}")
@@ -346,7 +360,8 @@ def _mode_on_labels(space: TensorSpace, family: str, i: int, r: int, labels):
 def _mode_general(space: TensorSpace, family: str, i: int, r: int, v: PlainTensor):
     acc: dict = {}
     for (labels, nu), cin in v.support.items():
-        for labels2, sign, mult in _mode_on_labels(space, family, i, r, labels):
+        terms = mode_terms(space, family, i, r, labels, space.R.qpow, False)
+        for labels2, sign, mult in terms:
             base = cin if sign > 0 else -cin
             for vec, c in mult.items():
                 nu2 = tuple(n + d for n, d in zip(nu, vec))

@@ -13,7 +13,7 @@ the periodic extension dictates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class ParityData:
     def vector_parity(self, j: int) -> int:
         """|v_j| = (1 - s_j)/2."""
         return (1 - self.sign(j)) // 2
-
-    def is_standard(self) -> bool:
-        return self.s == (1,) * self.m + (-1,) * self.n
 
 
 def cartan(pd: ParityData, i: int, j: int) -> int:

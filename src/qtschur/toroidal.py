@@ -23,7 +23,7 @@ Operators provided:
     are its conjugates of the node-1 currents with a mode-wise
     argument rescale;
   * rotation-identity batteries relating conjugated and index-shifted
-    currents, and the diagonal bookkeeping (K-chain, weights).
+    currents, and the diagonal weight action.
 
 Equality is decided per key through the parabolic symmetrizer of the
 repeated-label blocks: a factor w kills the key exactly when w times
@@ -43,9 +43,15 @@ from qtschur.hecke import (
     right_mul_X,
     right_mul_Y,
 )
-from qtschur.looprep import ChevalleyGen, TensorSpace, _chevalley_summands, tensor_leg_apply
-from qtschur.scalar import delta_psi_mode, psi_product_mode
-from qtschur.superdata import ParityData, koszul_sign, mu, node_parity, tau_power
+from qtschur.looprep import (
+    ChevalleyGen,
+    TensorSpace,
+    _chevalley_summands,
+    hecke_exchange_terms,
+    mode_terms,
+    tensor_leg_apply,
+)
+from qtschur.superdata import ParityData, tau_power
 
 
 class FunctorSpace:
@@ -286,41 +292,9 @@ def _right_mul_ymono(w: DahaElement, vec) -> DahaElement:
 # current modes at finite nodes
 
 
-def _mode_terms(space: FunctorSpace, family: str, i: int, r: int, labels):
-    """Summands of one mode on one nondecreasing key.
-
-    Yields (target labels, sign, multiplier dict).  The multiplier maps
-    Y-exponent vectors to coefficients; psi factors sit after the delta
-    slot for the raising family and before it for the lowering one, at
-    the slots carrying the two relevant labels.
-    """
-    pd, R, ell = space.pd, space.R, space.ell
-    a1 = sum(1 for j in labels if j < i)
-    a2 = a1 + sum(1 for j in labels if j == i)
-    a3 = a2 + sum(1 for j in labels if j == i + 1)
-    mu_i = mu(pd, i)
-    scale = lambda e: R.q1pow(mu_i * e)
-    if family == "E":
-        for ridx in range(a2 + 1, a3 + 1):
-            slots = [(p - 1, pd.sign(i + 1)) for p in range(ridx + 1, a3 + 1)]
-            mult = delta_psi_mode(R, ell, r, "+", ridx - 1, slots, scale, True)
-            out = labels[: ridx - 1] + (i,) + labels[ridx:]
-            yield out, koszul_sign(pd, i, ridx, labels), mult
-    elif family == "F":
-        si = pd.sign(i)
-        for ridx in range(a1 + 1, a2 + 1):
-            slots = [(p - 1, -si) for p in range(a1 + 1, ridx)]
-            mult = delta_psi_mode(R, ell, r, "-", ridx - 1, slots, scale, True)
-            out = labels[: ridx - 1] + (i + 1,) + labels[ridx:]
-            yield out, si * koszul_sign(pd, i, ridx, labels), mult
-    elif family in ("K+", "K-"):
-        slots = [(p, -pd.sign(i)) for p in range(a1, a2)] + [
-            (p, pd.sign(i + 1)) for p in range(a2, a3)
-        ]
-        mult = psi_product_mode(R, ell, r, family[1], slots, scale, True)
-        yield labels, 1, mult
-    else:
-        raise ValueError(f"unknown mode family {family!r}")
+# current families under their loop-representation names; on the
+# algebra side the arguments are q1-scaled and inverted (Y_p * z)
+_LOOP_FAMILY = {"E": "x+", "F": "x-", "K+": "k+", "K-": "k-"}
 
 
 def vertical_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
@@ -332,7 +306,11 @@ def vertical_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> Funct
         key = (family, i, r, labels)
         terms = space._mode_cache.get(key)
         if terms is None:
-            terms = tuple(_mode_terms(space, family, i, r, labels))
+            terms = tuple(
+                mode_terms(
+                    space, _LOOP_FAMILY[family], i, r, labels, space.R.q1pow, True
+                )
+            )
             space._mode_cache[key] = terms
         for labels2, sign, mult in terms:
             for vec, coeff in mult.items():
@@ -378,22 +356,6 @@ def functor_chevalley_apply(
                         c = c * space.R.dpow(-shift)
             _sorted_accumulate(space, acc, labels2, w2.scale(c * extra))
     return FunctorVector(space, _normalize(space, acc))
-
-
-def hecke_exchange_terms(space: FunctorSpace, i: int, labels):
-    """Two-slot exchange on adjacent tensor slots, as (labels, coeff) terms."""
-    pd, R = space.pd, space.R
-    assert 1 <= i < space.ell
-    a, b = labels[i - 1], labels[i]
-    if a == b:
-        sa = pd.sign(a)
-        return [(tuple(labels), R.rational(sa) * R.qpow(1 + sa))]
-    swapped = tuple(labels[: i - 1]) + (b, a) + tuple(labels[i + 1 :])
-    sgn = -1 if pd.vector_parity(a) and pd.vector_parity(b) else 1
-    out = [(swapped, R.rational(sgn) * R.qpow(1))]
-    if a > b:
-        out.append((tuple(labels), R.qpow(2) - R.one))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -470,14 +432,6 @@ def toroidal_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> Funct
     return vertical_mode_apply(family, i, r, fv)
 
 
-def k_chain_apply(fv: FunctorVector) -> FunctorVector:
-    """Product of the diagonal generators over every node, node 0 last."""
-    out = fv
-    for i in range(fv.space.kappa - 1, 0, -1):
-        out = vertical_mode_apply("K+", i, 0, out)
-    return zero_current_apply("K+", 0, out)
-
-
 def weight_exponent(pd: ParityData, labels, i: int) -> int:
     """Diagonal eigenvalue exponent s_i l_i - s_{i+1} l_{i+1} on one key."""
     kappa = pd.kappa
@@ -487,6 +441,13 @@ def weight_exponent(pd: ParityData, labels, i: int) -> int:
     li = sum(1 for j in labels if j == lo)
     li1 = sum(1 for j in labels if j == hi)
     return pd.sign(lo) * li - pd.sign(hi) * li1
+
+
+def weight_apply(i: int, fv: FunctorVector) -> FunctorVector:
+    """Diagonal action of q to the node-i weight exponent, key by key."""
+    space = fv.space
+    qpow = lambda labels: space.R.qpow(weight_exponent(space.pd, labels, i))
+    return FunctorVector(space, {k: w.scale(qpow(k)) for k, w in fv.support.items()})
 
 
 # ----------------------------------------------------------------------

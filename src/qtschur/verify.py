@@ -1,20 +1,26 @@
 """Relation suites over the balanced tensor spaces, with JSON reports.
 
-Each suite expands a finite list of relation instances (a relation id,
-node indices, a mode tuple) and evaluates the difference of the two
-sides on every vector of a deterministic battery: the Hecke-algebra
-battery crossed with all nondecreasing label tuples.  Current
-relations are checked in mode-truncated form: the coefficient of
-z^{-r} in z * E(z) is E_{r+1}, the delta function delta(w/z) couples
-modes by r + s, and the diagonal series K^+ and K^- carry modes r >= 0
-and r <= 0, their mode-zero terms the two inverse diagonal generators.  All
-checks run at trivial central charge, where the dressed K-K exchange
-collapses to plain commutation.
+Each suite expands a finite table of relation instances: a relation
+id, node indices, a mode tuple, a form, and the two sides of the
+relation as data.  A side is a list of (coefficient, word) terms, a
+word a tuple of operator letters, and a coefficient a ring-free sum of
+(rational, q-exponent, d-exponent) monomials; bracket trees are
+expanded into terms once, when the table is built.  One evaluator sums
+each side on a vector and takes the difference, on every vector of a
+deterministic battery: the Hecke-algebra battery crossed with all
+nondecreasing label tuples.  Current relations are checked in
+mode-truncated form: the coefficient of z^{-r} in z * E(z) is E_{r+1},
+the delta function delta(w/z) couples modes by r + s, and the diagonal
+series K^+ and K^- carry modes r >= 0 and r <= 0, their mode-zero
+terms the two inverse diagonal generators.  All checks run at trivial
+central charge, where the dressed K-K exchange collapses to plain
+commutation.
 
 Suites can run symbolically (exact Laurent coefficients), numerically
 (a rational sample point), or both; in combined mode the numeric pass
 runs first and gates the symbolic comparison, and both verdicts are
-recorded per row.  Instances are evaluated in chunks of consecutive
+recorded per row.  Each stage resolves the table's coefficients in its
+own ring once.  Instances are evaluated in chunks of consecutive
 instances (one chunk per worker task), vector-major within a chunk:
 each battery vector goes through every instance with one memo of
 operator images, dropped before the next vector, and rows are emitted
@@ -258,21 +264,84 @@ def _mode_tuples(k: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
+# A side is a list of (coefficient, word) terms.  A word is a tuple of
+# letters (op, node, arg) applied right to left: op is a current
+# (E, F, K+, K-) with its mode as arg, a Chevalley generator (e, f, t,
+# tinv) with its wrap-around variant, or the diagonal weight letter wt.
+# A coefficient is ring-free: a tuple of (rational, q-exponent,
+# d-exponent) monomials, resolved once per stage in that stage's ring.
+
+_CURRENTS = ("E", "F", "K+", "K-")
+_CHEVALLEY = ("e", "f", "t", "tinv")
+_WEIGHT = "wt"
+_ONE = ((1, 0, 0),)
+
+
+def _swap_sides(x, y, coeff=_ONE):
+    """x y = coeff * y x."""
+    return [(_ONE, (x, y))], [(coeff, (y, x))]
+
+
+def _shift_sides(fx, i, r, fy, j, s, m, a, sign=1):
+    """d^m x[r+1] y[s] - q^a x[r] y[s+1] = sign (d^m q^a y[s] x[r+1] - y[s+1] x[r])
+
+    for x = fx at node i and y = fy at node j.
+    """
+    x0, x1, y0, y1 = (fx, i, r), (fx, i, r + 1), (fy, j, s), (fy, j, s + 1)
+    lhs = [(((1, 0, m),), (x1, y0)), (((-1, a, 0),), (x0, y1))]
+    rhs = [(((sign, a, m),), (y0, x1)), (((-sign, 0, 0),), (y1, x0))]
+    return lhs, rhs
+
+
+def _ef_sides(pd, x, y, diagonal=()):
+    """(q - q^{-1})(x y - sign y x) = k - k^{-1}, diagonal = (k, k^{-1}) or ().
+
+    Everything sits on the left side, rhs is empty.
+    """
+    sgn = _super_sign(pd, x[1], y[1])
+    lhs = [(((1, 1, 0), (-1, -1, 0)), (x, y)), (((-sgn, 1, 0), (sgn, -1, 0)), (y, x))]
+    if diagonal:
+        k, kinv = diagonal
+        lhs += [(((-1, 0, 0),), (k,)), (_ONE, (kinv,))]
+    return lhs, []
+
+
+def _bracket_side(pd: ParityData, expr, sign: int = 1) -> list:
+    terms, _, _ = _expr_terms(pd, expr)
+    return [(((sign * c, qexp, 0),), leaves) for leaves, c, qexp in terms]
+
+
+def _serre_sides(pd: ParityData, tree, r1: int, r2: int):
+    """tree(r1, r2) + tree(r2, r1) = 0, the swapped tree negated on rhs."""
+    return _bracket_side(pd, tree(r1, r2)), _bracket_side(pd, tree(r2, r1), -1)
+
+
 def toroidal_instances(pd: ParityData, bound: int) -> list[tuple]:
-    """(relation, nodes, modes, form) covering every defining relation."""
+    """(relation, nodes, modes, form, lhs, rhs) covering every defining relation.
+
+    The relation holds when lhs - rhs (lhs alone if rhs is empty)
+    vanishes on every vector; excluded relations have no sides.
+    """
     kappa = pd.kappa
     nodes = list(range(kappa))
     pairs2 = _mode_tuples(2, bound)
     inst: list[tuple] = []
+
+    def add(relation, nodes, modes, form, sides):
+        inst.append((relation, nodes, modes, form, *sides))
+
+    k0 = lambda i: ("K+", i, 0)
     for i, j in itertools.combinations(nodes, 2):
-        inst.append(("CK", (i, j), (), "KK"))
+        add("CK", (i, j), (), "KK", _swap_sides(k0(i), k0(j)))
     for i in nodes:
         for j in nodes:
             for r in range(-bound, bound + 1):
-                inst.append(("CK", (i, j), (r,), "KE"))
-                inst.append(("CK", (i, j), (r,), "KF"))
+                for form, fam, a in (("KE", "E", 1), ("KF", "F", -1)):
+                    q = ((1, a * cartan(pd, i, j), 0),)
+                    add("CK", (i, j), (r,), form, _swap_sides(k0(i), (fam, j, r), q))
     for form, keep in (("+", lambda r, s: r >= 0 and s >= 0),
                        ("-", lambda r, s: r <= 0 and s <= 0)):
+        fam = "K" + form
         for i in nodes:
             for j in nodes:
                 if i > j:
@@ -280,86 +349,121 @@ def toroidal_instances(pd: ParityData, bound: int) -> list[tuple]:
                 for r, s in pairs2:
                     if not keep(r, s) or (i == j and r > s):
                         continue
-                    inst.append(("KK1", (i, j), (r, s), form))
+                    sides = _swap_sides((fam, i, r), (fam, j, s))
+                    add("KK1", (i, j), (r, s), form, sides)
     for i in nodes:
         for j in nodes:
             for r, s in pairs2:
                 if r <= 0 <= s:
-                    inst.append(("KK2", (i, j), (r, s), None))
-    for rel in ("KE", "KF"):
+                    sides = _swap_sides(("K-", i, r), ("K+", j, s))
+                    add("KK2", (i, j), (r, s), None, sides)
+    for rel, fam, a in (("KE", "E", 1), ("KF", "F", -1)):
         for form, keep in (("+", lambda r: r >= -1), ("-", lambda r: r <= 0)):
             for i in nodes:
                 for j in nodes:
+                    m, qa = mmatrix(pd, i, j), a * cartan(pd, i, j)
                     for r, s in pairs2:
                         if keep(r):
-                            inst.append((rel, (i, j), (r, s), form))
+                            sides = _shift_sides("K" + form, i, r, fam, j, s, m, qa)
+                            add(rel, (i, j), (r, s), form, sides)
     for i in nodes:
         for j in nodes:
             for r, s in pairs2:
-                inst.append(("EF", (i, j), (r, s), None))
+                diagonal = (("K+", i, r + s), ("K-", i, r + s)) if i == j else ()
+                sides = _ef_sides(pd, ("E", i, r), ("F", j, s), diagonal)
+                add("EF", (i, j), (r, s), None, sides)
     for i in nodes:
         for j in nodes:
             if i > j:
                 continue
-            zero = cartan(pd, i, j) == 0
+            a, m = cartan(pd, i, j), mmatrix(pd, i, j)
+            sgn = _super_sign(pd, i, j)
             for r, s in pairs2:
                 if i == j and r > s:
                     continue
-                if zero:
-                    inst.append(("EEFF-zero", (i, j), (r, s), "EE"))
-                    inst.append(("EEFF-zero", (i, j), (r, s), "FF"))
-                else:
-                    inst.append(("EE-quadratic", (i, j), (r, s), None))
-                    inst.append(("FF-quadratic", (i, j), (r, s), None))
+                for fam, e in (("E", 1), ("F", -1)):
+                    if a == 0:
+                        sides = _swap_sides((fam, i, r), (fam, j, s), ((sgn, 0, 0),))
+                        add("EEFF-zero", (i, j), (r, s), fam * 2, sides)
+                    else:
+                        sides = _shift_sides(fam, i, r, fam, j, s, m, e * a, sgn)
+                        add(fam * 2 + "-quadratic", (i, j), (r, s), None, sides)
     triples = [t for t in _mode_tuples(3, bound) if t[0] <= t[1]]
     quads = [t for t in _mode_tuples(4, bound) if t[0] <= t[1]]
     for i in nodes:
+        ip, im = (i + 1) % kappa, (i - 1) % kappa
         if cartan(pd, i, i):
-            for j in ((i - 1) % kappa, (i + 1) % kappa):
+            for j in (im, ip):
                 for ms in triples:
-                    inst.append(("Serre1", (i, j), ms, None))
-                    inst.append(("Serre2", (i, j), ms, None))
+                    r1, r2, s = ms
+                    for rel, fam in (("Serre1", "E"), ("Serre2", "F")):
+                        L = lambda node, r: _leaf(fam, node, r)
+                        tree = lambda x, y: _lb(L(i, x), _lb(L(i, y), L(j, s)))
+                        add(rel, (i, j), ms, None, _serre_sides(pd, tree, r1, r2))
         else:
             for ms in quads:
-                inst.append(("Serre3", (i,), ms, None))
-                inst.append(("Serre4", (i,), ms, None))
-    inst.append(("Serre5", (), (), None))
-    inst.append(("Serre6", (), (), None))
+                r1, r2, w1, w2 = ms
+                for rel, fam in (("Serre3", "E"), ("Serre4", "F")):
+                    L = lambda node, r: _leaf(fam, node, r)
+                    tree = lambda x, y: _lb(
+                        L(i, x), _lb(L(ip, w1), _lb(L(i, y), L(im, w2)))
+                    )
+                    add(rel, (i,), ms, None, _serre_sides(pd, tree, r1, r2))
+    add("Serre5", (), (), None, ([], []))
+    add("Serre6", (), (), None, ([], []))
     for i in nodes:
-        inst.append(("weights", (i,), (), None))
-    inst.append(("K-chain", (), (), None))
+        weight = (_WEIGHT, i, None)
+        add("weights", (i,), (), None, ([(_ONE, (k0(i),))], [(_ONE, (weight,))]))
+    add("K-chain", (), (), None, ([(_ONE, tuple(map(k0, nodes)))], [(_ONE, ())]))
     return inst
 
 
 def affine_instances(pd: ParityData) -> list[tuple]:
-    """Chevalley-level instances, once per wrap-around variant."""
+    """Chevalley-level instances, once per wrap-around variant.
+
+    Same tuple shape as toroidal_instances, with the variant as form.
+    """
     kappa = pd.kappa
     nodes = list(range(kappa))
     inst: list[tuple] = []
     for variant in ("affine", "vertical"):
+
+        def add(relation, nodes, sides):
+            inst.append((relation, nodes, (), variant, *sides))
+
+        C = lambda kind, node: (kind, node, variant)
         for i, j in itertools.combinations(nodes, 2):
-            inst.append(("tt", (i, j), (), variant))
+            add("tt", (i, j), _swap_sides(C("t", i), C("t", j)))
         for i in nodes:
             for j in nodes:
-                inst.append(("te", (i, j), (), variant))
-                inst.append(("tf", (i, j), (), variant))
+                for rel, kind, a in (("te", "e", 1), ("tf", "f", -1)):
+                    q = ((1, a * cartan(pd, i, j), 0),)
+                    add(rel, (i, j), _swap_sides(C("t", i), C(kind, j), q))
         for i in nodes:
             for j in nodes:
-                inst.append(("ef", (i, j), (), variant))
+                diagonal = (C("t", i), C("tinv", i)) if i == j else ()
+                add("ef", (i, j), _ef_sides(pd, C("e", i), C("f", j), diagonal))
         for i in nodes:
             for j in nodes:
                 if i <= j and cartan(pd, i, j) == 0:
-                    inst.append(("ee-zero", (i, j), (), variant))
-                    inst.append(("ff-zero", (i, j), (), variant))
+                    sgn = ((_super_sign(pd, i, j), 0, 0),)
+                    for rel, kind in (("ee-zero", "e"), ("ff-zero", "f")):
+                        add(rel, (i, j), _swap_sides(C(kind, i), C(kind, j), sgn))
         for i in nodes:
+            ip, im = (i + 1) % kappa, (i - 1) % kappa
             if cartan(pd, i, i):
-                for j in ((i - 1) % kappa, (i + 1) % kappa):
-                    inst.append(("serre-e-cubic", (i, j), (), variant))
-                    inst.append(("serre-f-cubic", (i, j), (), variant))
+                for j in (im, ip):
+                    for kind in ("e", "f"):
+                        x, y = (_leaf(kind, k, variant) for k in (i, j))
+                        tree = _lb(x, _lb(x, y))
+                        add(f"serre-{kind}-cubic", (i, j), (_bracket_side(pd, tree), []))
             else:
-                inst.append(("serre-e-quartic", (i,), (), variant))
-                inst.append(("serre-f-quartic", (i,), (), variant))
-        inst.append(("t-chain", (), (), variant))
+                for kind in ("e", "f"):
+                    x, y, z = (_leaf(kind, k, variant) for k in (i, ip, im))
+                    tree = _lb(x, _lb(y, _lb(x, z)))
+                    add(f"serre-{kind}-quartic", (i,), (_bracket_side(pd, tree), []))
+        chain = tuple(C("t", i) for i in nodes)
+        add("t-chain", (), ([(_ONE, chain)], [(_ONE, ())]))
     return inst
 
 
@@ -396,49 +500,6 @@ def _expr_terms(pd: ParityData, expr) -> tuple[list, dict, int]:
     return terms, weight, (pl + pr) % 2
 
 
-def _image(memo: dict, op: str, node: int, arg, v):
-    """Image of v under one operator, looked up in or added to memo.
-
-    arg is the mode of a current (E, F, K+, K-) or the wrap-around
-    variant of a Chevalley generator.  The memo is keyed on id(v) and
-    keeps v next to its image, so the id stays v's while the memo
-    lives; a word of several letters hits it because an inner image
-    comes back as the same object.  Sharing images between relations is
-    sound because no FunctorVector or DahaElement operation changes a
-    support dict in place: sums, scalings and products build new ones.
-    A zero input is its own image and skips both the memo and the call:
-    every operator maps a space to itself (a rotation round trip lands
-    in the same space object).
-    """
-    if not v.support:
-        return v
-    key = (op, node, arg, id(v))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if op in ("E", "F", "K+", "K-"):
-        out = tor.toroidal_mode_apply(op, node, arg, v)
-    else:
-        out = tor.functor_chevalley_apply(op, node, v, variant=arg)
-    memo[key] = (v, out)
-    return out
-
-
-def _apply_leaves(memo, leaves, u):
-    if not leaves:
-        return u
-    return _image(memo, *leaves[0], _apply_leaves(memo, leaves[1:], u))
-
-
-def _expr_apply(memo, space, pd, expr, u):
-    terms, _, _ = _expr_terms(pd, expr)
-    acc = space.zero()
-    for leaves, sign, qexp in terms:
-        v = _apply_leaves(memo, leaves, u)
-        acc = acc + v.scale(space.R.qpow(qexp) * space.R.rational(sign))
-    return acc
-
-
 def _leaf(fam, node, arg=None):
     return ("leaf", (fam, node, arg))
 
@@ -447,160 +508,76 @@ def _lb(left, right):
     return ("lb", left, right)
 
 
-# ----------------------------------------------------------------------
-# instance evaluation (difference of the two sides)
-
-
 def _super_sign(pd: ParityData, i: int, j: int) -> int:
     return -1 if node_parity(pd, i) and node_parity(pd, j) else 1
 
 
-def _toroidal_diff(space, memo, pd, relation, nodes, modes, form, u):
-    R = space.R
-    A = lambda fam, node, r, v: _image(memo, fam, node, r, v)
-    if relation == "CK":
-        if form == "KK":
-            i, j = nodes
-            return A("K+", i, 0, A("K+", j, 0, u)) - A("K+", j, 0, A("K+", i, 0, u))
-        i, j = nodes
-        (r,) = modes
-        fam = "E" if form == "KE" else "F"
-        a = cartan(pd, i, j) * (1 if fam == "E" else -1)
-        return A("K+", i, 0, A(fam, j, r, u)) - A(fam, j, r, A("K+", i, 0, u)).scale(
-            R.qpow(a)
-        )
-    if relation == "KK1":
-        i, j = nodes
-        r, s = modes
-        fam = "K+" if form == "+" else "K-"
-        return A(fam, i, r, A(fam, j, s, u)) - A(fam, j, s, A(fam, i, r, u))
-    if relation == "KK2":
-        i, j = nodes
-        r, s = modes
-        return A("K-", i, r, A("K+", j, s, u)) - A("K+", j, s, A("K-", i, r, u))
-    if relation in ("KE", "KF"):
-        i, j = nodes
-        r, s = modes
-        kfam = "K+" if form == "+" else "K-"
-        fam = "E" if relation == "KE" else "F"
-        a = cartan(pd, i, j) * (1 if fam == "E" else -1)
-        dm = R.dpow(mmatrix(pd, i, j))
-        qa = R.qpow(a)
-        lhs = A(kfam, i, r + 1, A(fam, j, s, u)).scale(dm) - A(
-            kfam, i, r, A(fam, j, s + 1, u)
-        ).scale(qa)
-        rhs = A(fam, j, s, A(kfam, i, r + 1, u)).scale(dm * qa) - A(
-            fam, j, s + 1, A(kfam, i, r, u)
-        )
-        return lhs - rhs
-    if relation == "EF":
-        i, j = nodes
-        r, s = modes
-        sgn = R.rational(_super_sign(pd, i, j))
-        lhs = A("E", i, r, A("F", j, s, u)) - A("F", j, s, A("E", i, r, u)).scale(sgn)
-        lhs = lhs.scale(R.qpow(1) - R.qpow(-1))
-        if i != j:
-            return lhs
-        t = r + s
-        return lhs - A("K+", i, t, u) + A("K-", i, t, u)
-    if relation == "EEFF-zero":
-        i, j = nodes
-        r, s = modes
-        fam = "E" if form == "EE" else "F"
-        sgn = R.rational(_super_sign(pd, i, j))
-        return A(fam, i, r, A(fam, j, s, u)) - A(fam, j, s, A(fam, i, r, u)).scale(sgn)
-    if relation in ("EE-quadratic", "FF-quadratic"):
-        i, j = nodes
-        r, s = modes
-        fam = "E" if relation.startswith("EE") else "F"
-        a = cartan(pd, i, j) * (1 if fam == "E" else -1)
-        dm = R.dpow(mmatrix(pd, i, j))
-        qa = R.qpow(a)
-        sgn = R.rational(_super_sign(pd, i, j))
-        lhs = A(fam, i, r + 1, A(fam, j, s, u)).scale(dm) - A(
-            fam, i, r, A(fam, j, s + 1, u)
-        ).scale(qa)
-        rhs = A(fam, j, s, A(fam, i, r + 1, u)).scale(dm * qa) - A(
-            fam, j, s + 1, A(fam, i, r, u)
-        )
-        return lhs - rhs.scale(sgn)
-    if relation in ("Serre1", "Serre2"):
-        i, j = nodes
-        r1, r2, s = modes
-        fam = "E" if relation == "Serre1" else "F"
-        out = space.zero()
-        for x, y in ((r1, r2), (r2, r1)):
-            expr = _lb(_leaf(fam, i, x), _lb(_leaf(fam, i, y), _leaf(fam, j, s)))
-            out = out + _expr_apply(memo, space, pd, expr, u)
-        return out
-    if relation in ("Serre3", "Serre4"):
-        (i,) = nodes
-        r1, r2, w1, w2 = modes
-        fam = "E" if relation == "Serre3" else "F"
-        kappa = pd.kappa
-        ip, im = (i + 1) % kappa, (i - 1) % kappa
-        out = space.zero()
-        for x, y in ((r1, r2), (r2, r1)):
-            expr = _lb(
-                _leaf(fam, i, x),
-                _lb(_leaf(fam, ip, w1), _lb(_leaf(fam, i, y), _leaf(fam, im, w2))),
-            )
-            out = out + _expr_apply(memo, space, pd, expr, u)
-        return out
-    if relation == "weights":
-        (i,) = nodes
-        labels = next(iter(u.support))
-        expected = u.scale(R.qpow(tor.weight_exponent(pd, labels, i)))
-        return A("K+", i, 0, u) - expected
-    if relation == "K-chain":
-        return tor.k_chain_apply(u) - u
-    raise ValueError(f"unknown relation {relation!r}")
+# ----------------------------------------------------------------------
+# instance evaluation (difference of the two sides)
 
 
-def _affine_diff(space, memo, pd, relation, nodes, modes, variant, u):
-    R = space.R
-    C = lambda kind, node, v: _image(memo, kind, node, variant, v)
-    if relation == "tt":
-        i, j = nodes
-        return C("t", i, C("t", j, u)) - C("t", j, C("t", i, u))
-    if relation in ("te", "tf"):
-        i, j = nodes
-        kind = "e" if relation == "te" else "f"
-        a = cartan(pd, i, j) * (1 if kind == "e" else -1)
-        return C("t", i, C(kind, j, u)) - C(kind, j, C("t", i, u)).scale(R.qpow(a))
-    if relation == "ef":
-        i, j = nodes
-        sgn = R.rational(_super_sign(pd, i, j))
-        lhs = C("e", i, C("f", j, u)) - C("f", j, C("e", i, u)).scale(sgn)
-        lhs = lhs.scale(R.qpow(1) - R.qpow(-1))
-        if i != j:
-            return lhs
-        return lhs - C("t", i, u) + C("tinv", i, u)
-    if relation in ("ee-zero", "ff-zero"):
-        i, j = nodes
-        kind = "e" if relation == "ee-zero" else "f"
-        sgn = R.rational(_super_sign(pd, i, j))
-        return C(kind, i, C(kind, j, u)) - C(kind, j, C(kind, i, u)).scale(sgn)
-    if relation in ("serre-e-cubic", "serre-f-cubic"):
-        i, j = nodes
-        kind = "e" if relation == "serre-e-cubic" else "f"
-        x, y = (_leaf(kind, k, variant) for k in (i, j))
-        expr = _lb(x, _lb(x, y))
-        return _expr_apply(memo, space, pd, expr, u)
-    if relation in ("serre-e-quartic", "serre-f-quartic"):
-        (i,) = nodes
-        kind = "e" if relation == "serre-e-quartic" else "f"
-        kappa = pd.kappa
-        ip, im = (i + 1) % kappa, (i - 1) % kappa
-        x, y, z = (_leaf(kind, k, variant) for k in (i, ip, im))
-        expr = _lb(x, _lb(y, _lb(x, z)))
-        return _expr_apply(memo, space, pd, expr, u)
-    if relation == "t-chain":
-        out = u
-        for i in range(pd.kappa - 1, -1, -1):
-            out = C("t", i, out)
-        return out - u
-    raise ValueError(f"unknown relation {relation!r}")
+def _resolve(R, coeff: tuple):
+    """A ring-free coefficient in ring R; the unit resolves to R.one."""
+    if coeff == _ONE:
+        return R.one
+    out = None
+    for c, qe, de in coeff:
+        term = R.rational(c) * R.qpow(qe) * R.dpow(de)
+        out = term if out is None else out + term
+    return out
+
+
+def _image(memo: dict, op: str, node: int, arg, v):
+    """Image of v under one letter, looked up in or added to memo.
+
+    The memo is keyed on id(v) and keeps v next to its image, so the id
+    stays v's while the memo lives; a word of several letters hits it
+    because an inner image comes back as the same object.  Sharing
+    images between relations is sound because no FunctorVector or
+    DahaElement operation changes a support dict in place: sums,
+    scalings and products build new ones.  A zero input is its own
+    image and skips both the memo and the call: every operator maps a
+    space to itself (a rotation round trip lands in the same space
+    object).
+    """
+    if not v.support:
+        return v
+    key = (op, node, arg, id(v))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    if op in _CURRENTS:
+        out = tor.toroidal_mode_apply(op, node, arg, v)
+    elif op in _CHEVALLEY:
+        out = tor.functor_chevalley_apply(op, node, v, variant=arg)
+    elif op == _WEIGHT:
+        out = tor.weight_apply(node, v)
+    else:
+        raise ValueError(f"unknown operator letter {op!r}")
+    memo[key] = (v, out)
+    return out
+
+
+def _difference(memo: dict, values: dict, lhs: list, rhs: list, u):
+    """lhs(u) - rhs(u), or lhs(u) alone when rhs is empty.
+
+    Each side is summed left to right from its first term: dead-key
+    pruning makes the representative of a sum depend on the order of
+    additions, and the report renders that representative.
+    """
+    sums = []
+    for side in (lhs, rhs):
+        acc = None
+        for coeff, word in side:
+            v = u
+            for letter in reversed(word):
+                v = _image(memo, *letter, v)
+            c = values[coeff]
+            if c is not v.space.R.one:
+                v = v.scale(c)
+            acc = v if acc is None else acc + v
+        sums.append(acc)
+    return sums[0] if sums[1] is None else sums[0] - sums[1]
 
 
 # ----------------------------------------------------------------------
@@ -611,19 +588,19 @@ class _SuiteContext:
     def __init__(self, suite: str, cfg: RunConfig):
         self.suite = suite
         self.cfg = cfg
-        self.pd = cfg.parity_data()
-        zeta = "folded" if suite == "toroidal" else "formal"
+        pd = cfg.parity_data()
         if suite == "toroidal":
-            self.instances = toroidal_instances(self.pd, cfg.modes)
-            self.diff = _toroidal_diff
+            self.instances = toroidal_instances(pd, cfg.modes)
         else:
-            self.instances = affine_instances(self.pd)
-            self.diff = _affine_diff
+            self.instances = affine_instances(pd)
+        coeffs = {c for *_, lhs, rhs in self.instances for c, _ in lhs + rhs}
+        zeta = "folded" if suite == "toroidal" else "formal"
         self.stages = []
         for stage in _stages(cfg):
             R = _coeffs(cfg, stage, zeta)
-            space = tor.FunctorSpace(self.pd, cfg.ell, R)
-            self.stages.append((stage, space, tor.functor_battery(space)))
+            battery = tor.functor_battery(tor.FunctorSpace(pd, cfg.ell, R))
+            values = {c: _resolve(R, c) for c in coeffs}
+            self.stages.append((stage, battery, values))
 
     def rows(self, lo: int, hi: int) -> list[dict]:
         """Rows of instances lo..hi-1, in instance order.
@@ -635,11 +612,11 @@ class _SuiteContext:
         failed is not evaluated symbolically.
         """
         combined = self.cfg.mode == "both"
-        names = [name for name, _ in self.stages[-1][2]]
+        names = [name for name, _ in self.stages[-1][1]]
         out, live = [], []
-        for relation, nodes, modes, form in self.instances[lo:hi]:
+        for relation, nodes, modes, form, lhs, rhs in self.instances[lo:hi]:
             base = {"relation": relation, "nodes": list(nodes), "modes": list(modes)}
-            if relation in ("Serre5", "Serre6"):
+            if not lhs:
                 note = "mn = 2 incompatible with kappa >= 4"
                 out.append(dict(base, vector="-", status="excluded", note=note))
                 continue
@@ -649,15 +626,15 @@ class _SuiteContext:
                 base["symbolic"] = "skipped"
             rows = [dict(base, vector=vname, status="pass") for vname in names]
             out.extend(rows)
-            live.append(((relation, nodes, modes, form), rows))
+            live.append((lhs, rhs, rows))
         for k in range(len(names)):
-            for stage, space, battery in self.stages:
+            for stage, battery, values in self.stages:
                 u, memo = battery[k][1], {}
-                for inst, rows in live:
+                for lhs, rhs, rows in live:
                     row = rows[k]
                     if row["status"] == "fail":
                         continue
-                    diff = self.diff(space, memo, self.pd, *inst, u)
+                    diff = _difference(memo, values, lhs, rhs, u)
                     ok = diff.is_zero()
                     if combined:
                         row[stage] = "pass" if ok else "fail"
@@ -670,12 +647,16 @@ class _SuiteContext:
 _WORKER_CONTEXTS: dict = {}
 
 
-def _instance_worker(suite: str, cfg_key: tuple, lo: int, hi: int) -> list[dict]:
+def _context(suite: str, cfg_key: tuple) -> _SuiteContext:
     ctx = _WORKER_CONTEXTS.get((suite, cfg_key))
     if ctx is None:
         ctx = _SuiteContext(suite, RunConfig(*cfg_key))
         _WORKER_CONTEXTS[(suite, cfg_key)] = ctx
-    return ctx.rows(lo, hi)
+    return ctx
+
+
+def _instance_worker(suite: str, cfg_key: tuple, lo: int, hi: int) -> list[dict]:
+    return _context(suite, cfg_key).rows(lo, hi)
 
 
 def _plan(count: int, jobs: int) -> tuple[list[tuple[int, int]], int]:
@@ -691,11 +672,7 @@ def _plan(count: int, jobs: int) -> tuple[list[tuple[int, int]], int]:
 
 
 def _run_instances(suite: str, cfg: RunConfig) -> list[dict]:
-    pd = cfg.parity_data()
-    if suite == "toroidal":
-        count = len(toroidal_instances(pd, cfg.modes))
-    else:
-        count = len(affine_instances(pd))
+    count = len(_context(suite, cfg.key()).instances)
     ranges, workers = _plan(count, cfg.jobs)
     if workers == 1:
         return _instance_worker(suite, cfg.key(), 0, count)

@@ -104,7 +104,7 @@ def test_bracket_weight_lowering():
 
 def test_toroidal_instances_cover_all_relations():
     inst = toroidal_instances(PD31, 1)
-    relations = {rel for rel, _, _, _ in inst}
+    relations = {rel for rel, _, _, _, _, _ in inst}
     assert relations == {
         "CK",
         "KK1",
@@ -124,9 +124,9 @@ def test_toroidal_instances_cover_all_relations():
         "weights",
         "K-chain",
     }
-    assert sum(1 for rel, _, _, _ in inst if rel == "Serre5") == 1
-    assert sum(1 for rel, _, _, _ in inst if rel == "Serre6") == 1
-    for rel, nodes, modes, form in inst:
+    assert sum(1 for rel, _, _, _, _, _ in inst if rel == "Serre5") == 1
+    assert sum(1 for rel, _, _, _, _, _ in inst if rel == "Serre6") == 1
+    for rel, nodes, modes, form, _, _ in inst:
         assert all(abs(r) <= 2 for r in modes)
         if rel == "EEFF-zero":
             assert cartan(PD31, *nodes) == 0
@@ -146,12 +146,35 @@ def test_toroidal_instances_cover_all_relations():
 
 def test_affine_instances_both_variants():
     inst = affine_instances(PD31)
-    variants = {form for _, _, _, form in inst}
+    variants = {form for _, _, _, form, _, _ in inst}
     assert variants == {"affine", "vertical"}
-    per = {v: sum(1 for _, _, _, f in inst if f == v) for v in variants}
+    per = {v: sum(1 for _, _, _, f, _, _ in inst if f == v) for v in variants}
     assert per["affine"] == per["vertical"]
-    chains = [form for rel, _, _, form in inst if rel == "t-chain"]
+    chains = [form for rel, _, _, form, _, _ in inst if rel == "t-chain"]
     assert sorted(chains) == ["affine", "vertical"]
+
+
+def test_relation_sides_are_well_formed():
+    letters = verify._CURRENTS + verify._CHEVALLEY + (verify._WEIGHT,)
+    for suite, inst in (
+        ("toroidal", toroidal_instances(PD31, 1)),
+        ("affine", affine_instances(PD31)),
+    ):
+        for rel, nodes, modes, form, lhs, rhs in inst:
+            excluded = rel in ("Serre5", "Serre6")
+            assert excluded == (not lhs and not rhs), rel
+            if excluded:
+                continue
+            assert lhs, rel
+            for coeff, word in lhs + rhs:
+                assert coeff and all(
+                    type(x) is int for monomial in coeff for x in monomial
+                ), (rel, coeff)
+                for op, node, arg in word:
+                    assert op in letters, (rel, op)
+                    assert 0 <= node < PD31.kappa, (rel, node)
+                    if op in verify._CHEVALLEY:
+                        assert suite == "affine" and arg == form, (rel, arg, form)
 
 
 # suite smoke runs (small parameters, symbolic and numeric agree)
@@ -316,10 +339,11 @@ def test_numeric_failure_gates_symbolic(monkeypatch):
         i for i, inst in enumerate(ctx.instances) if inst[0] == "EF"
     )
 
-    def broken_diff(space, memo, pd, relation, nodes, modes, form, u):
-        return u
-
-    monkeypatch.setattr(ctx, "diff", broken_diff)
+    # lhs = identity, rhs empty: the difference is the vector itself
+    instances = list(ctx.instances)
+    relation, nodes, modes, form, _, _ = instances[idx]
+    instances[idx] = (relation, nodes, modes, form, [(verify._ONE, ())], [])
+    monkeypatch.setattr(ctx, "instances", instances)
     rows = ctx.rows(idx, idx + 1)
     assert rows
     for row in rows:
@@ -345,6 +369,10 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
     # the quadratic relations; counts measured with the per-instance
     # evaluator
     monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
+    # mmatrix is read when the instance table is built, so a suite
+    # context cached by an earlier run of the same configuration would
+    # hide the patch
+    monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
     cfg = RunConfig(m=3, n=1, ell=1, modes=0)
     both = run_toroidal_suite(cfg)
     fails = [row for row in both.results if row["status"] == "fail"]
