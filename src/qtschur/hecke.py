@@ -30,6 +30,7 @@ or a concrete power of d q^{-1}, again decided by the context.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 Token = tuple[str, int, int]  # (kind in "TXYQ", index, exponent +-1)
@@ -49,13 +50,12 @@ class AffinePermutation:
     def __init__(self, window: Sequence[int]):
         window = tuple(window)
         ell = len(window)
-        assert ell >= 1
-        assert sorted(v % ell for v in window) == list(range(ell)), (
-            f"window residues must be distinct mod {ell}: {window}"
-        )
-        assert sum(window) == ell * (ell + 1) // 2, (
-            f"window must be normalized: {window}"
-        )
+        if ell < 1:
+            raise ValueError("window must be nonempty")
+        if sorted(v % ell for v in window) != list(range(ell)):
+            raise ValueError(f"window residues must be distinct mod {ell}: {window}")
+        if sum(window) != ell * (ell + 1) // 2:
+            raise ValueError(f"window must be normalized: {window}")
         self.window = window
 
     @classmethod
@@ -213,9 +213,6 @@ class DahaElement:
 
     def is_zero(self) -> bool:
         return not self.support
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
 
     def __eq__(self, other) -> bool:
         return (
@@ -691,55 +688,32 @@ def eval_side(e: DahaElement, side: list) -> DahaElement:
     return _combine(e.ctx, [(coeff, apply_word(e, word)) for coeff, word in side])
 
 
-def check_daha_presentation(ctx: DahaContext, battery: list | None = None) -> list[dict]:
-    """Evaluate every presentation relation on every battery element.
+def check_daha_presentation(ctx: DahaContext, battery: list) -> Iterator:
+    """Every presentation relation on every battery element, as checks.
 
-    Returns one result record per (relation, vector): a dict with the
-    relation name, vector label, status, and residual rendering on
-    failure.
+    Yields (relation, nodes, modes, vector, difference) per (relation,
+    element), with no nodes or modes; difference() evaluates lhs - rhs
+    on the element as one side.
     """
-    if battery is None:
-        battery = default_battery(ctx)
-    results = []
     for name, lhs, rhs in presentation_relations(ctx):
+        side = lhs + [(-coeff, word) for coeff, word in rhs]
         for label, vec in battery:
-            diff = eval_side(vec, lhs) - eval_side(vec, rhs)
-            record = {
-                "relation": name,
-                "vector": label,
-                "status": "pass" if diff.is_zero() else "fail",
-            }
-            if diff:
-                record["residual"] = diff.render()
-            results.append(record)
-    return results
+            yield name, (), (), label, partial(eval_side, vec, side)
 
 
-def toshow_identities(ctx: DahaContext, battery: list) -> list[dict]:
-    """w Q Y_{i-1} Q^{-1} = w Y_i (1 < i <= l) and the zeta wrap at i = 1."""
-    results = []
+def toshow_identities(ctx: DahaContext, battery: list) -> Iterator:
+    """w Q Y_{i-1} Q^{-1} = w Y_i (1 < i <= l) and the zeta wrap at i = 1.
+
+    Checks shaped as in check_daha_presentation, element by element.
+    """
+    one = ctx.R.one
+    conj = lambda i: [(one, [("Q", 0, 1), ("Y", i, 1), ("Q", 0, -1)])]
+    sides = [
+        (f"w Q Y{i - 1} Q^-1 = w Y{i}", conj(i - 1) + [(-one, [("Y", i, 1)])])
+        for i in range(2, ctx.ell + 1)
+    ]
+    zeta_y1 = [(-ctx.R.zetapow(1), [("Y", 1, 1)])]
+    sides.append(("w Q Y_l Q^-1 = zeta w Y1", conj(ctx.ell) + zeta_y1))
     for label, vec in battery:
-        for i in range(2, ctx.ell + 1):
-            lhs = apply_word(vec, [("Q", 0, 1), ("Y", i - 1, 1), ("Q", 0, -1)])
-            rhs = right_mul_Y(vec, i, 1)
-            diff = lhs - rhs
-            record = {
-                "relation": f"w Q Y{i - 1} Q^-1 = w Y{i}",
-                "vector": label,
-                "status": "pass" if diff.is_zero() else "fail",
-            }
-            if diff:
-                record["residual"] = diff.render()
-            results.append(record)
-        lhs = apply_word(vec, [("Q", 0, 1), ("Y", ctx.ell, 1), ("Q", 0, -1)])
-        rhs = right_mul_Y(vec, 1, 1).scale(ctx.R.zetapow(1))
-        diff = lhs - rhs
-        record = {
-            "relation": "w Q Y_l Q^-1 = zeta w Y1",
-            "vector": label,
-            "status": "pass" if diff.is_zero() else "fail",
-        }
-        if diff:
-            record["residual"] = diff.render()
-        results.append(record)
-    return results
+        for name, side in sides:
+            yield name, (), (), label, partial(eval_side, vec, side)

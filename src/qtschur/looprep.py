@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from qtschur.scalar import delta_psi_mode, psi_product_mode
 from qtschur.superdata import ParityData, koszul_sign, mu, node_parity
@@ -70,9 +71,6 @@ class PlainTensor:
 
     def is_zero(self) -> bool:
         return not self.support
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
 
     def __eq__(self, other) -> bool:
         return (
@@ -556,44 +554,42 @@ def dictionary_leaf_apply(m: int, n: int):
 # exhaustive finite-level checks
 
 
-def schur_weyl_commutation_check(pd: ParityData, ell: int, coeffs=None) -> list[dict]:
+def schur_weyl_commutation_check(pd: ParityData, ell: int, coeffs):
     """Hecke-operator relations and commutation with the finite action.
 
-    Exhausts all label tuples; returns one record per (relation, key).
+    Exhausts all label tuples; yields one check (relation, nodes, modes,
+    vector, difference) per (relation, key), with no nodes or modes.
     """
-    from qtschur.scalar import SymbolicContext
-
     assert ell >= 2
-    space = TensorSpace(pd, ell, coeffs if coeffs is not None else SymbolicContext(formal_zeta=True))
-    R = space.R
+    space = TensorSpace(pd, ell, coeffs)
     gens = [
         ChevalleyGen(kind, i)
         for i in range(1, space.kappa)
         for kind in ("e", "f", "t", "tinv")
     ]
-    results = []
-
-    def record(name, labels, diff):
-        rec = {
-            "relation": name,
-            "vector": f"v{list(labels)}",
-            "status": "pass" if diff.is_zero() else "fail",
-        }
-        if diff:
-            rec["residual"] = diff.render()
-        results.append(rec)
-
     for labels in space.all_labels():
         b = space.basis(labels)
+        vector = f"v{list(labels)}"
         for a in range(1, ell):
             ta = hecke_T_apply(a, b)
-            quad = hecke_T_apply(a, ta) - ta.scale(R.qpow(2) - R.one) - b.scale(R.qpow(2))
-            record(f"quadratic slot {a}", labels, quad)
+            yield f"quadratic slot {a}", (), (), vector, partial(_quadratic, a, b, ta)
             for g in gens:
-                diff = chevalley_apply(g, ta) - hecke_T_apply(a, chevalley_apply(g, b))
-                record(f"[T_{a}, {g.kind}_{g.node}]", labels, diff)
+                name = f"[T_{a}, {g.kind}_{g.node}]"
+                yield name, (), (), vector, partial(_commutator, g, a, b, ta)
         for a in range(1, ell - 1):
-            lhs = hecke_T_apply(a, hecke_T_apply(a + 1, hecke_T_apply(a, b)))
-            rhs = hecke_T_apply(a + 1, hecke_T_apply(a, hecke_T_apply(a + 1, b)))
-            record(f"braid slots {a},{a + 1}", labels, lhs - rhs)
-    return results
+            yield f"braid slots {a},{a + 1}", (), (), vector, partial(_braid, a, b)
+
+
+def _quadratic(a: int, b: PlainTensor, ta: PlainTensor) -> PlainTensor:
+    R = b.space.R
+    return hecke_T_apply(a, ta) - ta.scale(R.qpow(2) - R.one) - b.scale(R.qpow(2))
+
+
+def _commutator(g: ChevalleyGen, a: int, b: PlainTensor, ta: PlainTensor) -> PlainTensor:
+    return chevalley_apply(g, ta) - hecke_T_apply(a, chevalley_apply(g, b))
+
+
+def _braid(a: int, b: PlainTensor) -> PlainTensor:
+    lhs = hecke_T_apply(a, hecke_T_apply(a + 1, hecke_T_apply(a, b)))
+    rhs = hecke_T_apply(a + 1, hecke_T_apply(a, hecke_T_apply(a + 1, b)))
+    return lhs - rhs

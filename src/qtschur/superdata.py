@@ -23,9 +23,12 @@ class ParityData:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.s) == self.m + self.n, "length must be m + n"
-        assert all(x in (1, -1) for x in self.s), "entries must be +-1"
-        assert sum(1 for x in self.s if x == 1) == self.m, "need exactly m entries +1"
+        if len(self.s) != self.m + self.n:
+            raise ValueError("length must be m + n")
+        if any(x not in (1, -1) for x in self.s):
+            raise ValueError("entries must be +-1")
+        if sum(1 for x in self.s if x == 1) != self.m:
+            raise ValueError("need exactly m entries +1")
 
     @classmethod
     def standard(cls, m: int, n: int) -> "ParityData":

@@ -34,6 +34,7 @@ test and vector equality reduces to emptiness of a difference.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from qtschur.hecke import (
     DahaContext,
@@ -74,12 +75,16 @@ class FunctorSpace:
         self._sort_cache: dict = {}
         self._sym_cache: dict = {}
         self._mode_cache: dict = {}
+        self._rotated: dict = {}
 
     def rotated(self, r: int) -> "FunctorSpace":
-        pd2 = tau_power(self.pd, r)
-        hit = self._family.get(pd2.s)
+        hit = self._rotated.get(r)
         if hit is None:
-            hit = FunctorSpace(pd2, self.ell, self.R, self.daha, self._family)
+            pd2 = tau_power(self.pd, r)
+            hit = self._family.get(pd2.s)
+            if hit is None:
+                hit = FunctorSpace(pd2, self.ell, self.R, self.daha, self._family)
+            self._rotated[r] = hit
         return hit
 
     def zero(self) -> "FunctorVector":
@@ -233,9 +238,6 @@ class FunctorVector:
     def is_zero(self) -> bool:
         return not self.support
 
-    def __bool__(self) -> bool:
-        return bool(self.support)
-
     def __add__(self, other: "FunctorVector") -> "FunctorVector":
         assert self.space is other.space
         acc = dict(self.support)
@@ -362,46 +364,33 @@ def functor_chevalley_apply(
 # label rotation
 
 
-def psi_raw(space: FunctorSpace, w: DahaElement, labels) -> FunctorVector:
-    """Rotation applied to one (factor, arbitrary key) pair.
+def _rotate(space: FunctorSpace, items, step: int) -> FunctorVector:
+    """Rotation by step = +1 or -1 of the (key, factor) pairs in items.
 
-    Wrapped slots (top label) multiply the factor by the inverse X
-    letter, all labels shift up by one cyclically, and the result is
-    re-sorted in the rotated space.
+    Wrapped slots (top label for +1, label 1 for -1) multiply the factor
+    by X^{-step}, all labels shift by step cyclically, and the result is
+    re-sorted in the rotated space.  Keys may be arbitrary tuples.
     """
     kappa = space.kappa
-    target = space.rotated(1)
-    w2 = w
-    for a, j in enumerate(labels, 1):
-        if j == kappa:
-            w2 = right_mul_X(w2, a, -1)
-    labels2 = tuple(j % kappa + 1 for j in labels)
+    target = space.rotated(step)
+    wrap = kappa if step == 1 else 1
     acc: dict = {}
-    _sorted_accumulate(target, acc, labels2, w2)
+    for labels, w in items:
+        for a, j in enumerate(labels, 1):
+            if j == wrap:
+                w = right_mul_X(w, a, -step)
+        labels2 = tuple((j + step - 1) % kappa + 1 for j in labels)
+        _sorted_accumulate(target, acc, labels2, w)
     return FunctorVector(target, _normalize(target, acc))
 
 
 def psi_apply(fv: FunctorVector) -> FunctorVector:
-    out = fv.space.rotated(1).zero()
-    for labels, w in fv.support.items():
-        out = out + psi_raw(fv.space, w, labels)
-    return out
+    return _rotate(fv.space, fv.support.items(), 1)
 
 
 def psi_inverse(fv: FunctorVector) -> FunctorVector:
     """Inverse rotation: shift labels down, restore X letters on wraps."""
-    space = fv.space
-    target = space.rotated(-1)
-    kappa = space.kappa
-    acc: dict = {}
-    for labels, w in fv.support.items():
-        w2 = w
-        for a, j in enumerate(labels, 1):
-            if j == 1:
-                w2 = right_mul_X(w2, a, 1)
-        labels2 = tuple((j - 2) % kappa + 1 for j in labels)
-        _sorted_accumulate(target, acc, labels2, w2)
-    return FunctorVector(target, _normalize(target, acc))
+    return _rotate(fv.space, fv.support.items(), -1)
 
 
 def psi_power(fv: FunctorVector, r: int) -> FunctorVector:
@@ -464,7 +453,7 @@ def functor_battery(space: FunctorSpace):
     return out
 
 
-def rotation_identity_check(space: FunctorSpace, bound: int, battery=None) -> list[dict]:
+def rotation_identity_check(space: FunctorSpace, bound: int, battery=None):
     """Conjugation identities for every current family, mode by mode.
 
     Single-step: rotating once turns the node-i current into the
@@ -473,84 +462,71 @@ def rotation_identity_check(space: FunctorSpace, bound: int, battery=None) -> li
     current (modes pre-scaled by the inverse central-letter exponent)
     into the top-node current rescaled by q1^{-r(n-m+s_{kappa-1}+s_kappa)}.
     The wrap identity for the lowering family lands on the lowering
-    current at the top node.
+    current at the top node.  Yields one check (relation, nodes, modes,
+    vector, difference) per identity and battery vector.
     """
-    pd, R = space.pd, space.R
-    kappa = pd.kappa
+    kappa = space.kappa
     if battery is None:
         battery = functor_battery(space)
-    wrap_exp = (pd.n - pd.m) + pd.sign(kappa - 1) + pd.sign(kappa)
-    rows = []
-    families = ["E", "F", "K+", "K-"]
-    for fam in families:
+    for fam in ("E", "F", "K+", "K-"):
         for r in range(-bound, bound + 1):
             if fam == "K+" and r < 0:
                 continue
             if fam == "K-" and r > 0:
                 continue
             for i in range(2, kappa):
-                rel = f"rot-{fam}"
                 for vname, u in battery:
-                    lhs = psi_inverse(vertical_mode_apply(fam, i, r, psi_apply(u)))
-                    rhs = vertical_mode_apply(fam, i - 1, r, u).scale(
-                        R.q1pow(-pd.sign(kappa) * r)
-                    )
-                    rows.append(
-                        _row(rel, [i, i - 1], [r], vname, lhs, rhs)
-                    )
+                    diff = partial(_rotation_difference, fam, i, r, u)
+                    yield f"rot-{fam}", (i, i - 1), (r,), vname, diff
             rel = f"wrap-{fam}" + ("-as-F" if fam == "F" else "")
             for vname, u in battery:
-                lhs = psi_power(
-                    vertical_mode_apply(fam, 1, r, psi_power(u, 2)), -2
-                ).scale(R.zetapow(-r))
-                rhs = vertical_mode_apply(fam, kappa - 1, r, u).scale(
-                    R.q1pow(-wrap_exp * r)
-                )
-                rows.append(_row(rel, [1, kappa - 1], [r], vname, lhs, rhs))
-    return rows
+                diff = partial(_wrap_difference, fam, r, u)
+                yield rel, (1, kappa - 1), (r,), vname, diff
 
 
-def _row(relation, nodes, modes, vector, lhs, rhs) -> dict:
-    diff = lhs - rhs
-    row = {
-        "relation": relation,
-        "nodes": list(nodes),
-        "modes": list(modes),
-        "vector": vector,
-        "status": "pass" if diff.is_zero() else "fail",
-    }
-    if row["status"] == "fail":
-        row["residual"] = diff.render(limit=5)
-    return row
+def _rotation_difference(fam: str, i: int, r: int, u: FunctorVector) -> FunctorVector:
+    pd, R = u.space.pd, u.space.R
+    lhs = psi_inverse(vertical_mode_apply(fam, i, r, psi_apply(u)))
+    rhs = vertical_mode_apply(fam, i - 1, r, u).scale(R.q1pow(-pd.sign(pd.kappa) * r))
+    return lhs - rhs
 
 
-def psi_balance_check(space: FunctorSpace, battery=None) -> list[dict]:
+def _wrap_difference(fam: str, r: int, u: FunctorVector) -> FunctorVector:
+    pd, R = u.space.pd, u.space.R
+    kappa = pd.kappa
+    wrap_exp = (pd.n - pd.m) + pd.sign(kappa - 1) + pd.sign(kappa)
+    lhs = psi_power(vertical_mode_apply(fam, 1, r, psi_power(u, 2)), -2)
+    rhs = vertical_mode_apply(fam, kappa - 1, r, u).scale(R.q1pow(-wrap_exp * r))
+    return lhs.scale(R.zetapow(-r)) - rhs
+
+
+def psi_balance_check(space: FunctorSpace, battery=None):
     """Rotation respects the balancing relation, case by case.
 
     For every label tuple (arbitrary order), adjacent slot i, and
     battery element w, rotating w T_i tensor the key must agree with
-    rotating w tensor the exchanged key.  Rows are tagged by which of
+    rotating w tensor the exchanged key.  Checks are tagged by which of
     the two exchanged labels wrap around (pick up an X letter), since
     each subcase exercises a different commutation in the algebra.
     """
     kappa = space.kappa
     if battery is None:
         battery = default_battery(space.daha)
-    rows = []
     for labels in itertools.product(range(1, kappa + 1), repeat=space.ell):
         for i in range(1, space.ell):
-            a, b = labels[i - 1], labels[i]
-            case = ("wrap" if a == kappa else "plain") + "-" + (
-                "wrap" if b == kappa else "plain"
-            )
+            case = "-".join("wrap" if j == kappa else "plain" for j in labels[i - 1 : i + 1])
             for wname, w in battery:
-                lhs = psi_raw(space, right_mul_T(w, i), labels)
-                rhs = space.rotated(1).zero()
-                for labels2, coeff in hecke_exchange_terms(space, i, labels):
-                    rhs = rhs + psi_raw(space, w.scale(coeff), labels2)
                 vector = f"{wname}|{','.join(map(str, labels))}"
-                rows.append(_row(f"psi-balance-{case}", [i], [], vector, lhs, rhs))
-    return rows
+                diff = partial(_balance_difference, space, w, i, labels)
+                yield f"psi-balance-{case}", (i,), (), vector, diff
+
+
+def _balance_difference(space: FunctorSpace, w: DahaElement, i: int, labels):
+    lhs = _rotate(space, [(labels, right_mul_T(w, i))], 1)
+    rhs = space.rotated(1).zero()
+    for labels2, coeff in hecke_exchange_terms(space, i, labels):
+        rhs = rhs + _rotate(space, [(labels2, w.scale(coeff))], 1)
+    return lhs - rhs
 
 
 def dump_mode_action(space: FunctorSpace, family: str, node: int, r: int) -> list[dict]:

@@ -1,31 +1,36 @@
 """Relation suites over the balanced tensor spaces, with JSON reports.
 
-Each suite expands a finite table of relation instances: a relation
-id, node indices, a mode tuple, a form, and the two sides of the
-relation as data.  A side is a list of (coefficient, word) terms, a
-word a tuple of operator letters, and a coefficient a ring-free sum of
-(rational, q-exponent, d-exponent) monomials; bracket trees are
-expanded into terms once, when the table is built.  One evaluator sums
-each side on a vector and takes the difference, on every vector of a
-deterministic battery: the Hecke-algebra battery crossed with all
-nondecreasing label tuples.  Current relations are checked in
-mode-truncated form: the coefficient of z^{-r} in z * E(z) is E_{r+1},
-the delta function delta(w/z) couples modes by r + s, and the diagonal
-series K^+ and K^- carry modes r >= 0 and r <= 0, their mode-zero
-terms the two inverse diagonal generators.  All checks run at trivial
-central charge, where the dressed K-K exchange collapses to plain
-commutation.
+The toroidal and affine suites expand a finite table of relation
+instances: a relation id, node indices, a mode tuple, a form, and the
+two sides of the relation as data.  A side is a list of (coefficient,
+word) terms, a word a tuple of operator letters, and a coefficient a
+ring-free sum of (rational, q-exponent, d-exponent) monomials; bracket
+trees are expanded into terms once, when the table is built.  One
+evaluator sums each side on a vector and takes the difference, on
+every vector of a deterministic battery: the Hecke-algebra battery
+crossed with all nondecreasing label tuples.  Current relations are
+checked in mode-truncated form: the coefficient of z^{-r} in z * E(z)
+is E_{r+1}, the delta function delta(w/z) couples modes by r + s, and
+the diagonal series K^+ and K^- carry modes r >= 0 and r <= 0, their
+mode-zero terms the two inverse diagonal generators.  All checks run
+at trivial central charge, where the dressed K-K exchange collapses to
+plain commutation.
 
 Suites can run symbolically (exact Laurent coefficients), numerically
-(a rational sample point), or both; in combined mode the numeric pass
-runs first and gates the symbolic comparison, and both verdicts are
-recorded per row.  Each stage resolves the table's coefficients in its
-own ring once.  Instances are evaluated in chunks of consecutive
-instances (one chunk per worker task), vector-major within a chunk:
-each battery vector goes through every instance with one memo of
-operator images, dropped before the next vector, and rows are emitted
-in instance order.  Reports are deterministic: same configuration and
-seed give byte-identical JSON, independent of the worker count.
+(a rational sample point), or both.  Only this module builds report
+rows, and every suite is gated alike: in combined mode the numeric
+pass runs first, a row that fails it is not evaluated symbolically
+(its symbolic verdict stays skipped), and both verdicts are recorded
+per row.  The finite, daha and rotation suites take their checks
+(relation, nodes, modes, vector, difference) from hecke, looprep and
+toroidal, one stream per stage.  The toroidal and affine suites
+resolve the table's coefficients in each stage's ring once and
+evaluate instances in chunks (one per worker task), vector-major
+within a chunk: each battery vector goes through every instance with
+one memo of operator images, dropped before the next vector, and rows
+are emitted in instance order.  Reports are deterministic: same
+configuration and seed give byte-identical JSON, independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from qtschur import toroidal as tor
 from qtschur.hecke import (
@@ -214,34 +220,57 @@ def _report(suite: str, cfg: RunConfig, rows: list) -> Report:
         "parity": pd.to_string(),
         "mode": cfg.mode,
     }
-    for row in rows:
-        row.setdefault("nodes", [])
-        row.setdefault("modes", [])
     return Report(suite, params, rows)
 
 
-def _combine_stage_rows(cfg: RunConfig, per_stage: list[tuple[str, list]]) -> list:
-    """Zip bulk per-stage rows into combined rows, numeric verdict first."""
-    if len(per_stage) == 1:
-        return per_stage[0][1]
-    combined = []
-    for entries in zip(*(rows for _, rows in per_stage)):
-        base = dict(entries[-1])
-        statuses = {}
-        for (tag, _), row in zip(per_stage, entries):
-            assert row["relation"] == base["relation"] and row["vector"] == base["vector"]
-            statuses[tag] = row["status"]
-        base["status"] = "fail" if "fail" in statuses.values() else "pass"
-        base.update(statuses)
-        if base["status"] == "pass":
-            base.pop("residual", None)
+def _new_row(relation, nodes, modes, vector, combined: bool, form=None) -> dict:
+    """A passing row; in combined mode its symbolic verdict starts skipped."""
+    row = {
+        "relation": relation,
+        "nodes": list(nodes),
+        "modes": list(modes),
+        "vector": vector,
+        "status": "pass",
+    }
+    if form is not None:
+        row["form"] = form
+    if combined:
+        row["symbolic"] = "skipped"
+    return row
+
+
+def _record(row: dict, stage: str, difference, combined: bool) -> None:
+    """Record the verdict difference() == 0 on row unless an earlier stage failed it."""
+    if row["status"] == "fail":
+        return
+    diff = difference()
+    ok = diff.is_zero()
+    if combined:
+        row[stage] = "pass" if ok else "fail"
+    if not ok:
+        row["status"] = "fail"
+        if isinstance(diff, tor.FunctorVector):
+            row["residual"] = diff.render(limit=5)
         else:
-            for _, row in zip(per_stage, entries):
-                if "residual" in row:
-                    base["residual"] = row["residual"]
-                    break
-        combined.append(base)
-    return combined
+            row["residual"] = diff.render()
+
+
+def _gated_rows(cfg: RunConfig, checks: list) -> list:
+    """Rows of per-stage check streams, one stream per stage, numeric first.
+
+    Each stream yields (relation, nodes, modes, vector, difference) in
+    the same order.  A row that failed one stage is not evaluated in
+    the next, so its symbolic verdict stays skipped.
+    """
+    combined = cfg.mode == "both"
+    rows = []
+    for entries in zip(*checks):
+        row = _new_row(*entries[0][:4], combined)
+        for stage, entry in zip(_stages(cfg), entries):
+            assert entry[:4] == entries[0][:4], "stage streams out of step"
+            _record(row, stage, entry[4], combined)
+        rows.append(row)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -615,32 +644,22 @@ class _SuiteContext:
         names = [name for name, _ in self.stages[-1][1]]
         out, live = [], []
         for relation, nodes, modes, form, lhs, rhs in self.instances[lo:hi]:
-            base = {"relation": relation, "nodes": list(nodes), "modes": list(modes)}
             if not lhs:
-                note = "mn = 2 incompatible with kappa >= 4"
-                out.append(dict(base, vector="-", status="excluded", note=note))
+                row = _new_row(relation, nodes, modes, "-", False)
+                row.update(status="excluded", note="mn = 2 incompatible with kappa >= 4")
+                out.append(row)
                 continue
-            if form is not None:
-                base["form"] = form
-            if combined:
-                base["symbolic"] = "skipped"
-            rows = [dict(base, vector=vname, status="pass") for vname in names]
+            # the rows of one instance share its node and mode lists (memory)
+            base = _new_row(relation, nodes, modes, None, combined, form)
+            rows = [dict(base, vector=v) for v in names]
             out.extend(rows)
             live.append((lhs, rhs, rows))
         for k in range(len(names)):
             for stage, battery, values in self.stages:
                 u, memo = battery[k][1], {}
                 for lhs, rhs, rows in live:
-                    row = rows[k]
-                    if row["status"] == "fail":
-                        continue
-                    diff = _difference(memo, values, lhs, rhs, u)
-                    ok = diff.is_zero()
-                    if combined:
-                        row[stage] = "pass" if ok else "fail"
-                    if not ok:
-                        row["status"] = "fail"
-                        row["residual"] = diff.render(limit=5)
+                    diff = partial(_difference, memo, values, lhs, rhs, u)
+                    _record(rows[k], stage, diff, combined)
         return out
 
 
@@ -703,11 +722,11 @@ def run_affine_suite(cfg: RunConfig) -> Report:
 def run_finite_suite(cfg: RunConfig) -> Report:
     cfg.validate("finite")
     pd = cfg.parity_data()
-    per_stage = []
-    for stage in _stages(cfg):
-        rows = schur_weyl_commutation_check(pd, cfg.ell, _coeffs(cfg, stage, "none"))
-        per_stage.append((stage, rows))
-    return _report("finite", cfg, _combine_stage_rows(cfg, per_stage))
+    checks = [
+        schur_weyl_commutation_check(pd, cfg.ell, _coeffs(cfg, stage, "none"))
+        for stage in _stages(cfg)
+    ]
+    return _report("finite", cfg, _gated_rows(cfg, checks))
 
 
 def _random_words(ctx: DahaContext, seed: int, count: int = 8):
@@ -729,30 +748,29 @@ def _random_words(ctx: DahaContext, seed: int, count: int = 8):
     return out
 
 
+def _daha_checks(cfg: RunConfig, stage: str):
+    ctx = DahaContext(cfg.ell, _coeffs(cfg, stage, "formal"))
+    battery = default_battery(ctx)
+    yield from check_daha_presentation(ctx, battery)
+    yield from toshow_identities(ctx, battery + _random_words(ctx, cfg.seed))
+
+
 def run_daha_suite(cfg: RunConfig) -> Report:
     cfg.validate("daha")
-    per_stage = []
-    for stage in _stages(cfg):
-        R = _coeffs(cfg, stage, "formal")
-        ctx = DahaContext(cfg.ell, R)
-        battery = default_battery(ctx)
-        rows = check_daha_presentation(ctx, battery)
-        rows += toshow_identities(ctx, battery + _random_words(ctx, cfg.seed))
-        per_stage.append((stage, rows))
-    return _report("daha", cfg, _combine_stage_rows(cfg, per_stage))
+    checks = [_daha_checks(cfg, stage) for stage in _stages(cfg)]
+    return _report("daha", cfg, _gated_rows(cfg, checks))
+
+
+def _rotation_checks(cfg: RunConfig, stage: str):
+    space = tor.FunctorSpace(cfg.parity_data(), cfg.ell, _coeffs(cfg, stage, "formal"))
+    yield from tor.psi_balance_check(space)
+    yield from tor.rotation_identity_check(space, cfg.modes)
 
 
 def run_rotation_suite(cfg: RunConfig) -> Report:
     cfg.validate("rotation")
-    pd = cfg.parity_data()
-    per_stage = []
-    for stage in _stages(cfg):
-        R = _coeffs(cfg, stage, "formal")
-        space = tor.FunctorSpace(pd, cfg.ell, R)
-        rows = tor.psi_balance_check(space)
-        rows += tor.rotation_identity_check(space, cfg.modes)
-        per_stage.append((stage, rows))
-    return _report("rotation", cfg, _combine_stage_rows(cfg, per_stage))
+    checks = [_rotation_checks(cfg, stage) for stage in _stages(cfg)]
+    return _report("rotation", cfg, _gated_rows(cfg, checks))
 
 
 RUNNERS = {

@@ -1,6 +1,10 @@
 """Parity-sequence combinatorics against independent oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from qtschur.superdata import (
     tau_power,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def all_parities(m, n):
     kappa = m + n
@@ -29,13 +35,29 @@ def test_parity_data_basics():
     assert pd.s == (1, 1, 1, -1)
     assert pd.to_string() == "+++-"
     assert ParityData.from_string("++--") == ParityData(2, 2, (1, 1, -1, -1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ParityData(2, 1, (1, 1, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ParityData(1, 1, (1, 0))
     # equal numbers of even and odd directions are fine here; only the
     # parameter ring rejects m = n
     ParityData.standard(2, 2)
+
+
+def test_validation_survives_optimize():
+    # python -O strips assert statements; the constructors must still reject
+    for code in (
+        "from qtschur.superdata import ParityData; ParityData(2, 1, (1, 1, 1))",
+        "from qtschur.hecke import AffinePermutation; AffinePermutation((1, 1))",
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode != 0, code
+        assert "ValueError" in proc.stderr
 
 
 def test_periodicity_window():

@@ -36,6 +36,14 @@ def space31(ell):
     return FunctorSpace(PD31, ell, R31)
 
 
+def evaluated(checks):
+    """Each (relation, nodes, modes, vector, difference) check with its verdict."""
+    return [
+        {"relation": rel, "vector": vec, "status": "pass" if diff().is_zero() else "fail"}
+        for rel, _, _, vec, diff in checks
+    ]
+
+
 # ----------------------------------------------------------------------
 # descent sorting
 
@@ -218,7 +226,7 @@ def test_rotation_roundtrip():
 
 def test_rotation_balance_all_cases():
     sp = space31(2)
-    rows = psi_balance_check(sp, battery=default_battery(sp.daha)[:8])
+    rows = evaluated(psi_balance_check(sp, battery=default_battery(sp.daha)[:8]))
     assert rows and all(r["status"] == "pass" for r in rows)
     cases = {r["relation"] for r in rows}
     assert cases == {
@@ -294,7 +302,7 @@ def test_symbolic_images_keep_int_coefficients():
 
 def test_rotation_identities_single_slot():
     sp = space31(1)
-    rows = rotation_identity_check(sp, 1)
+    rows = evaluated(rotation_identity_check(sp, 1))
     assert rows and all(r["status"] == "pass" for r in rows)
     names = {r["relation"] for r in rows}
     assert names == {
@@ -308,14 +316,14 @@ def test_rotation_identities_formal_central_charge():
     # holds without folding the extra parameter
     R = SymbolicContext(formal_zeta=True)
     sp = FunctorSpace(PD31, 1, R)
-    rows = rotation_identity_check(sp, 1)
+    rows = evaluated(rotation_identity_check(sp, 1))
     assert rows and all(r["status"] == "pass" for r in rows)
 
 
 def test_rotation_identities_two_slots_sampled():
     sp = space31(2)
     battery = functor_battery(sp)
-    rows = rotation_identity_check(sp, 1, battery=battery[::9])
+    rows = evaluated(rotation_identity_check(sp, 1, battery=battery[::9]))
     assert rows and all(r["status"] == "pass" for r in rows)
 
 

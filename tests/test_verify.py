@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtschur import hecke, looprep, verify
 from qtschur import toroidal as tor
-from qtschur import verify
 from qtschur.superdata import ParityData, cartan, node_parity
 from qtschur.verify import (
     ConfigError,
@@ -283,6 +283,21 @@ PINNED_REPORTS = [
         RunConfig(m=3, n=1, ell=1),
         "b46dfd1db78bf8bc7e0d5131ca9fdc974752c92aec5082746bd1b7208c48274f",
     ),
+    (
+        "finite",
+        RunConfig(m=2, n=2, ell=2),
+        "cd89e4bae8ce89c69d1d7732ec920eb81a3ac639a8116bc232720c5acf5a775d",
+    ),
+    (
+        "daha",
+        RunConfig(ell=2),
+        "2c893a23bb2d92c4193821c8e16dbb96aed11e5276241f5e7533ba7cca541ddd",
+    ),
+    (
+        "rotation",
+        RunConfig(ell=1, modes=1),
+        "2b45b41cd8dedc303fac1fe016b1afca13ebeab9f89bc21f3a9507b40a343436",
+    ),
 ]
 
 
@@ -348,6 +363,48 @@ def test_numeric_failure_gates_symbolic(monkeypatch):
     assert rows
     for row in rows:
         assert row["status"] == "fail"
+        assert row["numeric"] == "fail"
+        assert row["symbolic"] == "skipped"
+        assert row["residual"]
+
+
+def _flip_swapped_term(exchange):
+    def flipped(space, i, labels):
+        return [(lab, c if lab == labels else -c) for lab, c in exchange(space, i, labels)]
+
+    return flipped
+
+
+def _flip_correction(bl_exchange):
+    def flipped(ctx, mu, i):
+        swapped, corrections = bl_exchange(ctx, mu, i)
+        return swapped, [(-sign, vec) for sign, vec in corrections]
+
+    return flipped
+
+
+# gating in the checked suites: (suite, config, patched module and name,
+# fault, failing rows); the counts were measured with each suite's own
+# row builder, so the shared gate must not move a verdict
+GATED_FAULTS = [
+    ("finite", RunConfig(m=2, n=2, ell=2), looprep, "hecke_exchange_terms",
+     _flip_swapped_term, 18),
+    ("daha", RunConfig(ell=2), hecke, "_bl_exchange", _flip_correction, 175),
+    ("rotation", RunConfig(ell=2, modes=0), tor, "hecke_exchange_terms",
+     _flip_swapped_term, 228),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, cfg, module, name, fault, count", GATED_FAULTS, ids=[f[0] for f in GATED_FAULTS]
+)
+def test_numeric_failure_gates_symbolic_in_checked_suites(
+    monkeypatch, suite, cfg, module, name, fault, count
+):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    fails = [row for row in run_suite(suite, cfg).results if row["status"] == "fail"]
+    assert len(fails) == count
+    for row in fails:
         assert row["numeric"] == "fail"
         assert row["symbolic"] == "skipped"
         assert row["residual"]
