@@ -51,8 +51,10 @@ class TensorSpace:
     def basis(self, labels, nu=None, coeff=None) -> "PlainTensor":
         labels = tuple(labels)
         nu = (0,) * self.ell if nu is None else tuple(nu)
-        assert len(labels) == self.ell and len(nu) == self.ell
-        assert all(1 <= j <= self.kappa for j in labels), labels
+        if len(labels) != self.ell or len(nu) != self.ell:
+            raise ValueError(f"expected {self.ell} labels and shifts, got {labels}, {nu}")
+        if not all(1 <= j <= self.kappa for j in labels):
+            raise ValueError(f"labels must lie in 1..{self.kappa}: {labels}")
         coeff = self.R.one if coeff is None else coeff
         if not coeff:
             return self.zero()

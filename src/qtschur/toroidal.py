@@ -29,6 +29,13 @@ Equality is decided per key through the parabolic symmetrizer of the
 repeated-label blocks: a factor w kills the key exactly when w times
 the block symmetrizer vanishes, so supports are pruned against that
 test and vector equality reduces to emptiness of a difference.
+
+The rotation and the dead-key test right-multiply the algebra factor,
+so both sum per-basis-key kernels: the image of a unit factor T_w Y^mu
+on one key, built once by the letter-by-letter formula and cached per
+space and (operator, key, w, mu).  The sums are exact, so pruning and
+residuals are those of the formula on the whole factor.  Current modes
+and Chevalley operators apply their letters directly.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ class FunctorSpace:
         self._sort_cache: dict = {}
         self._sym_cache: dict = {}
         self._mode_cache: dict = {}
+        self._kernels: dict = {}
         self._rotated: dict = {}
 
     def rotated(self, r: int) -> "FunctorSpace":
@@ -92,8 +100,10 @@ class FunctorSpace:
 
     def basis(self, labels, w: DahaElement | None = None) -> "FunctorVector":
         labels = tuple(labels)
-        assert len(labels) == self.ell
-        assert all(1 <= j <= self.kappa for j in labels), labels
+        if len(labels) != self.ell:
+            raise ValueError(f"expected {self.ell} labels, got {labels}")
+        if not all(1 <= j <= self.kappa for j in labels):
+            raise ValueError(f"labels must lie in 1..{self.kappa}: {labels}")
         w = self.daha.one() if w is None else w
         acc: dict = {}
         _sorted_accumulate(self, acc, labels, w)
@@ -177,16 +187,57 @@ class FunctorSpace:
         """True when w tensor the key vanishes in the balanced product."""
         if w.is_zero():
             return True
-        terms = self.symmetrizer(labels)
-        if len(terms) == 1:
+        if len(self.symmetrizer(labels)) == 1:
             return False
-        acc = self.daha.zero()
-        for word, coeff in terms:
-            part = w
-            for a in word:
-                part = right_mul_T(part, a)
-            acc = acc + part.scale(coeff)
-        return acc.is_zero()
+        [part] = _kernel_sum(self, "sym", [(labels, w)]).values()
+        return not any(part.values())
+
+    def kernel(self, op, labels: tuple[int, ...], window, mu) -> tuple:
+        """(target key, terms) of the unit factor T_window Y^mu under op, cached.
+
+        op is "sym" (times the symmetrizer of labels) or a rotation step
+        +1 / -1; terms are ((dk, window, mu), coeff) with dk the shift of
+        the Q exponent, as in DahaContext._tok_cache.
+        """
+        cache_key = (op, labels, window, mu)
+        hit = self._kernels.get(cache_key)
+        if hit is None:
+            unit = self.daha.basis(0, window, mu)
+            if op == "sym":
+                key, image = labels, _symmetrized(self, labels, unit)
+            else:
+                key, image = _rotation_formula(self, op, labels, unit)
+            hit = self._kernels[cache_key] = (key, tuple(image.support.items()))
+        return hit
+
+
+def _symmetrized(space: FunctorSpace, labels, w: DahaElement) -> DahaElement:
+    """w times the symmetrizer of labels, letter by letter (a kernel builder)."""
+    acc = space.daha.zero()
+    for word, coeff in space.symmetrizer(labels):
+        part = w
+        for a in word:
+            part = right_mul_T(part, a)
+        acc = acc + part.scale(coeff)
+    return acc
+
+
+def _kernel_sum(space: FunctorSpace, op, items) -> dict:
+    """Sum of the op kernels over the basis keys of every (key, factor).
+
+    Returns {target key: {basis key: coeff}}; coefficients that cancel
+    stay in place as zeros.
+    """
+    acc: dict = {}
+    for labels, w in items:
+        for (k, window, mu), c in w.support.items():
+            labels2, terms = space.kernel(op, labels, window, mu)
+            part = acc.setdefault(labels2, {})
+            for (dk, win2, mu2), c2 in terms:
+                key = (k + dk, win2, mu2)
+                cur = part.get(key)
+                part[key] = c * c2 if cur is None else cur + c * c2
+    return acc
 
 
 def _symmetric_group_words(k: int) -> list[tuple[int, ...]]:
@@ -364,23 +415,33 @@ def functor_chevalley_apply(
 # label rotation
 
 
-def _rotate(space: FunctorSpace, items, step: int) -> FunctorVector:
-    """Rotation by step = +1 or -1 of the (key, factor) pairs in items.
+def _rotation_formula(space: FunctorSpace, step: int, labels, w: DahaElement):
+    """(sorted key, factor) of the rotation by step = +1 or -1 of w tensor labels.
 
     Wrapped slots (top label for +1, label 1 for -1) multiply the factor
     by X^{-step}, all labels shift by step cyclically, and the result is
-    re-sorted in the rotated space.  Keys may be arbitrary tuples.
+    re-sorted in the rotated space.  Keys may be arbitrary tuples.  This
+    builds the rotation kernels; _rotate applies them.
     """
     kappa = space.kappa
-    target = space.rotated(step)
     wrap = kappa if step == 1 else 1
+    for a, j in enumerate(labels, 1):
+        if j == wrap:
+            w = right_mul_X(w, a, -step)
+    labels2 = tuple((j + step - 1) % kappa + 1 for j in labels)
     acc: dict = {}
-    for labels, w in items:
-        for a, j in enumerate(labels, 1):
-            if j == wrap:
-                w = right_mul_X(w, a, -step)
-        labels2 = tuple((j + step - 1) % kappa + 1 for j in labels)
-        _sorted_accumulate(target, acc, labels2, w)
+    _sorted_accumulate(space.rotated(step), acc, labels2, w)
+    [hit] = acc.items()
+    return hit
+
+
+def _rotate(space: FunctorSpace, items, step: int) -> FunctorVector:
+    """Rotation by step of the (key, factor) pairs in items, through kernels."""
+    target = space.rotated(step)
+    acc = {
+        labels: DahaElement(target.daha, {key: c for key, c in part.items() if c})
+        for labels, part in _kernel_sum(space, step, items).items()
+    }
     return FunctorVector(target, _normalize(target, acc))
 
 
@@ -463,11 +524,14 @@ def rotation_identity_check(space: FunctorSpace, bound: int, battery=None):
     into the top-node current rescaled by q1^{-r(n-m+s_{kappa-1}+s_kappa)}.
     The wrap identity for the lowering family lands on the lowering
     current at the top node.  Yields one check (relation, nodes, modes,
-    vector, difference) per identity and battery vector.
+    vector, difference) per identity and battery vector; the checks
+    share one memo of rotation images, so each battery vector is
+    rotated once and twice only once.
     """
     kappa = space.kappa
     if battery is None:
         battery = functor_battery(space)
+    psi = partial(_memo_psi, {})
     for fam in ("E", "F", "K+", "K-"):
         for r in range(-bound, bound + 1):
             if fam == "K+" and r < 0:
@@ -476,26 +540,34 @@ def rotation_identity_check(space: FunctorSpace, bound: int, battery=None):
                 continue
             for i in range(2, kappa):
                 for vname, u in battery:
-                    diff = partial(_rotation_difference, fam, i, r, u)
+                    diff = partial(_rotation_difference, psi, fam, i, r, u)
                     yield f"rot-{fam}", (i, i - 1), (r,), vname, diff
             rel = f"wrap-{fam}" + ("-as-F" if fam == "F" else "")
             for vname, u in battery:
-                diff = partial(_wrap_difference, fam, r, u)
+                diff = partial(_wrap_difference, psi, fam, r, u)
                 yield rel, (1, kappa - 1), (r,), vname, diff
 
 
-def _rotation_difference(fam: str, i: int, r: int, u: FunctorVector) -> FunctorVector:
+def _memo_psi(memo: dict, v: FunctorVector) -> FunctorVector:
+    """psi_apply(v), kept in memo next to v so that id(v) stays v's."""
+    hit = memo.get(id(v))
+    if hit is None:
+        hit = memo[id(v)] = (v, psi_apply(v))
+    return hit[1]
+
+
+def _rotation_difference(psi, fam: str, i: int, r: int, u: FunctorVector) -> FunctorVector:
     pd, R = u.space.pd, u.space.R
-    lhs = psi_inverse(vertical_mode_apply(fam, i, r, psi_apply(u)))
+    lhs = psi_inverse(vertical_mode_apply(fam, i, r, psi(u)))
     rhs = vertical_mode_apply(fam, i - 1, r, u).scale(R.q1pow(-pd.sign(pd.kappa) * r))
     return lhs - rhs
 
 
-def _wrap_difference(fam: str, r: int, u: FunctorVector) -> FunctorVector:
+def _wrap_difference(psi, fam: str, r: int, u: FunctorVector) -> FunctorVector:
     pd, R = u.space.pd, u.space.R
     kappa = pd.kappa
     wrap_exp = (pd.n - pd.m) + pd.sign(kappa - 1) + pd.sign(kappa)
-    lhs = psi_power(vertical_mode_apply(fam, 1, r, psi_power(u, 2)), -2)
+    lhs = psi_power(vertical_mode_apply(fam, 1, r, psi(psi(u))), -2)
     rhs = vertical_mode_apply(fam, kappa - 1, r, u).scale(R.q1pow(-wrap_exp * r))
     return lhs.scale(R.zetapow(-r)) - rhs
 

@@ -45,10 +45,23 @@ def test_parity_data_basics():
 
 
 def test_validation_survives_optimize():
-    # python -O strips assert statements; the constructors must still reject
+    # python -O strips assert statements; the constructors must still
+    # reject, and so must basis() on spaces over four labels and two slots
+    # for a key of the wrong length or with a label outside 1..4
+    space = (
+        "from qtschur.scalar import SymbolicContext; "
+        "from qtschur.superdata import ParityData; "
+        "from qtschur.looprep import TensorSpace; "
+        "from qtschur.toroidal import FunctorSpace; "
+        "pd, R = ParityData.standard(3, 1), SymbolicContext(m=3, n=1); "
+    )
     for code in (
         "from qtschur.superdata import ParityData; ParityData(2, 1, (1, 1, 1))",
         "from qtschur.hecke import AffinePermutation; AffinePermutation((1, 1))",
+        space + "FunctorSpace(pd, 2, R).basis((1,))",
+        space + "FunctorSpace(pd, 2, R).basis((1, 5))",
+        space + "TensorSpace(pd, 2, R).basis((1,))",
+        space + "TensorSpace(pd, 2, R).basis((0, 1))",
     ):
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],

@@ -1,13 +1,17 @@
 """Balanced tensor vectors, rotation, and current modes over the algebra."""
 
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtschur.hecke import default_battery, right_mul_T, right_mul_X, right_mul_Y
-from qtschur.scalar import SymbolicContext
+from qtschur import toroidal as tor
+from qtschur.looprep import hecke_exchange_terms
+from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData
 from qtschur.toroidal import (
     FunctorSpace,
@@ -235,6 +239,74 @@ def test_rotation_balance_all_cases():
         "psi-balance-wrap-plain",
         "psi-balance-wrap-wrap",
     }
+
+
+# ----------------------------------------------------------------------
+# per-basis-key kernels against their formulas on whole factors
+
+
+def _whole_factor_dead(space, labels, w):
+    return tor._symmetrized(space, labels, w).is_zero()
+
+
+def _whole_factor_rotate(space, items, step):
+    """The rotation formula on each whole factor, pruned letter by letter."""
+    acc = {}
+    for labels, w in items:
+        key, image = tor._rotation_formula(space, step, labels, w)
+        acc[key] = acc[key] + image if key in acc else image
+    target = space.rotated(step)
+    return {k: w for k, w in acc.items() if not _whole_factor_dead(target, k, w)}
+
+
+@pytest.mark.parametrize(
+    "R", [R31, NumericContext(Fraction(2), Fraction(3), 3, 1)], ids=["symbolic", "numeric"]
+)
+def test_kernels_match_whole_factor_formulas(R):
+    sp = FunctorSpace(PD31, 2, R)
+    battery = functor_battery(sp)
+    factors = [w for _, w in default_battery(sp.daha)]
+    for _, u in battery:
+        items = list(u.support.items())
+        for step, op in ((1, psi_apply), (-1, psi_inverse)):
+            got = op(u)
+            assert got.space is sp.rotated(step)
+            assert got.support == _whole_factor_rotate(sp, items, step)
+    # unsorted keys, alone and as the balance check's exchange sums
+    for labels in itertools.product(range(1, sp.kappa + 1), repeat=sp.ell):
+        for w in factors:
+            for step in (1, -1):
+                got = tor._rotate(sp, [(labels, w)], step)
+                assert got.support == _whole_factor_rotate(sp, [(labels, w)], step)
+            items = [(lab, w.scale(c)) for lab, c in hecke_exchange_terms(sp, 1, labels)]
+            assert tor._rotate(sp, items, 1).support == _whole_factor_rotate(sp, items, 1)
+    # dead-key test: battery factors, and factors that kill a repeated key
+    seen = set()
+    for labels in sp.all_keys():
+        for w in factors:
+            tw = right_mul_T(w, 1)
+            for v in (w, tw - w.scale(R.qpow(2)), tw + w, sp.daha.zero()):
+                dead = sp.key_is_dead(labels, v)
+                assert dead == _whole_factor_dead(sp, labels, v), (labels, v)
+                seen.add(dead)
+    assert seen == {True, False}
+
+
+def test_second_rotation_reuses_kernels(monkeypatch):
+    calls = []
+
+    def counted(e, j, exp=1):
+        calls.append(j)
+        return right_mul_X(e, j, exp)
+
+    monkeypatch.setattr(tor, "right_mul_X", counted)
+    sp = space31(2)
+    u = functor_battery(sp)[-1][1]
+    first = psi_apply(u)
+    assert calls
+    calls.clear()
+    assert psi_apply(u).support == first.support
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -448,6 +448,39 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
     )
 
 
+def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
+    # X_j^e computed as X_j^-e; the rotation kernels are built through the
+    # patched letter, so every cached image carries the fault; counts and
+    # digest measured with the letter-by-letter rotation
+    flipped = lambda e, j, exp=1, orig=tor.right_mul_X: orig(e, j, -exp)
+    monkeypatch.setattr(tor, "right_mul_X", flipped)
+    monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
+    report = run_rotation_suite(RunConfig(ell=2, modes=0))
+    fails = [row for row in report.results if row["status"] == "fail"]
+    assert len(fails) == 760
+    assert collections.Counter(row["relation"] for row in fails) == {
+        "rot-E": 38, "rot-F": 38, "rot-K+": 114, "rot-K-": 114,
+        "wrap-E": 76, "wrap-F-as-F": 76, "wrap-K+": 95, "wrap-K-": 95,
+        "psi-balance-plain-wrap": 57, "psi-balance-wrap-plain": 57,
+    }
+    assert _digest(report) == (
+        "0ebc68dcdc5c29d4e29c5c44245c686417de5f32c4af8e91e73d10155ca843ba"
+    )
+
+
+def test_rotation_suite_rotates_each_vector_once(monkeypatch):
+    inputs = []
+
+    def counted(fv, orig=tor.psi_apply):
+        inputs.append(id(fv))
+        return orig(fv)
+
+    monkeypatch.setattr(tor, "psi_apply", counted)
+    assert run_rotation_suite(RunConfig(ell=1, modes=1, mode="symbolic")).ok()
+    # 28 battery vectors, each rotated once and its image once more
+    assert len(inputs) == len(set(inputs)) == 56
+
+
 # configuration validation
 
 
