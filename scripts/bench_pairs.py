@@ -1,13 +1,13 @@
 """Benchmark a parent revision against this checkout in alternating pairs.
 
 Usage: python3 scripts/bench_pairs.py --parent REV --out BENCH_N.json
-           [--pairs 10] [--first-seed 1] [--seconds 50] [--trace]
-           [--scratch DIR]
+           [--first-seed 1] [--trace] [--scratch DIR]
 
 The change is this checkout as it stands; the parent is ``git archive
 REV`` unpacked into a temporary directory (under ``--scratch`` when
 given), so that the repository gets no second worktree.  Both sides run
-their own copy of ``perfbench/run.py`` with the same arguments.  Pair k
+their own copy of ``perfbench/run.py`` with the same arguments, for the
+run length that BENCHMARK.json declares.  There are ten pairs; pair k
 uses seed first-seed + k for both sides, and the side that runs first
 alternates from pair to pair, parent first in pair 0.
 
@@ -32,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -76,10 +77,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool)
 
 
 def summarize(values: list) -> dict:
-    if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
@@ -87,16 +85,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision to compare against")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--scratch", type=Path, help="directory for the parent's files")
     args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
     metrics = declared["end_to_end"]
     workloads = [w["name"] for w in declared["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.scratch) as tmp:
@@ -107,18 +102,18 @@ def main() -> int:
             "change": checkout_state(),
             "host": f"{os.cpu_count()} CPUs {platform.machine()}, "
                     f"{platform.python_implementation()} {platform.python_version()}",
-            "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
-            "pairs": args.pairs,
-            "seeds": [args.first_seed + k for k in range(args.pairs)],
+            "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
+            "pairs": PAIRS,
+            "seeds": [args.first_seed + k for k in range(PAIRS)],
             "workloads": {},
         }
         runs = {name: [] for name in workloads}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = args.first_seed + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for name in workloads:
                 for side in order:
-                    result = run_bench(trees[side], name, seed, args.seconds, False)
+                    result = run_bench(trees[side], name, seed, seconds, False)
                     runs[name].append({"pair": k, "seed": seed, "side": side,
                                        "first": side == order[0], **result})
                     wall = result["metrics"].get("wall_s", {}).get("value", float("nan"))
@@ -132,7 +127,7 @@ def main() -> int:
                     (r["pair"], r["side"]): r["metrics"][key]["value"]
                     for r in runs[name] if key in r["metrics"]
                 }
-                pairs = [k for k in range(args.pairs)
+                pairs = [k for k in range(PAIRS)
                          if (k, "parent") in value and (k, "change") in value]
                 wins = sum(
                     1 for k in pairs
@@ -149,7 +144,7 @@ def main() -> int:
                     "change_wins": wins,
                     "ties": ties,
                     "pairs": len(pairs),
-                } if pairs else {"pairs": 0}
+                } if len(pairs) > 1 else {"pairs": len(pairs)}
             out["workloads"][name] = {"end_to_end": table, "runs": runs[name]}
             if args.trace:
                 out["workloads"][name]["trace"] = {

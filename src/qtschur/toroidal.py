@@ -46,6 +46,7 @@ from functools import partial
 from qtschur.hecke import (
     DahaContext,
     DahaElement,
+    _accumulate,
     default_battery,
     right_mul_T,
     right_mul_X,
@@ -190,7 +191,7 @@ class FunctorSpace:
         if len(self.symmetrizer(labels)) == 1:
             return False
         [part] = _kernel_sum(self, "sym", [(labels, w)]).values()
-        return not any(part.values())
+        return not part
 
     def kernel(self, op, labels: tuple[int, ...], window, mu) -> tuple:
         """(target key, terms) of the unit factor T_window Y^mu under op, cached.
@@ -225,8 +226,8 @@ def _symmetrized(space: FunctorSpace, labels, w: DahaElement) -> DahaElement:
 def _kernel_sum(space: FunctorSpace, op, items) -> dict:
     """Sum of the op kernels over the basis keys of every (key, factor).
 
-    Returns {target key: {basis key: coeff}}; coefficients that cancel
-    stay in place as zeros.
+    Returns {target key: {basis key: coeff}} with zero coefficients
+    dropped.
     """
     acc: dict = {}
     for labels, w in items:
@@ -234,9 +235,7 @@ def _kernel_sum(space: FunctorSpace, op, items) -> dict:
             labels2, terms = space.kernel(op, labels, window, mu)
             part = acc.setdefault(labels2, {})
             for (dk, win2, mu2), c2 in terms:
-                key = (k + dk, win2, mu2)
-                cur = part.get(key)
-                part[key] = c * c2 if cur is None else cur + c * c2
+                _accumulate(part, (k + dk, win2, mu2), c * c2)
     return acc
 
 
@@ -439,7 +438,7 @@ def _rotate(space: FunctorSpace, items, step: int) -> FunctorVector:
     """Rotation by step of the (key, factor) pairs in items, through kernels."""
     target = space.rotated(step)
     acc = {
-        labels: DahaElement(target.daha, {key: c for key, c in part.items() if c})
+        labels: DahaElement(target.daha, part)
         for labels, part in _kernel_sum(space, step, items).items()
     }
     return FunctorVector(target, _normalize(target, acc))
