@@ -11,12 +11,14 @@ config file is line oriented, one ``key = value`` per line, with ``#``
 comments.  Exit codes: 0 all checks passed, 1 at least one relation
 instance failed, 2 usage or configuration error.  Reports carry no
 timestamps; the same configuration and seed give byte-identical JSON,
-for any ``--jobs`` value.
+for any ``--jobs`` value.  ``verify`` opens ``--out`` before the run, so
+an unwritable path exits 2 at once, and writes the report row by row.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import signal
 import sys
@@ -120,9 +122,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _open_out(args: argparse.Namespace):
+    """The --out file opened for writing, or a null context without --out.
+
+    An unwritable path is a usage error, raised before any work is done.
+    """
+    if not getattr(args, "out", None):
+        return contextlib.nullcontext()
+    try:
+        return open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
+
+
 def _write_out(args: argparse.Namespace, payload_text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_out(args) as fh:
+        if fh is not None:
             fh.write(payload_text)
 
 
@@ -130,9 +145,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     for warning in cfg.validate(args.suite):
         print(f"warning: {warning}", file=sys.stderr)
-    report = run_suite(args.suite, cfg)
-    print(report.render_summary())
-    _write_out(args, report.to_json())
+    with _open_out(args) as fh:
+        report = run_suite(args.suite, cfg)
+        print(report.render_summary())
+        if fh is not None:
+            report.write(fh)
     return 0 if report.ok() else 1
 
 

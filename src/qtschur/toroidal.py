@@ -464,20 +464,26 @@ def psi_power(fv: FunctorVector, r: int) -> FunctorVector:
 # wrap-around-node currents and the full node set
 
 
-def zero_current_apply(family: str, r: int, fv: FunctorVector) -> FunctorVector:
+def zero_current_apply(family: str, r: int, fv: FunctorVector, *, psi=None) -> FunctorVector:
     """Mode r of the wrap-around current: rotate, act at node 1, rotate back.
 
     The argument rescale z -> q1^{-s_kappa} z multiplies mode r by
-    q1^{+ s_kappa * r}.
+    q1^{+ s_kappa * r}.  psi rotates fv (psi_apply when None); callers
+    that apply several modes to one vector pass a memoized rotation
+    (see memo_psi), so that the vector is rotated once.
     """
     space = fv.space
-    out = psi_inverse(vertical_mode_apply(family, 1, r, psi_apply(fv)))
+    rotated = psi_apply(fv) if psi is None else psi(fv)
+    out = psi_inverse(vertical_mode_apply(family, 1, r, rotated))
     return out.scale(space.R.q1pow(space.pd.sign(space.kappa) * r))
 
 
-def toroidal_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
+def toroidal_mode_apply(
+    family: str, i: int, r: int, fv: FunctorVector, *, psi=None
+) -> FunctorVector:
+    """Mode r of the node-i current; psi as in zero_current_apply."""
     if i % fv.space.kappa == 0:
-        return zero_current_apply(family, r, fv)
+        return zero_current_apply(family, r, fv, psi=psi)
     return vertical_mode_apply(family, i, r, fv)
 
 
@@ -530,7 +536,7 @@ def rotation_identity_check(space: FunctorSpace, bound: int, battery=None):
     kappa = space.kappa
     if battery is None:
         battery = functor_battery(space)
-    psi = partial(_memo_psi, {})
+    psi = partial(memo_psi, {})
     for fam in ("E", "F", "K+", "K-"):
         for r in range(-bound, bound + 1):
             if fam == "K+" and r < 0:
@@ -547,8 +553,8 @@ def rotation_identity_check(space: FunctorSpace, bound: int, battery=None):
                 yield rel, (1, kappa - 1), (r,), vname, diff
 
 
-def _memo_psi(memo: dict, v: FunctorVector) -> FunctorVector:
-    """psi_apply(v), kept in memo next to v so that id(v) stays v's."""
+def memo_psi(memo: dict, v: FunctorVector) -> FunctorVector:
+    """psi_apply(v), kept in memo under id(v) next to v so that id(v) stays v's."""
     hit = memo.get(id(v))
     if hit is None:
         hit = memo[id(v)] = (v, psi_apply(v))

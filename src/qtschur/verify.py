@@ -30,7 +30,9 @@ within a chunk: each battery vector goes through every instance with
 one memo of operator images, dropped before the next vector, and rows
 are emitted in instance order.  Reports are deterministic: same
 configuration and seed give byte-identical JSON, independent of the
-worker count.
+worker count.  Report.write streams that JSON to a file one row at a
+time, in the layout of json.dumps(..., sort_keys=True, indent=2), so
+the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -184,8 +186,30 @@ class Report:
             "summary": self.summary(),
         }
 
+    def _chunks(self):
+        """The report's JSON text in pieces, one per row between head and tail.
+
+        Joined, the pieces are json.dumps(self.to_payload(),
+        sort_keys=True, indent=2) + "\\n": sort_keys puts params first,
+        then results, suite and summary.
+        """
+        head = json.dumps({"params": self.params}, sort_keys=True, indent=2)
+        yield head[:-2] + ',\n  "results": ['
+        sep = "\n"
+        for row in self.results:
+            yield sep + _row_json(row)
+            sep = ",\n"
+        yield "\n  ]" if self.results else "]"
+        tail = json.dumps({"suite": self.suite, "summary": self.summary()},
+                          sort_keys=True, indent=2)
+        yield "," + tail[1:] + "\n"
+
+    def write(self, fh) -> None:
+        """Write the JSON report to the text file fh, one row at a time."""
+        fh.writelines(self._chunks())
+
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+        return "".join(self._chunks())
 
     def render_summary(self) -> str:
         lines = []
@@ -208,6 +232,29 @@ class Report:
             f"{total['excluded']} excluded"
         )
         return "\n".join(lines)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _row_json(row: dict) -> str:
+    """One row as json.dumps(..., sort_keys=True, indent=2) lays it out in a report.
+
+    A row sits at depth 2 (an entry of "results"); its values are str or
+    lists of int.  Any other value, bool included, raises TypeError.
+    """
+    fields = []
+    for key in sorted(row):
+        value = row[key]
+        if type(value) is str:
+            text = _encode_str(value)
+        elif type(value) is list and all(type(x) is int for x in value):
+            items = ",\n        ".join(map(int.__repr__, value))
+            text = "[\n        " + items + "\n      ]" if value else "[]"
+        else:
+            raise TypeError(f"report row {key!r}: {value!r} is not a str or a list of int")
+        fields.append(f"      {_encode_str(key)}: {text}")
+    return "    {\n" + ",\n".join(fields) + "\n    }"
 
 
 def _report(suite: str, cfg: RunConfig, rows: list) -> Report:
@@ -564,9 +611,11 @@ def _image(memo: dict, op: str, node: int, arg, v):
     because an inner image comes back as the same object.  Sharing
     images between relations is sound because no FunctorVector or
     DahaElement operation changes a support dict in place: sums,
-    scalings and products build new ones.  A zero input is its own
-    image and skips both the memo and the call: every operator maps a
-    space to itself (a rotation round trip lands in the same space
+    scalings and products build new ones.  The wrap-node currents take
+    their rotation of v from the same memo (tor.memo_psi, keyed on
+    id(v) alone), so each vector is rotated once.  A zero input is its
+    own image and skips both the memo and the call: every operator maps
+    a space to itself (a rotation round trip lands in the same space
     object).
     """
     if not v.support:
@@ -576,7 +625,7 @@ def _image(memo: dict, op: str, node: int, arg, v):
     if hit is not None:
         return hit[1]
     if op in _CURRENTS:
-        out = tor.toroidal_mode_apply(op, node, arg, v)
+        out = tor.toroidal_mode_apply(op, node, arg, v, psi=partial(tor.memo_psi, memo))
     elif op in _CHEVALLEY:
         out = tor.functor_chevalley_apply(op, node, v, variant=arg)
     elif op == _WEIGHT:

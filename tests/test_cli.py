@@ -63,6 +63,17 @@ def test_report_written_to_out(tmp_path, capsys):
     )
 
 
+def test_unwritable_out_is_a_usage_error_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(suite, cfg):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli("verify", "daha", "--ell", "1", "--out", str(out)) == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equivalence_regime_warning(tmp_path, capsys):
     code = run_cli("verify", "rotation", "--ell", "2", "--modes", "0")
     assert code == 0

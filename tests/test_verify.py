@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import io
 import json
 import os
 
@@ -13,6 +14,7 @@ from qtschur import toroidal as tor
 from qtschur.superdata import ParityData, cartan, node_parity
 from qtschur.verify import (
     ConfigError,
+    Report,
     RunConfig,
     _expr_terms,
     _lb,
@@ -305,9 +307,51 @@ def _digest(report):
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
+def _dumped(report):
+    """The report as json itself encodes it: the reference for Report.write."""
+    return json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
+
+
+def _written(report):
+    fh = io.StringIO()
+    report.write(fh)
+    return fh.getvalue()
+
+
 @pytest.mark.parametrize("suite, cfg, digest", PINNED_REPORTS)
 def test_report_bytes_pinned(suite, cfg, digest):
-    assert _digest(run_suite(suite, cfg)) == digest
+    report = run_suite(suite, cfg)
+    assert _digest(report) == digest
+    assert _written(report) == _dumped(report)
+
+
+def test_report_without_rows_matches_json():
+    report = Report("daha", {"m": 3, "parity": "+++-"}, [])
+    assert _written(report) == report.to_json() == _dumped(report)
+    assert '"results": [],' in report.to_json()
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, [0, True], [1.0]])
+def test_report_rows_take_only_str_and_int_lists(value):
+    report = Report("daha", {}, [{"relation": "x", "status": "pass", "vector": value}])
+    with pytest.raises(TypeError):
+        report.to_json()
+
+
+def test_wrap_currents_rotate_each_vector_once(monkeypatch):
+    # the wrap-node currents of one battery vector share its memo, so no
+    # vector is rotated twice; the inputs are kept so that ids stay unique
+    inputs = []
+
+    def counted(fv, orig=tor.psi_apply):
+        inputs.append(fv)
+        return orig(fv)
+
+    monkeypatch.setattr(tor, "psi_apply", counted)
+    cfg = RunConfig(m=3, n=1, ell=1, modes=0, mode="symbolic")
+    assert run_toroidal_suite(cfg).ok()
+    assert inputs
+    assert len(inputs) == len({id(fv) for fv in inputs})
 
 
 def test_operators_never_see_zero_inputs(monkeypatch):
@@ -446,6 +490,10 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
     assert _digest(symbolic) == (
         "02f1434b6a400c21836740cc73b6313aa5532b623d2799fba2c734687d7ee77b"
     )
+    # the row encoder also lays out residual and note fields as json does
+    for report in (both, symbolic):
+        assert {"residual", "note"} <= {key for row in report.results for key in row}
+        assert _written(report) == _dumped(report)
 
 
 def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
