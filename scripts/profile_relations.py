@@ -1,16 +1,18 @@
-"""Per-relation timing for the toroidal suite, to guide budget choices.
+"""Per-relation timing for one relation suite, to guide budget choices.
 
-Usage: python3 scripts/profile_relations.py [--m 3] [--n 1] [--ell 1] [--modes 1]
+Usage: python3 scripts/profile_relations.py [--suite toroidal] [--m 3] [--n 1]
+                                             [--ell 1] [--modes 1]
                                              [--mode symbolic|numeric]
 
-Prints mean evaluation time per battery vector, grouped by relation id,
-slowest first, for one verification stage: symbolic (the default, Laurent
-polynomials with int coefficients) or numeric (Fractions at the default
-sample point).  The two stages cost about the same per row, so time
-both when a change touches either.  Each instance is timed as a chunk of
-its own, so the memo of operator images is shared within one instance
-only: a full run, whose chunks span many instances, shares more and
-spends less per row.
+Prints mean evaluation time per row, grouped by relation id, slowest
+first, for one suite (any of finite, affine, toroidal, daha, rotation;
+toroidal by default) and one verification stage: symbolic (the default,
+Laurent polynomials with int coefficients) or numeric (Fractions at the
+default sample point).  The two stages cost about the same per row, so
+time both when a change touches either.  Each instance is timed as a
+chunk of its own, so the memo of operator images is shared within one
+instance only: a full run, whose chunks span many instances, shares
+more and spends less per row.
 """
 
 import argparse
@@ -21,11 +23,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qtschur.verify import RunConfig, _SuiteContext
+from qtschur.verify import SUITES, RunConfig, SuiteContext
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
+    ap.add_argument("--suite", choices=SUITES, default="toroidal")
     ap.add_argument("--m", type=int, default=3)
     ap.add_argument("--n", type=int, default=1)
     ap.add_argument("--ell", type=int, default=1)
@@ -34,26 +37,26 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = RunConfig(m=args.m, n=args.n, ell=args.ell, modes=args.modes, mode=args.mode)
-    cfg.validate("toroidal")
-    ctx = _SuiteContext("toroidal", cfg)
+    cfg.validate(args.suite)
+    ctx = SuiteContext.for_suite(args.suite, cfg)
     spent = defaultdict(float)
     counts = defaultdict(int)
-    for idx, (relation, _, _, _, _, _) in enumerate(ctx.instances):
+    for idx, (relation, *_) in enumerate(ctx.instances):
         start = time.perf_counter()
         rows = ctx.rows(idx, idx + 1)
         spent[relation] += time.perf_counter() - start
         counts[relation] += len(rows)
 
     total = sum(spent.values())
-    print(f"toroidal m{args.m} n{args.n} ell{args.ell} R{args.modes}, {args.mode} stage")
-    print(f"{'relation':<16} {'rows':>8} {'total':>9} {'per row':>10}")
+    print(f"{args.suite} m{args.m} n{args.n} ell{args.ell} R{args.modes}, {args.mode} stage")
+    print(f"{'relation':<32} {'rows':>8} {'total':>9} {'per row':>10}")
     for relation in sorted(spent, key=spent.get, reverse=True):
         per = spent[relation] / counts[relation] if counts[relation] else 0.0
         print(
-            f"{relation:<16} {counts[relation]:>8} {spent[relation]:>8.2f}s"
+            f"{relation:<32} {counts[relation]:>8} {spent[relation]:>8.2f}s"
             f" {per * 1000:>8.3f}ms"
         )
-    print(f"{'all':<16} {sum(counts.values()):>8} {total:>8.2f}s")
+    print(f"{'all':<32} {sum(counts.values()):>8} {total:>8.2f}s")
     return 0
 
 

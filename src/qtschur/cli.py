@@ -11,8 +11,9 @@ config file is line oriented, one ``key = value`` per line, with ``#``
 comments.  Exit codes: 0 all checks passed, 1 at least one relation
 instance failed, 2 usage or configuration error.  Reports carry no
 timestamps; the same configuration and seed give byte-identical JSON,
-for any ``--jobs`` value.  ``verify`` opens ``--out`` before the run, so
-an unwritable path exits 2 at once, and writes the report row by row.
+for any ``--jobs`` value.  Every subcommand opens ``--out`` before its
+work, so an unwritable path exits 2 at once; ``verify`` writes the
+report row by row.
 """
 
 from __future__ import annotations
@@ -135,12 +136,6 @@ def _open_out(args: argparse.Namespace):
         raise ConfigError(f"cannot write --out: {exc}") from exc
 
 
-def _write_out(args: argparse.Namespace, payload_text: str) -> None:
-    with _open_out(args) as fh:
-        if fh is not None:
-            fh.write(payload_text)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     for warning in cfg.validate(args.suite):
@@ -166,56 +161,62 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     cfg.validate_common()
     r = args.mode_index if args.mode_index is not None else args.r
-    if args.op == "P":
-        if not 1 <= r < cfg.ell:
-            raise ConfigError(f"P_r needs 1 <= r < ell, got r = {r}, ell = {cfg.ell}")
-        ctx = DahaContext(cfg.ell, SymbolicContext(formal_zeta=True))
-        element = ctx.element(composite("Pr", r=r, ell=cfg.ell))
-        payload = {"op": "P", "r": r, "ell": cfg.ell, "normal_form": element.render()}
-        print(f"P_{r} (ell = {cfg.ell}) = {payload['normal_form']}")
-        _write_out(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0
-    space = _dump_space(cfg)
-    if args.op == "psi":
-        rows = tor.dump_psi_action(space)
-    else:
-        kappa = cfg.m + cfg.n
-        if not 0 <= args.node < kappa:
-            raise ConfigError(f"node must lie in 0..{kappa - 1}")
-        rows = tor.dump_mode_action(space, args.op, args.node, r)
-    for row in rows:
-        images = ", ".join(f"{w} (x) v{tuple(labels)}" for labels, w in row["output"])
-        print(f"{row['input']}  ->  {images if images else '0'}")
-    _write_out(args, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    if args.op == "P" and not 1 <= r < cfg.ell:
+        raise ConfigError(f"P_r needs 1 <= r < ell, got r = {r}, ell = {cfg.ell}")
+    kappa = cfg.m + cfg.n
+    if args.op not in ("P", "psi") and not 0 <= args.node < kappa:
+        raise ConfigError(f"node must lie in 0..{kappa - 1}")
+    with _open_out(args) as fh:
+        if args.op == "P":
+            ctx = DahaContext(cfg.ell, SymbolicContext(formal_zeta=True))
+            element = ctx.element(composite("Pr", r=r, ell=cfg.ell))
+            payload = {"op": "P", "r": r, "ell": cfg.ell, "normal_form": element.render()}
+            print(f"P_{r} (ell = {cfg.ell}) = {payload['normal_form']}")
+        else:
+            space = _dump_space(cfg)
+            if args.op == "psi":
+                payload = tor.dump_psi_action(space)
+            else:
+                payload = tor.dump_mode_action(space, args.op, args.node, r)
+            for row in payload:
+                images = ", ".join(f"{w} (x) v{tuple(labels)}" for labels, w in row["output"])
+                print(f"{row['input']}  ->  {images if images else '0'}")
+        if fh is not None:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    chosen = args.suites or list(SUITES)
-    explicit = bool(args.suites)
-    timings = []
-    failed = False
-    for suite in chosen:
+    plan = []  # (suite, reason to skip it or None)
+    for suite in args.suites or SUITES:
         if suite not in SUITES:
             raise ConfigError(f"unknown suite {suite!r}")
         try:
             cfg.validate(suite)
+            plan.append((suite, None))
         except ConfigError as exc:
-            if explicit:
+            if args.suites:
                 raise
-            print(f"{suite:<10} skipped ({exc})")
-            continue
-        start = time.perf_counter()
-        report = run_suite(suite, cfg)
-        elapsed = time.perf_counter() - start
-        rows = len(report.results)
-        rate = rows / elapsed if elapsed > 0 else float("inf")
-        status = "ok" if report.ok() else "FAIL"
-        failed = failed or not report.ok()
-        timings.append({"suite": suite, "rows": rows, "seconds": round(elapsed, 3)})
-        print(f"{suite:<10} {rows:>8} rows  {elapsed:>8.2f}s  {rate:>9.0f} rows/s  {status}")
-    _write_out(args, json.dumps(timings, sort_keys=True, indent=2) + "\n")
+            plan.append((suite, exc))
+    timings = []
+    failed = False
+    with _open_out(args) as fh:
+        for suite, skip in plan:
+            if skip is not None:
+                print(f"{suite:<10} skipped ({skip})")
+                continue
+            start = time.perf_counter()
+            report = run_suite(suite, cfg)
+            elapsed = time.perf_counter() - start
+            rows = len(report.results)
+            rate = rows / elapsed if elapsed > 0 else float("inf")
+            status = "ok" if report.ok() else "FAIL"
+            failed = failed or not report.ok()
+            timings.append({"suite": suite, "rows": rows, "seconds": round(elapsed, 3)})
+            print(f"{suite:<10} {rows:>8} rows  {elapsed:>8.2f}s  {rate:>9.0f} rows/s  {status}")
+        if fh is not None:
+            fh.write(json.dumps(timings, sort_keys=True, indent=2) + "\n")
     return 1 if failed else 0
 
 

@@ -21,14 +21,18 @@ evaluator extends the same coproduct structure to every key: psi
 factors sit at whichever slots carry the two relevant labels, on the
 head side for x^- and the tail side for x^+.  On the nondecreasing
 cone the two agree by construction.
+
+This module states operators only: the finite Schur-Weyl relations
+(the Hecke quadratic and braid relations on slots, and commutation
+with the finite Chevalley action) are a relation table in verify.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
+from qtschur.hecke import _accumulate
 from qtschur.scalar import delta_psi_mode, psi_product_mode
 from qtschur.superdata import ParityData, koszul_sign, mu, node_parity
 
@@ -85,7 +89,7 @@ class PlainTensor:
         assert self.space is other.space
         support = dict(self.support)
         for key, coeff in other.support.items():
-            _acc(support, key, coeff)
+            _accumulate(support, key, coeff)
         return PlainTensor(self.space, support)
 
     def __neg__(self) -> "PlainTensor":
@@ -114,19 +118,6 @@ class PlainTensor:
 
     def __repr__(self) -> str:
         return f"PlainTensor<{self.render()}>"
-
-
-def _acc(support: dict, key, coeff) -> None:
-    cur = support.get(key)
-    if cur is None:
-        if coeff:
-            support[key] = coeff
-    else:
-        cur = cur + coeff
-        if cur:
-            support[key] = cur
-        else:
-            del support[key]
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +256,7 @@ def chevalley_apply(g: ChevalleyGen, v: PlainTensor) -> PlainTensor:
             coeff = cin * c
             if extra is not space.R.one:
                 coeff = coeff * extra
-            _acc(acc, (labels2, nu2), coeff)
+            _accumulate(acc, (labels2, nu2), coeff)
     return PlainTensor(space, acc)
 
 
@@ -298,7 +289,7 @@ def hecke_T_apply(i: int, v: PlainTensor) -> PlainTensor:
     acc: dict = {}
     for (labels, nu), cin in v.support.items():
         for labels2, c in hecke_exchange_terms(space, i, labels):
-            _acc(acc, (labels2, nu), cin * c)
+            _accumulate(acc, (labels2, nu), cin * c)
     return PlainTensor(space, acc)
 
 
@@ -365,7 +356,7 @@ def _mode_general(space: TensorSpace, family: str, i: int, r: int, v: PlainTenso
             base = cin if sign > 0 else -cin
             for vec, c in mult.items():
                 nu2 = tuple(n + d for n, d in zip(nu, vec))
-                _acc(acc, (labels2, nu2), base * c)
+                _accumulate(acc, (labels2, nu2), base * c)
     return PlainTensor(space, acc)
 
 
@@ -550,48 +541,3 @@ def dictionary_leaf_apply(m: int, n: int):
             raise ValueError(f"no all-key evaluator for mode {family} {i} {r}")
 
     return leaf
-
-
-# ----------------------------------------------------------------------
-# exhaustive finite-level checks
-
-
-def schur_weyl_commutation_check(pd: ParityData, ell: int, coeffs):
-    """Hecke-operator relations and commutation with the finite action.
-
-    Exhausts all label tuples; yields one check (relation, nodes, modes,
-    vector, difference) per (relation, key), with no nodes or modes.
-    """
-    assert ell >= 2
-    space = TensorSpace(pd, ell, coeffs)
-    gens = [
-        ChevalleyGen(kind, i)
-        for i in range(1, space.kappa)
-        for kind in ("e", "f", "t", "tinv")
-    ]
-    for labels in space.all_labels():
-        b = space.basis(labels)
-        vector = f"v{list(labels)}"
-        for a in range(1, ell):
-            ta = hecke_T_apply(a, b)
-            yield f"quadratic slot {a}", (), (), vector, partial(_quadratic, a, b, ta)
-            for g in gens:
-                name = f"[T_{a}, {g.kind}_{g.node}]"
-                yield name, (), (), vector, partial(_commutator, g, a, b, ta)
-        for a in range(1, ell - 1):
-            yield f"braid slots {a},{a + 1}", (), (), vector, partial(_braid, a, b)
-
-
-def _quadratic(a: int, b: PlainTensor, ta: PlainTensor) -> PlainTensor:
-    R = b.space.R
-    return hecke_T_apply(a, ta) - ta.scale(R.qpow(2) - R.one) - b.scale(R.qpow(2))
-
-
-def _commutator(g: ChevalleyGen, a: int, b: PlainTensor, ta: PlainTensor) -> PlainTensor:
-    return chevalley_apply(g, ta) - hecke_T_apply(a, chevalley_apply(g, b))
-
-
-def _braid(a: int, b: PlainTensor) -> PlainTensor:
-    lhs = hecke_T_apply(a, hecke_T_apply(a + 1, hecke_T_apply(a, b)))
-    rhs = hecke_T_apply(a + 1, hecke_T_apply(a, hecke_T_apply(a + 1, b)))
-    return lhs - rhs

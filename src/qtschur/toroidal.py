@@ -22,8 +22,12 @@ Operators provided:
     inverse X letters on wrapped slots; the wrap-around-node currents
     are its conjugates of the node-1 currents with a mode-wise
     argument rescale;
-  * rotation-identity batteries relating conjugated and index-shifted
-    currents, and the diagonal weight action.
+  * the two sides of the balancing relation on unsorted keys (a T
+    letter on the factor, the exchange on the key), and the diagonal
+    weight action.
+
+The rotation identities and the rotation's respect for the balancing
+relation are a relation table in verify; this module checks nothing.
 
 Equality is decided per key through the parabolic symmetrizer of the
 repeated-label blocks: a factor w kills the key exactly when w times
@@ -41,7 +45,6 @@ and Chevalley operators apply their letters directly.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 
 from qtschur.hecke import (
     DahaContext,
@@ -453,11 +456,23 @@ def psi_inverse(fv: FunctorVector) -> FunctorVector:
     return _rotate(fv.space, fv.support.items(), -1)
 
 
-def psi_power(fv: FunctorVector, r: int) -> FunctorVector:
-    out = fv
-    for _ in range(abs(r)):
-        out = psi_apply(out) if r > 0 else psi_inverse(out)
-    return out
+def factor_T_apply(i: int, fv: FunctorVector) -> FunctorVector:
+    """w T_i on the factor of every key; keys stay as given, unsorted.
+
+    With key_T_apply, the two sides of the balancing relation on a raw
+    vector: the rotation of either must agree.
+    """
+    return FunctorVector(fv.space, {k: right_mul_T(w, i) for k, w in fv.support.items()})
+
+
+def key_T_apply(i: int, fv: FunctorVector) -> FunctorVector:
+    """The two-slot exchange on slots i, i+1 of every key, left unsorted."""
+    acc: dict = {}
+    for labels, w in fv.support.items():
+        for labels2, coeff in hecke_exchange_terms(fv.space, i, labels):
+            part, cur = w.scale(coeff), acc.get(labels2)
+            acc[labels2] = part if cur is None else cur + part
+    return FunctorVector(fv.space, acc)
 
 
 # ----------------------------------------------------------------------
@@ -469,8 +484,8 @@ def zero_current_apply(family: str, r: int, fv: FunctorVector, *, psi=None) -> F
 
     The argument rescale z -> q1^{-s_kappa} z multiplies mode r by
     q1^{+ s_kappa * r}.  psi rotates fv (psi_apply when None); callers
-    that apply several modes to one vector pass a memoized rotation
-    (see memo_psi), so that the vector is rotated once.
+    that apply several modes to one vector pass a memoized rotation, so
+    that the vector is rotated once.
     """
     space = fv.space
     rotated = psi_apply(fv) if psi is None else psi(fv)
@@ -506,7 +521,7 @@ def weight_apply(i: int, fv: FunctorVector) -> FunctorVector:
 
 
 # ----------------------------------------------------------------------
-# batteries and rotation identities
+# batteries and dumps
 
 
 def functor_battery(space: FunctorSpace):
@@ -519,125 +534,21 @@ def functor_battery(space: FunctorSpace):
     return out
 
 
-def rotation_identity_check(space: FunctorSpace, bound: int, battery=None):
-    """Conjugation identities for every current family, mode by mode.
-
-    Single-step: rotating once turns the node-i current into the
-    node-(i-1) current with modes rescaled by q1^{-s_kappa r}, for
-    1 < i < kappa.  Double-step wrap: rotating twice turns the node-1
-    current (modes pre-scaled by the inverse central-letter exponent)
-    into the top-node current rescaled by q1^{-r(n-m+s_{kappa-1}+s_kappa)}.
-    The wrap identity for the lowering family lands on the lowering
-    current at the top node.  Yields one check (relation, nodes, modes,
-    vector, difference) per identity and battery vector; the checks
-    share one memo of rotation images, so each battery vector is
-    rotated once and twice only once.
-    """
-    kappa = space.kappa
-    if battery is None:
-        battery = functor_battery(space)
-    psi = partial(memo_psi, {})
-    for fam in ("E", "F", "K+", "K-"):
-        for r in range(-bound, bound + 1):
-            if fam == "K+" and r < 0:
-                continue
-            if fam == "K-" and r > 0:
-                continue
-            for i in range(2, kappa):
-                for vname, u in battery:
-                    diff = partial(_rotation_difference, psi, fam, i, r, u)
-                    yield f"rot-{fam}", (i, i - 1), (r,), vname, diff
-            rel = f"wrap-{fam}" + ("-as-F" if fam == "F" else "")
-            for vname, u in battery:
-                diff = partial(_wrap_difference, psi, fam, r, u)
-                yield rel, (1, kappa - 1), (r,), vname, diff
-
-
-def memo_psi(memo: dict, v: FunctorVector) -> FunctorVector:
-    """psi_apply(v), kept in memo under id(v) next to v so that id(v) stays v's."""
-    hit = memo.get(id(v))
-    if hit is None:
-        hit = memo[id(v)] = (v, psi_apply(v))
-    return hit[1]
-
-
-def _rotation_difference(psi, fam: str, i: int, r: int, u: FunctorVector) -> FunctorVector:
-    pd, R = u.space.pd, u.space.R
-    lhs = psi_inverse(vertical_mode_apply(fam, i, r, psi(u)))
-    rhs = vertical_mode_apply(fam, i - 1, r, u).scale(R.q1pow(-pd.sign(pd.kappa) * r))
-    return lhs - rhs
-
-
-def _wrap_difference(psi, fam: str, r: int, u: FunctorVector) -> FunctorVector:
-    pd, R = u.space.pd, u.space.R
-    kappa = pd.kappa
-    wrap_exp = (pd.n - pd.m) + pd.sign(kappa - 1) + pd.sign(kappa)
-    lhs = psi_power(vertical_mode_apply(fam, 1, r, psi(psi(u))), -2)
-    rhs = vertical_mode_apply(fam, kappa - 1, r, u).scale(R.q1pow(-wrap_exp * r))
-    return lhs.scale(R.zetapow(-r)) - rhs
-
-
-def psi_balance_check(space: FunctorSpace, battery=None):
-    """Rotation respects the balancing relation, case by case.
-
-    For every label tuple (arbitrary order), adjacent slot i, and
-    battery element w, rotating w T_i tensor the key must agree with
-    rotating w tensor the exchanged key.  Checks are tagged by which of
-    the two exchanged labels wrap around (pick up an X letter), since
-    each subcase exercises a different commutation in the algebra.
-    """
-    kappa = space.kappa
-    if battery is None:
-        battery = default_battery(space.daha)
-    for labels in itertools.product(range(1, kappa + 1), repeat=space.ell):
-        for i in range(1, space.ell):
-            case = "-".join("wrap" if j == kappa else "plain" for j in labels[i - 1 : i + 1])
-            for wname, w in battery:
-                vector = f"{wname}|{','.join(map(str, labels))}"
-                diff = partial(_balance_difference, space, w, i, labels)
-                yield f"psi-balance-{case}", (i,), (), vector, diff
-
-
-def _balance_difference(space: FunctorSpace, w: DahaElement, i: int, labels):
-    lhs = _rotate(space, [(labels, right_mul_T(w, i))], 1)
-    rhs = space.rotated(1).zero()
-    for labels2, coeff in hecke_exchange_terms(space, i, labels):
-        rhs = rhs + _rotate(space, [(labels2, w.scale(coeff))], 1)
-    return lhs - rhs
-
-
 def dump_mode_action(space: FunctorSpace, family: str, node: int, r: int) -> list[dict]:
     """Action table of one mode on the standard battery, for reports."""
-    out = []
-    for vname, u in functor_battery(space):
-        image = toroidal_mode_apply(family, node, r, u)
-        out.append(
-            {
-                "op": family,
-                "node": node,
-                "mode": r,
-                "input": vname,
-                "output": [
-                    [list(labels), w.render()]
-                    for labels, w in sorted(image.support.items())
-                ],
-            }
-        )
-    return out
+    apply = lambda u: toroidal_mode_apply(family, node, r, u)
+    return _action_table(space, apply, {"op": family, "node": node, "mode": r})
 
 
 def dump_psi_action(space: FunctorSpace) -> list[dict]:
-    out = []
-    for vname, u in functor_battery(space):
-        image = psi_apply(u)
-        out.append(
-            {
-                "op": "psi",
-                "input": vname,
-                "output": [
-                    [list(labels), w.render()]
-                    for labels, w in sorted(image.support.items())
-                ],
-            }
-        )
-    return out
+    return _action_table(space, psi_apply, {"op": "psi"})
+
+
+def _action_table(space: FunctorSpace, apply, head: dict) -> list[dict]:
+    """One row per battery vector: head, the input's name and its rendered image."""
+    return [
+        dict(head, input=vname, output=[
+            [list(labels), w.render()] for labels, w in sorted(apply(u).support.items())
+        ])
+        for vname, u in functor_battery(space)
+    ]

@@ -1,38 +1,38 @@
 """Relation suites over the balanced tensor spaces, with JSON reports.
 
-The toroidal and affine suites expand a finite table of relation
-instances: a relation id, node indices, a mode tuple, a form, and the
-two sides of the relation as data.  A side is a list of (coefficient,
-word) terms, a word a tuple of operator letters, and a coefficient a
-ring-free sum of (rational, q-exponent, d-exponent) monomials; bracket
-trees are expanded into terms once, when the table is built.  One
-evaluator sums each side on a vector and takes the difference, on
-every vector of a deterministic battery: the Hecke-algebra battery
-crossed with all nondecreasing label tuples.  Current relations are
-checked in mode-truncated form: the coefficient of z^{-r} in z * E(z)
-is E_{r+1}, the delta function delta(w/z) couples modes by r + s, and
-the diagonal series K^+ and K^- carry modes r >= 0 and r <= 0, their
-mode-zero terms the two inverse diagonal generators.  All checks run
-at trivial central charge, where the dressed K-K exchange collapses to
-plain commutation.
+Every suite expands a finite table of relation instances: a relation
+id, node indices, a mode tuple, a form, the two sides of the relation
+as data, and the battery vectors it runs on.  A side is a list of
+(coefficient, word) terms, a word a tuple of operator letters, and a
+coefficient a ring-free sum of monomials; bracket trees are expanded
+into terms once, when the table is built.  One evaluator sums each side
+on a vector and takes the difference.  hecke, looprep and toroidal
+state relations and operators; only this module checks them.  The
+batteries are deterministic: plain basis tensors (finite), Hecke-algebra
+elements with seeded random words (daha), and that algebra battery
+crossed with all nondecreasing label tuples (toroidal, affine,
+rotation), the rotation suite first crossing it with every unsorted
+label tuple.  Current relations are checked in mode-truncated form: the
+coefficient of z^{-r} in z * E(z) is E_{r+1}, the delta function
+delta(w/z) couples modes by r + s, and the diagonal series K^+ and K^-
+carry modes r >= 0 and r <= 0, their mode-zero terms the two inverse
+diagonal generators.  All checks run at trivial central charge, where
+the dressed K-K exchange collapses to plain commutation.
 
 Suites can run symbolically (exact Laurent coefficients), numerically
 (a rational sample point), or both.  Only this module builds report
 rows, and every suite is gated alike: in combined mode the numeric
 pass runs first, a row that fails it is not evaluated symbolically
 (its symbolic verdict stays skipped), and both verdicts are recorded
-per row.  The finite, daha and rotation suites take their checks
-(relation, nodes, modes, vector, difference) from hecke, looprep and
-toroidal, one stream per stage.  The toroidal and affine suites
-resolve the table's coefficients in each stage's ring once and
-evaluate instances in chunks (one per worker task), vector-major
-within a chunk: each battery vector goes through every instance with
-one memo of operator images, dropped before the next vector, and rows
-are emitted in instance order.  Reports are deterministic: same
-configuration and seed give byte-identical JSON, independent of the
-worker count.  Report.write streams that JSON to a file one row at a
-time, in the layout of json.dumps(..., sort_keys=True, indent=2), so
-the whole text is never held in memory.
+per row.  Each stage resolves the table's coefficients in its ring
+once; instances are evaluated in chunks (one per worker task),
+vector-major within a chunk: each battery vector goes through every
+instance with one memo of operator images, dropped before the next
+vector, and rows are emitted in instance order.  Reports are
+deterministic: same configuration and seed give byte-identical JSON,
+independent of the worker count.  Report.write streams that JSON to a
+file one row at a time, in the layout of json.dumps(..., sort_keys=True,
+indent=2), so the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -47,15 +48,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from qtschur import hecke, looprep
 from qtschur import toroidal as tor
 from qtschur.hecke import (
     DahaContext,
+    DahaElement,
     apply_word,
-    check_daha_presentation,
+    bounded_tuples,
     default_battery,
-    toshow_identities,
+    presentation_relations,
+    toshow_relations,
 )
-from qtschur.looprep import schur_weyl_commutation_check
+from qtschur.looprep import PlainTensor, TensorSpace
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData, cartan, mmatrix, node_parity
 
@@ -257,19 +261,6 @@ def _row_json(row: dict) -> str:
     return "    {\n" + ",\n".join(fields) + "\n    }"
 
 
-def _report(suite: str, cfg: RunConfig, rows: list) -> Report:
-    pd = cfg.parity_data()
-    params = {
-        "m": cfg.m,
-        "n": cfg.n,
-        "ell": cfg.ell,
-        "R": cfg.modes,
-        "parity": pd.to_string(),
-        "mode": cfg.mode,
-    }
-    return Report(suite, params, rows)
-
-
 def _new_row(relation, nodes, modes, vector, combined: bool, form=None) -> dict:
     """A passing row; in combined mode its symbolic verdict starts skipped."""
     row = {
@@ -286,11 +277,8 @@ def _new_row(relation, nodes, modes, vector, combined: bool, form=None) -> dict:
     return row
 
 
-def _record(row: dict, stage: str, difference, combined: bool) -> None:
-    """Record the verdict difference() == 0 on row unless an earlier stage failed it."""
-    if row["status"] == "fail":
-        return
-    diff = difference()
+def _record(row: dict, stage: str, diff, combined: bool) -> None:
+    """Record the verdict diff == 0 of one stage on row."""
     ok = diff.is_zero()
     if combined:
         row[stage] = "pass" if ok else "fail"
@@ -302,55 +290,30 @@ def _record(row: dict, stage: str, difference, combined: bool) -> None:
             row["residual"] = diff.render()
 
 
-def _gated_rows(cfg: RunConfig, checks: list) -> list:
-    """Rows of per-stage check streams, one stream per stage, numeric first.
-
-    Each stream yields (relation, nodes, modes, vector, difference) in
-    the same order.  A row that failed one stage is not evaluated in
-    the next, so its symbolic verdict stays skipped.
-    """
-    combined = cfg.mode == "both"
-    rows = []
-    for entries in zip(*checks):
-        row = _new_row(*entries[0][:4], combined)
-        for stage, entry in zip(_stages(cfg), entries):
-            assert entry[:4] == entries[0][:4], "stage streams out of step"
-            _record(row, stage, entry[4], combined)
-        rows.append(row)
-    return rows
-
-
 # ----------------------------------------------------------------------
-# mode-level relation instances
-
-
-def _mode_tuples(k: int, bound: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], left: int) -> None:
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for v in range(-left, left + 1):
-            prefix.append(v)
-            rec(prefix, left - abs(v))
-            prefix.pop()
-
-    rec([], bound)
-    return out
+# relation tables
 
 
 # A side is a list of (coefficient, word) terms.  A word is a tuple of
-# letters (op, node, arg) applied right to left: op is a current
-# (E, F, K+, K-) with its mode as arg, a Chevalley generator (e, f, t,
-# tinv) with its wrap-around variant, or the diagonal weight letter wt.
-# A coefficient is ring-free: a tuple of (rational, q-exponent,
-# d-exponent) monomials, resolved once per stage in that stage's ring.
+# letters (op, node, arg) applied right to left.  On balanced vectors
+# op is a current (E, F, K+, K-) with its mode as arg, a Chevalley
+# generator (e, f, t, tinv) with its wrap-around variant, the diagonal
+# weight letter wt, or the rotation psi with arg +1 or -1; on raw
+# balanced vectors (unsorted keys) also T, the factor times T_node, and
+# the slot exchange S on the key.  On plain tensors op is S or a
+# Chevalley generator (arg None); on Hecke-algebra elements it is T, X,
+# Y or Q, multiplying on the right with the exponent as arg.  A
+# coefficient is ring-free: a tuple of (rational, q-exponent,
+# d-exponent, zeta-exponent) monomials, resolved once per stage in
+# that stage's ring.
 
 _CURRENTS = ("E", "F", "K+", "K-")
 _CHEVALLEY = ("e", "f", "t", "tinv")
 _WEIGHT = "wt"
-_ONE = ((1, 0, 0),)
+_PSI = "psi"
+_SLOT = "S"
+_HECKE = ("T", "X", "Y", "Q")
+_ONE = ((1, 0, 0, 0),)
 
 
 def _swap_sides(x, y, coeff=_ONE):
@@ -364,8 +327,8 @@ def _shift_sides(fx, i, r, fy, j, s, m, a, sign=1):
     for x = fx at node i and y = fy at node j.
     """
     x0, x1, y0, y1 = (fx, i, r), (fx, i, r + 1), (fy, j, s), (fy, j, s + 1)
-    lhs = [(((1, 0, m),), (x1, y0)), (((-1, a, 0),), (x0, y1))]
-    rhs = [(((sign, a, m),), (y0, x1)), (((-sign, 0, 0),), (y1, x0))]
+    lhs = [(((1, 0, m, 0),), (x1, y0)), (((-1, a, 0, 0),), (x0, y1))]
+    rhs = [(((sign, a, m, 0),), (y0, x1)), (((-sign, 0, 0, 0),), (y1, x0))]
     return lhs, rhs
 
 
@@ -375,16 +338,19 @@ def _ef_sides(pd, x, y, diagonal=()):
     Everything sits on the left side, rhs is empty.
     """
     sgn = _super_sign(pd, x[1], y[1])
-    lhs = [(((1, 1, 0), (-1, -1, 0)), (x, y)), (((-sgn, 1, 0), (sgn, -1, 0)), (y, x))]
+    lhs = [
+        (((1, 1, 0, 0), (-1, -1, 0, 0)), (x, y)),
+        (((-sgn, 1, 0, 0), (sgn, -1, 0, 0)), (y, x)),
+    ]
     if diagonal:
         k, kinv = diagonal
-        lhs += [(((-1, 0, 0),), (k,)), (_ONE, (kinv,))]
+        lhs += [(((-1, 0, 0, 0),), (k,)), (_ONE, (kinv,))]
     return lhs, []
 
 
 def _bracket_side(pd: ParityData, expr, sign: int = 1) -> list:
     terms, _, _ = _expr_terms(pd, expr)
-    return [(((sign * c, qexp, 0),), leaves) for leaves, c, qexp in terms]
+    return [(((sign * c, qexp, 0, 0),), leaves) for leaves, c, qexp in terms]
 
 
 def _serre_sides(pd: ParityData, tree, r1: int, r2: int):
@@ -393,18 +359,20 @@ def _serre_sides(pd: ParityData, tree, r1: int, r2: int):
 
 
 def toroidal_instances(pd: ParityData, bound: int) -> list[tuple]:
-    """(relation, nodes, modes, form, lhs, rhs) covering every defining relation.
+    """(relation, nodes, modes, form, lhs, rhs, vectors) covering every defining relation.
 
     The relation holds when lhs - rhs (lhs alone if rhs is empty)
-    vanishes on every vector; excluded relations have no sides.
+    vanishes on every vector it runs on: vectors is a range of battery
+    indices, or None for the whole battery.  Excluded relations have no
+    sides.
     """
     kappa = pd.kappa
     nodes = list(range(kappa))
-    pairs2 = _mode_tuples(2, bound)
+    pairs2 = bounded_tuples(2, bound)
     inst: list[tuple] = []
 
     def add(relation, nodes, modes, form, sides):
-        inst.append((relation, nodes, modes, form, *sides))
+        inst.append((relation, nodes, modes, form, *sides, None))
 
     k0 = lambda i: ("K+", i, 0)
     for i, j in itertools.combinations(nodes, 2):
@@ -413,7 +381,7 @@ def toroidal_instances(pd: ParityData, bound: int) -> list[tuple]:
         for j in nodes:
             for r in range(-bound, bound + 1):
                 for form, fam, a in (("KE", "E", 1), ("KF", "F", -1)):
-                    q = ((1, a * cartan(pd, i, j), 0),)
+                    q = ((1, a * cartan(pd, i, j), 0, 0),)
                     add("CK", (i, j), (r,), form, _swap_sides(k0(i), (fam, j, r), q))
     for form, keep in (("+", lambda r, s: r >= 0 and s >= 0),
                        ("-", lambda r, s: r <= 0 and s <= 0)):
@@ -459,13 +427,13 @@ def toroidal_instances(pd: ParityData, bound: int) -> list[tuple]:
                     continue
                 for fam, e in (("E", 1), ("F", -1)):
                     if a == 0:
-                        sides = _swap_sides((fam, i, r), (fam, j, s), ((sgn, 0, 0),))
+                        sides = _swap_sides((fam, i, r), (fam, j, s), ((sgn, 0, 0, 0),))
                         add("EEFF-zero", (i, j), (r, s), fam * 2, sides)
                     else:
                         sides = _shift_sides(fam, i, r, fam, j, s, m, e * a, sgn)
                         add(fam * 2 + "-quadratic", (i, j), (r, s), None, sides)
-    triples = [t for t in _mode_tuples(3, bound) if t[0] <= t[1]]
-    quads = [t for t in _mode_tuples(4, bound) if t[0] <= t[1]]
+    triples = [t for t in bounded_tuples(3, bound) if t[0] <= t[1]]
+    quads = [t for t in bounded_tuples(4, bound) if t[0] <= t[1]]
     for i in nodes:
         ip, im = (i + 1) % kappa, (i - 1) % kappa
         if cartan(pd, i, i):
@@ -505,7 +473,7 @@ def affine_instances(pd: ParityData) -> list[tuple]:
     for variant in ("affine", "vertical"):
 
         def add(relation, nodes, sides):
-            inst.append((relation, nodes, (), variant, *sides))
+            inst.append((relation, nodes, (), variant, *sides, None))
 
         C = lambda kind, node: (kind, node, variant)
         for i, j in itertools.combinations(nodes, 2):
@@ -513,7 +481,7 @@ def affine_instances(pd: ParityData) -> list[tuple]:
         for i in nodes:
             for j in nodes:
                 for rel, kind, a in (("te", "e", 1), ("tf", "f", -1)):
-                    q = ((1, a * cartan(pd, i, j), 0),)
+                    q = ((1, a * cartan(pd, i, j), 0, 0),)
                     add(rel, (i, j), _swap_sides(C("t", i), C(kind, j), q))
         for i in nodes:
             for j in nodes:
@@ -522,7 +490,7 @@ def affine_instances(pd: ParityData) -> list[tuple]:
         for i in nodes:
             for j in nodes:
                 if i <= j and cartan(pd, i, j) == 0:
-                    sgn = ((_super_sign(pd, i, j), 0, 0),)
+                    sgn = ((_super_sign(pd, i, j), 0, 0, 0),)
                     for rel, kind in (("ee-zero", "e"), ("ff-zero", "f")):
                         add(rel, (i, j), _swap_sides(C(kind, i), C(kind, j), sgn))
         for i in nodes:
@@ -540,6 +508,99 @@ def affine_instances(pd: ParityData) -> list[tuple]:
                     add(f"serre-{kind}-quartic", (i,), (_bracket_side(pd, tree), []))
         chain = tuple(C("t", i) for i in nodes)
         add("t-chain", (), ([(_ONE, chain)], [(_ONE, ())]))
+    return inst
+
+
+def finite_instances(pd: ParityData, ell: int) -> list[tuple]:
+    """Schur-Weyl commutation on the plain tensor power, vector-major.
+
+    Battery vector k is the k-th label tuple of TensorSpace.all_labels,
+    and every (vector, relation) pair is an instance of its own: the
+    quadratic relation of each slot exchange and its commutation with
+    each finite Chevalley generator, then the slot braid relations.
+    """
+    gens = [(kind, i, None) for i in range(1, pd.kappa) for kind in _CHEVALLEY]
+    q2, q2_less_one = ((1, 2, 0, 0),), ((1, 2, 0, 0), (-1, 0, 0, 0))
+    per_vector = []
+    for a in range(1, ell):
+        s = (_SLOT, a, None)
+        per_vector.append((f"quadratic slot {a}", [(_ONE, (s, s))],
+                           [(q2_less_one, (s,)), (q2, ())]))
+        for g in gens:
+            per_vector.append((f"[T_{a}, {g[0]}_{g[1]}]", [(_ONE, (g, s))], [(_ONE, (s, g))]))
+    for a in range(1, ell - 1):
+        s, t = (_SLOT, a, None), (_SLOT, a + 1, None)
+        per_vector.append((f"braid slots {a},{a + 1}", [(_ONE, (s, t, s))], [(_ONE, (t, s, t))]))
+    return [
+        (relation, (), (), None, lhs, rhs, range(k, k + 1))
+        for k in range(pd.kappa**ell)
+        for relation, lhs, rhs in per_vector
+    ]
+
+
+def daha_instances(ell: int, words: int, total: int) -> list[tuple]:
+    """The Hecke-algebra presentation, then the conjugation identities.
+
+    The presentation runs relation-major on battery elements 0..words-1
+    (hecke.default_battery), the identities vector-major on each of
+    elements 0..total-1.  hecke reads its words left to right, as right
+    multiplications, so each word is reversed into evaluation order.
+    """
+
+    def sides(lhs, rhs):
+        return [[(c, tuple(reversed(word))) for c, word in side] for side in (lhs, rhs)]
+
+    inst = [
+        (name, (), (), None, *sides(lhs, rhs), range(words))
+        for name, lhs, rhs in presentation_relations(ell)
+    ]
+    toshow = [(name, *sides(lhs, rhs)) for name, lhs, rhs in toshow_relations(ell)]
+    return inst + [
+        (name, (), (), None, lhs, rhs, range(k, k + 1))
+        for k in range(total)
+        for name, lhs, rhs in toshow
+    ]
+
+
+def rotation_instances(pd: ParityData, ell: int, bound: int, words: int) -> list[tuple]:
+    """The rotation's respect for the balancing relation, then its identities.
+
+    The battery starts with a raw vector w (x) key for every label tuple
+    in product order (unsorted) and each of the `words` elements w of
+    hecke.default_battery; rotating w T_i (x) key must agree with rotating
+    w (x) the exchanged key, tagged by which of the two exchanged labels
+    wrap around.  The functor battery follows.  On it, rotating once
+    turns the node-i current into the node-(i-1) current with modes
+    rescaled by q1^{-s_kappa r}, for 1 < i < kappa; rotating twice turns
+    the node-1 current, times zeta^{-r}, into the top-node current
+    rescaled by q1^{-r(n-m+s_{kappa-1}+s_kappa)}, the lowering family
+    landing on the lowering current.  q1^e is q^{-e} d^e.
+    """
+    kappa = pd.kappa
+    psi, psi_inv = (_PSI, 0, 1), (_PSI, 0, -1)
+    inst = []
+    for b, labels in enumerate(itertools.product(range(1, kappa + 1), repeat=ell)):
+        for i in range(1, ell):
+            case = "-".join("wrap" if j == kappa else "plain" for j in labels[i - 1 : i + 1])
+            lhs, rhs = [(_ONE, (psi, ("T", i, 1)))], [(_ONE, (psi, (_SLOT, i, None)))]
+            vectors = range(b * words, (b + 1) * words)
+            inst.append((f"psi-balance-{case}", (i,), (), None, lhs, rhs, vectors))
+    start = kappa**ell * words
+    battery = range(start, start + math.comb(kappa + ell - 1, ell) * words)
+    q1 = lambda e: ((1, -e, e, 0),)
+    wrap_exp = (pd.n - pd.m) + pd.sign(kappa - 1) + pd.sign(kappa)
+    for fam in _CURRENTS:
+        for r in range(-bound, bound + 1):
+            if (fam == "K+" and r < 0) or (fam == "K-" and r > 0):
+                continue
+            for i in range(2, kappa):
+                lhs = [(_ONE, (psi_inv, (fam, i, r), psi))]
+                rhs = [(q1(-pd.sign(kappa) * r), ((fam, i - 1, r),))]
+                inst.append((f"rot-{fam}", (i, i - 1), (r,), None, lhs, rhs, battery))
+            lhs = [(((1, 0, 0, -r),), (psi_inv, psi_inv, (fam, 1, r), psi, psi))]
+            rhs = [(q1(-wrap_exp * r), ((fam, kappa - 1, r),))]
+            relation = f"wrap-{fam}" + ("-as-F" if fam == "F" else "")
+            inst.append((relation, (1, kappa - 1), (r,), None, lhs, rhs, battery))
     return inst
 
 
@@ -597,8 +658,10 @@ def _resolve(R, coeff: tuple):
     if coeff == _ONE:
         return R.one
     out = None
-    for c, qe, de in coeff:
+    for c, qe, de, ze in coeff:
         term = R.rational(c) * R.qpow(qe) * R.dpow(de)
+        if ze:
+            term = term * R.zetapow(ze)
         out = term if out is None else out + term
     return out
 
@@ -609,27 +672,40 @@ def _image(memo: dict, op: str, node: int, arg, v):
     The memo is keyed on id(v) and keeps v next to its image, so the id
     stays v's while the memo lives; a word of several letters hits it
     because an inner image comes back as the same object.  Sharing
-    images between relations is sound because no FunctorVector or
-    DahaElement operation changes a support dict in place: sums,
-    scalings and products build new ones.  The wrap-node currents take
-    their rotation of v from the same memo (tor.memo_psi, keyed on
-    id(v) alone), so each vector is rotated once.  A zero input is its
-    own image and skips both the memo and the call: every operator maps
-    a space to itself (a rotation round trip lands in the same space
-    object).
+    images between relations is sound because no vector or algebra
+    element operation changes a support dict in place: sums, scalings
+    and products build new ones.  The wrap-node currents take their
+    rotation of v from the psi letter's entry, so each vector is rotated
+    once.  A zero input is its own image and skips both the memo and the
+    call: every operator but the rotation maps a space to itself, and
+    the rotation of zero is the zero of the rotated space.
     """
-    if not v.support:
+    if not v.support and op != _PSI:
         return v
     key = (op, node, arg, id(v))
     hit = memo.get(key)
     if hit is not None:
         return hit[1]
     if op in _CURRENTS:
-        out = tor.toroidal_mode_apply(op, node, arg, v, psi=partial(tor.memo_psi, memo))
+        out = tor.toroidal_mode_apply(op, node, arg, v, psi=partial(_image, memo, _PSI, 0, 1))
     elif op in _CHEVALLEY:
-        out = tor.functor_chevalley_apply(op, node, v, variant=arg)
+        if type(v) is PlainTensor:
+            out = looprep.chevalley_apply(looprep.ChevalleyGen(op, node), v)
+        else:
+            out = tor.functor_chevalley_apply(op, node, v, variant=arg)
     elif op == _WEIGHT:
         out = tor.weight_apply(node, v)
+    elif op == _PSI:
+        out = tor.psi_apply(v) if arg == 1 else tor.psi_inverse(v)
+    elif op == _SLOT:
+        if type(v) is PlainTensor:
+            out = looprep.hecke_T_apply(node, v)
+        else:
+            out = tor.key_T_apply(node, v)
+    elif op in _HECKE and type(v) is DahaElement:
+        out = hecke.apply_word(v, [(op, node, arg)])
+    elif op == "T":
+        out = tor.factor_T_apply(node, v)
     else:
         raise ValueError(f"unknown operator letter {op!r}")
     memo[key] = (v, out)
@@ -643,6 +719,7 @@ def _difference(memo: dict, values: dict, lhs: list, rhs: list, u):
     pruning makes the representative of a sum depend on the order of
     additions, and the report renders that representative.
     """
+    one = values[_ONE]
     sums = []
     for side in (lhs, rhs):
         acc = None
@@ -651,7 +728,7 @@ def _difference(memo: dict, values: dict, lhs: list, rhs: list, u):
             for letter in reversed(word):
                 v = _image(memo, *letter, v)
             c = values[coeff]
-            if c is not v.space.R.one:
+            if c is not one:
                 v = v.scale(c)
             acc = v if acc is None else acc + v
         sums.append(acc)
@@ -659,66 +736,127 @@ def _difference(memo: dict, values: dict, lhs: list, rhs: list, u):
 
 
 # ----------------------------------------------------------------------
-# instance-suite execution (worker-safe, cacheable per process)
+# suite execution (worker-safe, cacheable per process)
 
 
-class _SuiteContext:
-    def __init__(self, suite: str, cfg: RunConfig):
-        self.suite = suite
-        self.cfg = cfg
+_SEEDED = 8  # seeded random words at the end of the daha battery
+
+
+def _random_words(ctx: DahaContext, seed: int):
+    """Seeded generator words of length up to four, as battery entries."""
+    rng = random.Random(seed)
+    pool = [("Q", 0, 1), ("Q", 0, -1)]
+    for j in range(1, ctx.ell + 1):
+        pool += [("Y", j, 1), ("Y", j, -1), ("X", j, 1), ("X", j, -1)]
+    for i in range(1, ctx.ell):
+        pool += [("T", i, 1), ("T", i, -1)]
+    out = []
+    for k in range(_SEEDED):
+        word = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 4))]
+        label = f"rand{k}:" + ".".join(f"{kind}{idx}^{e}" for kind, idx, e in word)
+        out.append((label, apply_word(ctx.one(), word)))
+    return out
+
+
+def _table(suite: str, cfg: RunConfig, pd: ParityData, R) -> list[tuple]:
+    """The relation table of one suite; R sizes the Hecke-algebra battery."""
+    if suite == "toroidal":
+        return toroidal_instances(pd, cfg.modes)
+    if suite == "affine":
+        return affine_instances(pd)
+    if suite == "finite":
+        return finite_instances(pd, cfg.ell)
+    words = len(default_battery(DahaContext(cfg.ell, R)))
+    if suite == "daha":
+        return daha_instances(cfg.ell, words, words + _SEEDED)
+    return rotation_instances(pd, cfg.ell, cfg.modes, words)
+
+
+def _battery(suite: str, cfg: RunConfig, pd: ParityData, R) -> list[tuple]:
+    """(name, vector) pairs of one suite over ring R, in the order its table indexes."""
+    if suite == "finite":
+        space = TensorSpace(pd, cfg.ell, R)
+        return [(f"v{list(labels)}", space.basis(labels)) for labels in space.all_labels()]
+    if suite == "daha":
+        ctx = DahaContext(cfg.ell, R)
+        return default_battery(ctx) + _random_words(ctx, cfg.seed)
+    space = tor.FunctorSpace(pd, cfg.ell, R)
+    if suite != "rotation":
+        return tor.functor_battery(space)
+    words = default_battery(space.daha)
+    return [
+        (f"{wname}|{','.join(map(str, labels))}", tor.FunctorVector(space, {labels: w}))
+        for labels in itertools.product(range(1, pd.kappa + 1), repeat=cfg.ell)
+        for wname, w in words
+    ] + tor.functor_battery(space)
+
+
+class SuiteContext:
+    """A relation table and, per stage, the battery and coefficients it runs on.
+
+    SuiteContext.for_suite(suite, cfg) builds a suite's own; any table
+    can also be paired with any battery and ring, as long as the
+    table's vector ranges index that battery.
+    """
+
+    def __init__(self, instances: list, stages: list):
+        """stages: (stage name, ring, battery) triples, numeric first."""
+        self.instances = instances
+        coeffs = {c for *_, lhs, rhs, _ in instances for c, _ in lhs + rhs} | {_ONE}
+        self.stages = [
+            (stage, battery, {c: _resolve(R, c) for c in coeffs})
+            for stage, R, battery in stages
+        ]
+
+    @classmethod
+    def for_suite(cls, suite: str, cfg: RunConfig) -> "SuiteContext":
         pd = cfg.parity_data()
-        if suite == "toroidal":
-            self.instances = toroidal_instances(pd, cfg.modes)
-        else:
-            self.instances = affine_instances(pd)
-        coeffs = {c for *_, lhs, rhs in self.instances for c, _ in lhs + rhs}
-        zeta = "folded" if suite == "toroidal" else "formal"
-        self.stages = []
-        for stage in _stages(cfg):
-            R = _coeffs(cfg, stage, zeta)
-            battery = tor.functor_battery(tor.FunctorSpace(pd, cfg.ell, R))
-            values = {c: _resolve(R, c) for c in coeffs}
-            self.stages.append((stage, battery, values))
+        zeta = {"toroidal": "folded", "finite": "none"}.get(suite, "formal")
+        rings = [(stage, _coeffs(cfg, stage, zeta)) for stage in _stages(cfg)]
+        instances = _table(suite, cfg, pd, rings[0][1])
+        return cls(instances, [(stage, R, _battery(suite, cfg, pd, R)) for stage, R in rings])
 
     def rows(self, lo: int, hi: int) -> list[dict]:
         """Rows of instances lo..hi-1, in instance order.
 
         Evaluation is vector-major: each battery vector is taken through
         the stages (numeric first) and, per stage, through every
-        instance of the chunk with one fresh memo of operator images,
-        dropped when the vector is done.  A row whose numeric stage
-        failed is not evaluated symbolically.
+        instance of the chunk that runs on it, with one fresh memo of
+        operator images, dropped when the vector is done.  A row whose
+        numeric stage failed is not evaluated symbolically.
         """
-        combined = self.cfg.mode == "both"
+        combined = len(self.stages) > 1
         names = [name for name, _ in self.stages[-1][1]]
         out, live = [], []
-        for relation, nodes, modes, form, lhs, rhs in self.instances[lo:hi]:
+        for relation, nodes, modes, form, lhs, rhs, vectors in self.instances[lo:hi]:
             if not lhs:
                 row = _new_row(relation, nodes, modes, "-", False)
                 row.update(status="excluded", note="mn = 2 incompatible with kappa >= 4")
                 out.append(row)
                 continue
+            vectors = range(len(names)) if vectors is None else vectors
             # the rows of one instance share its node and mode lists (memory)
             base = _new_row(relation, nodes, modes, None, combined, form)
-            rows = [dict(base, vector=v) for v in names]
+            rows = [dict(base, vector=names[k]) for k in vectors]
             out.extend(rows)
-            live.append((lhs, rhs, rows))
+            live.append((vectors.start, vectors.stop, lhs, rhs, rows))
         for k in range(len(names)):
             for stage, battery, values in self.stages:
                 u, memo = battery[k][1], {}
-                for lhs, rhs, rows in live:
-                    diff = partial(_difference, memo, values, lhs, rhs, u)
-                    _record(rows[k], stage, diff, combined)
+                for start, stop, lhs, rhs, rows in live:
+                    if start <= k < stop and rows[k - start]["status"] != "fail":
+                        diff = _difference(memo, values, lhs, rhs, u)
+                        _record(rows[k - start], stage, diff, combined)
         return out
 
 
 _WORKER_CONTEXTS: dict = {}
 
 
-def _context(suite: str, cfg_key: tuple) -> _SuiteContext:
+def _context(suite: str, cfg_key: tuple) -> SuiteContext:
     ctx = _WORKER_CONTEXTS.get((suite, cfg_key))
     if ctx is None:
-        ctx = _SuiteContext(suite, RunConfig(*cfg_key))
+        ctx = SuiteContext.for_suite(suite, RunConfig(*cfg_key))
         _WORKER_CONTEXTS[(suite, cfg_key)] = ctx
     return ctx
 
@@ -754,84 +892,14 @@ def _run_instances(suite: str, cfg: RunConfig) -> list[dict]:
     return rows
 
 
-# ----------------------------------------------------------------------
-# suite runners
-
-
-def run_toroidal_suite(cfg: RunConfig) -> Report:
-    cfg.validate("toroidal")
-    return _report("toroidal", cfg, _run_instances("toroidal", cfg))
-
-
-def run_affine_suite(cfg: RunConfig) -> Report:
-    cfg.validate("affine")
-    return _report("affine", cfg, _run_instances("affine", cfg))
-
-
-def run_finite_suite(cfg: RunConfig) -> Report:
-    cfg.validate("finite")
-    pd = cfg.parity_data()
-    checks = [
-        schur_weyl_commutation_check(pd, cfg.ell, _coeffs(cfg, stage, "none"))
-        for stage in _stages(cfg)
-    ]
-    return _report("finite", cfg, _gated_rows(cfg, checks))
-
-
-def _random_words(ctx: DahaContext, seed: int, count: int = 8):
-    """Seeded generator words of length up to four, as battery entries."""
-    rng = random.Random(seed)
-    pool = [("Q", 0, 1), ("Q", 0, -1)]
-    for j in range(1, ctx.ell + 1):
-        pool += [("Y", j, 1), ("Y", j, -1), ("X", j, 1), ("X", j, -1)]
-    for i in range(1, ctx.ell):
-        pool += [("T", i, 1), ("T", i, -1)]
-    out = []
-    for k in range(count):
-        word = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 4))]
-        label = "rand%d:%s" % (
-            k,
-            ".".join(f"{kind}{idx}^{e}" for kind, idx, e in word),
-        )
-        out.append((label, apply_word(ctx.one(), word)))
-    return out
-
-
-def _daha_checks(cfg: RunConfig, stage: str):
-    ctx = DahaContext(cfg.ell, _coeffs(cfg, stage, "formal"))
-    battery = default_battery(ctx)
-    yield from check_daha_presentation(ctx, battery)
-    yield from toshow_identities(ctx, battery + _random_words(ctx, cfg.seed))
-
-
-def run_daha_suite(cfg: RunConfig) -> Report:
-    cfg.validate("daha")
-    checks = [_daha_checks(cfg, stage) for stage in _stages(cfg)]
-    return _report("daha", cfg, _gated_rows(cfg, checks))
-
-
-def _rotation_checks(cfg: RunConfig, stage: str):
-    space = tor.FunctorSpace(cfg.parity_data(), cfg.ell, _coeffs(cfg, stage, "formal"))
-    yield from tor.psi_balance_check(space)
-    yield from tor.rotation_identity_check(space, cfg.modes)
-
-
-def run_rotation_suite(cfg: RunConfig) -> Report:
-    cfg.validate("rotation")
-    checks = [_rotation_checks(cfg, stage) for stage in _stages(cfg)]
-    return _report("rotation", cfg, _gated_rows(cfg, checks))
-
-
-RUNNERS = {
-    "finite": run_finite_suite,
-    "affine": run_affine_suite,
-    "toroidal": run_toroidal_suite,
-    "daha": run_daha_suite,
-    "rotation": run_rotation_suite,
-}
-
-
 def run_suite(suite: str, cfg: RunConfig) -> Report:
-    if suite not in RUNNERS:
-        raise ConfigError(f"unknown suite {suite!r}")
-    return RUNNERS[suite](cfg)
+    cfg.validate(suite)
+    params = {
+        "m": cfg.m,
+        "n": cfg.n,
+        "ell": cfg.ell,
+        "R": cfg.modes,
+        "parity": cfg.parity_data().to_string(),
+        "mode": cfg.mode,
+    }
+    return Report(suite, params, _run_instances(suite, cfg))

@@ -27,15 +27,7 @@ from qtschur.looprep import (
 )
 from qtschur.scalar import NumericContext, SymbolicContext, psi_product_mode
 from qtschur.superdata import ParityData
-from qtschur.verify import (
-    RunConfig,
-    run_affine_suite,
-    run_daha_suite,
-    run_finite_suite,
-    run_rotation_suite,
-    run_suite,
-    run_toroidal_suite,
-)
+from qtschur.verify import RunConfig, run_suite
 
 
 def _clean(report, allow_excluded=False):
@@ -57,7 +49,7 @@ def _budget(start, limit, label):
 def test_criterion_1_daha_presentation():
     start = time.perf_counter()
     for ell in (1, 2, 3):
-        rep = _clean(run_daha_suite(RunConfig(ell=ell, mode="both")))
+        rep = _clean(run_suite("daha", RunConfig(ell=ell, mode="both")))
         relations = {row["relation"] for row in rep.results}
         assert "Q Y_l Q^-1 = zeta Y1" in relations
         assert "w Q Y_l Q^-1 = zeta w Y1" in relations
@@ -75,7 +67,7 @@ def test_criterion_2_finite_schur_weyl():
     start = time.perf_counter()
     for m, n in ((3, 1), (2, 2), (2, 3)):
         for ell in (2, 3):
-            rep = _clean(run_finite_suite(RunConfig(m=m, n=n, ell=ell, mode="both")))
+            rep = _clean(run_suite("finite", RunConfig(m=m, n=n, ell=ell, mode="both")))
             relations = {row["relation"] for row in rep.results}
             assert any(r.startswith("quadratic") for r in relations)
             assert any(r.startswith("braid") for r in relations) == (ell >= 3)
@@ -86,7 +78,7 @@ def test_criterion_2_finite_schur_weyl():
 def test_criterion_3_affine_suite():
     start = time.perf_counter()
     for ell in (1, 2):
-        rep = _clean(run_affine_suite(RunConfig(ell=ell, mode="both")))
+        rep = _clean(run_suite("affine", RunConfig(ell=ell, mode="both")))
         rows = rep.results
         chains = [r for r in rows if r["relation"] == "t-chain"]
         assert {r["form"] for r in chains} == {"affine", "vertical"}
@@ -156,7 +148,7 @@ def test_criterion_5_twist_and_rotation():
     for m, n in ((3, 1), (3, 2)):
         for ell in (1, 2):
             rep = _clean(
-                run_rotation_suite(RunConfig(m=m, n=n, ell=ell, modes=2, mode="both"))
+                run_suite("rotation", RunConfig(m=m, n=n, ell=ell, modes=2, mode="both"))
             )
             relations = {row["relation"] for row in rep.results}
             assert rotation_families <= relations
@@ -167,7 +159,7 @@ def test_criterion_5_twist_and_rotation():
 
 def test_criterion_6_toroidal_master_fast():
     start = time.perf_counter()
-    rep = run_toroidal_suite(RunConfig(m=3, n=1, ell=1, modes=2, mode="both"))
+    rep = run_suite("toroidal", RunConfig(m=3, n=1, ell=1, modes=2, mode="both"))
     summary = rep.summary()
     assert summary["fail"] == 0
     assert summary["excluded"] == 2

@@ -5,12 +5,17 @@ import sys
 import pytest
 
 from qtschur import cli
+from qtschur import toroidal as tor
 from qtschur.cli import main
 from qtschur.verify import Report
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("the work started before --out was checked")
 
 
 def test_verify_daha_exits_zero(capsys):
@@ -64,9 +69,6 @@ def test_report_written_to_out(tmp_path, capsys):
 
 
 def test_unwritable_out_is_a_usage_error_before_the_run(tmp_path, monkeypatch, capsys):
-    def no_run(suite, cfg):
-        raise AssertionError("the suite ran before --out was checked")
-
     monkeypatch.setattr(cli, "run_suite", no_run)
     out = tmp_path / "missing" / "report.json"
     assert run_cli("verify", "daha", "--ell", "1", "--out", str(out)) == 2
@@ -176,6 +178,24 @@ def test_bench_exits_one_on_failing_suite(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: failing)
     assert run_cli("bench", "daha", "--ell", "1") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_bench_unwritable_out_exits_two_before_timing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    out = tmp_path / "missing" / "bench.json"
+    assert run_cli("bench", "daha", "--ell", "1", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "usage error:" in captured.err and "rows/s" not in captured.out
+    assert not out.exists()
+
+
+def test_dump_unwritable_out_exits_two_before_the_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tor, "dump_psi_action", no_run)
+    out = tmp_path / "missing" / "psi.json"
+    assert run_cli("dump", "--op", "psi", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "usage error:" in captured.err and "->" not in captured.out
+    assert not out.exists()
 
 
 def test_bench_skips_invalid_defaults(capsys):

@@ -17,7 +17,6 @@ from qtschur.hecke import (
     DahaContext,
     affine_permutations_upto,
     apply_word,
-    check_daha_presentation,
     composite,
     default_battery,
     inverse_word,
@@ -25,10 +24,10 @@ from qtschur.hecke import (
     right_mul_T,
     right_mul_X,
     right_mul_Y,
-    toshow_identities,
     x_letter_word,
 )
 from qtschur.scalar import NumericContext, SymbolicContext, specialize
+from qtschur.verify import SuiteContext, daha_instances
 
 
 def sym_ctx(ell):
@@ -254,26 +253,31 @@ def test_render_frozen():
 # presentation batteries
 
 
-def _assert_all_pass(checks):
-    bad = [check[:4] for check in checks if not check[4]().is_zero()]
-    assert not bad, bad[:5]
+def _assert_all_pass(ctx, presented: bool):
+    """The presentation, or the conjugation identities, on the default battery.
+
+    Evaluated through the suite evaluator, in ctx's ring.
+    """
+    battery = default_battery(ctx)
+    words = len(battery)
+    instances = daha_instances(ctx.ell, words, 0) if presented else daha_instances(ctx.ell, 0, words)
+    rows = SuiteContext(instances, [("symbolic", ctx.R, battery)]).rows(0, len(instances))
+    bad = [row for row in rows if row["status"] != "pass"]
+    assert rows and not bad, bad[:5]
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_presentation_symbolic(ell):
-    ctx = sym_ctx(ell)
-    _assert_all_pass(check_daha_presentation(ctx, default_battery(ctx)))
+    _assert_all_pass(sym_ctx(ell), presented=True)
 
 
 def test_presentation_numeric_ell3():
     coeffs = NumericContext(Fraction(5, 2), Fraction(7, 3), zeta0=Fraction(4, 9))
-    ctx = DahaContext(3, coeffs)
-    _assert_all_pass(check_daha_presentation(ctx, default_battery(ctx)))
+    _assert_all_pass(DahaContext(3, coeffs), presented=True)
 
 
 def test_toshow_battery():
-    ctx = sym_ctx(2)
-    _assert_all_pass(toshow_identities(ctx, default_battery(ctx)))
+    _assert_all_pass(sym_ctx(2), presented=False)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from qtschur.looprep import (
     hecke_T_apply,
     mode_apply_plain,
     recovered_shift_modes,
-    schur_weyl_commutation_check,
     slot_ops,
     tensor_leg_apply,
     tree_apply,
@@ -29,6 +28,7 @@ from qtschur.looprep import (
 )
 from qtschur.scalar import NumericContext, SymbolicContext, specialize
 from qtschur.superdata import ParityData, node_parity
+from qtschur.verify import SuiteContext, finite_instances
 
 
 def space_for(m, n, ell):
@@ -131,11 +131,15 @@ def test_hecke_inverse_roundtrip():
 
 
 def test_schur_weyl_commutation():
+    # the finite relation table, on every label tuple, through the suite evaluator
     for m, n, ell in [(2, 2, 2), (1, 2, 3)]:
         pd = ParityData.standard(m, n)
-        checks = schur_weyl_commutation_check(pd, ell, SymbolicContext(formal_zeta=True))
-        bad = [check[:4] for check in checks if not check[4]().is_zero()]
-        assert not bad, bad[:5]
+        sp = TensorSpace(pd, ell, SymbolicContext(formal_zeta=True))
+        battery = [(str(labels), sp.basis(labels)) for labels in sp.all_labels()]
+        instances = finite_instances(pd, ell)
+        rows = SuiteContext(instances, [("symbolic", sp.R, battery)]).rows(0, len(instances))
+        bad = [row for row in rows if row["status"] != "pass"]
+        assert len(rows) == len(instances) and not bad, bad[:5]
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from qtschur import toroidal as tor
 from qtschur.looprep import hecke_exchange_terms
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData
+from qtschur.verify import SuiteContext, rotation_instances
 from qtschur.toroidal import (
     FunctorSpace,
     dump_mode_action,
@@ -20,10 +21,7 @@ from qtschur.toroidal import (
     functor_battery,
     functor_chevalley_apply,
     psi_apply,
-    psi_balance_check,
     psi_inverse,
-    psi_power,
-    rotation_identity_check,
     toroidal_mode_apply,
     vertical_mode_apply,
     weight_exponent,
@@ -40,12 +38,19 @@ def space31(ell):
     return FunctorSpace(PD31, ell, R31)
 
 
-def evaluated(checks):
-    """Each (relation, nodes, modes, vector, difference) check with its verdict."""
-    return [
-        {"relation": rel, "vector": vec, "status": "pass" if diff().is_zero() else "fail"}
-        for rel, _, _, vec, diff in checks
-    ]
+def evaluated(space, battery, bound=0, balance=False):
+    """Report rows of the rotation table on battery, in space's ring.
+
+    balance selects the balancing instances, whose battery holds raw
+    vectors of hecke.default_battery elements in blocks of eight per
+    label tuple; otherwise the rotation identities run on all of battery.
+    """
+    table = rotation_instances(space.pd, space.ell, bound, 8)
+    instances = [inst for inst in table if inst[0].startswith("psi-balance") == balance]
+    if not balance:
+        instances = [inst[:6] + (None,) for inst in instances]
+    ctx = SuiteContext(instances, [("symbolic", space.R, battery)])
+    return ctx.rows(0, len(instances))
 
 
 # ----------------------------------------------------------------------
@@ -222,15 +227,18 @@ def test_rotation_roundtrip():
     for _, u in battery[:: max(1, len(battery) // 40)]:
         assert psi_inverse(psi_apply(u)) == u
         assert psi_apply(psi_inverse(u)) == u
-        assert psi_power(u, 0) == u
     u = battery[3][1]
-    assert psi_power(u, 2) == psi_apply(psi_apply(u))
-    assert psi_power(psi_power(u, 2), -2) == u
+    assert psi_inverse(psi_inverse(psi_apply(psi_apply(u)))) == u
 
 
 def test_rotation_balance_all_cases():
     sp = space31(2)
-    rows = evaluated(psi_balance_check(sp, battery=default_battery(sp.daha)[:8]))
+    raw = [
+        (wname, tor.FunctorVector(sp, {labels: w}))
+        for labels in itertools.product(range(1, 5), repeat=2)
+        for wname, w in default_battery(sp.daha)[:8]
+    ]
+    rows = evaluated(sp, raw, balance=True)
     assert rows and all(r["status"] == "pass" for r in rows)
     cases = {r["relation"] for r in rows}
     assert cases == {
@@ -374,7 +382,7 @@ def test_symbolic_images_keep_int_coefficients():
 
 def test_rotation_identities_single_slot():
     sp = space31(1)
-    rows = evaluated(rotation_identity_check(sp, 1))
+    rows = evaluated(sp, functor_battery(sp), bound=1)
     assert rows and all(r["status"] == "pass" for r in rows)
     names = {r["relation"] for r in rows}
     assert names == {
@@ -388,14 +396,14 @@ def test_rotation_identities_formal_central_charge():
     # holds without folding the extra parameter
     R = SymbolicContext(formal_zeta=True)
     sp = FunctorSpace(PD31, 1, R)
-    rows = evaluated(rotation_identity_check(sp, 1))
+    rows = evaluated(sp, functor_battery(sp), bound=1)
     assert rows and all(r["status"] == "pass" for r in rows)
 
 
 def test_rotation_identities_two_slots_sampled():
     sp = space31(2)
     battery = functor_battery(sp)
-    rows = evaluated(rotation_identity_check(sp, 1, battery=battery[::9]))
+    rows = evaluated(sp, battery[::9], bound=1)
     assert rows and all(r["status"] == "pass" for r in rows)
 
 

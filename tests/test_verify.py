@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtschur import hecke, looprep, verify
+from qtschur.hecke import bounded_tuples
 from qtschur import toroidal as tor
 from qtschur.superdata import ParityData, cartan, node_parity
 from qtschur.verify import (
@@ -19,16 +20,13 @@ from qtschur.verify import (
     _expr_terms,
     _lb,
     _leaf,
-    _mode_tuples,
     _plan,
-    _SuiteContext,
+    SuiteContext,
     affine_instances,
-    run_affine_suite,
-    run_daha_suite,
-    run_finite_suite,
-    run_rotation_suite,
+    daha_instances,
+    finite_instances,
+    rotation_instances,
     run_suite,
-    run_toroidal_suite,
     toroidal_instances,
 )
 
@@ -39,17 +37,17 @@ PD31 = ParityData.standard(3, 1)
 
 
 def test_mode_tuple_counts():
-    assert len(_mode_tuples(1, 2)) == 5
-    assert len(_mode_tuples(2, 2)) == 13
-    assert len(_mode_tuples(3, 2)) == 25
-    assert len(_mode_tuples(4, 2)) == 41
-    assert _mode_tuples(2, 0) == [(0, 0)]
+    assert len(bounded_tuples(1, 2)) == 5
+    assert len(bounded_tuples(2, 2)) == 13
+    assert len(bounded_tuples(3, 2)) == 25
+    assert len(bounded_tuples(4, 2)) == 41
+    assert bounded_tuples(2, 0) == [(0, 0)]
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 4), st.integers(0, 3))
 def test_mode_tuples_exact(k, bound):
-    tuples = _mode_tuples(k, bound)
+    tuples = bounded_tuples(k, bound)
     assert len(set(tuples)) == len(tuples)
     for t in tuples:
         assert sum(abs(v) for v in t) <= bound
@@ -106,7 +104,7 @@ def test_bracket_weight_lowering():
 
 def test_toroidal_instances_cover_all_relations():
     inst = toroidal_instances(PD31, 1)
-    relations = {rel for rel, _, _, _, _, _ in inst}
+    relations = {rel for rel, *_ in inst}
     assert relations == {
         "CK",
         "KK1",
@@ -126,9 +124,10 @@ def test_toroidal_instances_cover_all_relations():
         "weights",
         "K-chain",
     }
-    assert sum(1 for rel, _, _, _, _, _ in inst if rel == "Serre5") == 1
-    assert sum(1 for rel, _, _, _, _, _ in inst if rel == "Serre6") == 1
-    for rel, nodes, modes, form, _, _ in inst:
+    assert sum(1 for rel, *_ in inst if rel == "Serre5") == 1
+    assert sum(1 for rel, *_ in inst if rel == "Serre6") == 1
+    for rel, nodes, modes, form, _, _, vectors in inst:
+        assert vectors is None
         assert all(abs(r) <= 2 for r in modes)
         if rel == "EEFF-zero":
             assert cartan(PD31, *nodes) == 0
@@ -148,35 +147,41 @@ def test_toroidal_instances_cover_all_relations():
 
 def test_affine_instances_both_variants():
     inst = affine_instances(PD31)
-    variants = {form for _, _, _, form, _, _ in inst}
+    variants = {form for _, _, _, form, *_ in inst}
     assert variants == {"affine", "vertical"}
-    per = {v: sum(1 for _, _, _, f, _, _ in inst if f == v) for v in variants}
+    per = {v: sum(1 for _, _, _, f, *_ in inst if f == v) for v in variants}
     assert per["affine"] == per["vertical"]
-    chains = [form for rel, _, _, form, _, _ in inst if rel == "t-chain"]
+    chains = [form for rel, _, _, form, *_ in inst if rel == "t-chain"]
     assert sorted(chains) == ["affine", "vertical"]
 
 
 def test_relation_sides_are_well_formed():
-    letters = verify._CURRENTS + verify._CHEVALLEY + (verify._WEIGHT,)
+    letters = verify._CURRENTS + verify._CHEVALLEY + verify._HECKE
+    letters += (verify._WEIGHT, verify._PSI, verify._SLOT)
     for suite, inst in (
         ("toroidal", toroidal_instances(PD31, 1)),
         ("affine", affine_instances(PD31)),
+        ("finite", finite_instances(PD31, 3)),
+        ("daha", daha_instances(3, 5, 13)),
+        ("rotation", rotation_instances(PD31, 2, 1, 5)),
     ):
-        for rel, nodes, modes, form, lhs, rhs in inst:
+        for rel, nodes, modes, form, lhs, rhs, vectors in inst:
             excluded = rel in ("Serre5", "Serre6")
             assert excluded == (not lhs and not rhs), rel
+            assert (vectors is None) == (suite in ("toroidal", "affine")), (suite, rel)
             if excluded:
                 continue
             assert lhs, rel
             for coeff, word in lhs + rhs:
                 assert coeff and all(
-                    type(x) is int for monomial in coeff for x in monomial
+                    len(monomial) == 4 and all(type(x) is int for x in monomial)
+                    for monomial in coeff
                 ), (rel, coeff)
                 for op, node, arg in word:
                     assert op in letters, (rel, op)
                     assert 0 <= node < PD31.kappa, (rel, node)
                     if op in verify._CHEVALLEY:
-                        assert suite == "affine" and arg == form, (rel, arg, form)
+                        assert (suite, arg) in (("affine", form), ("finite", None)), (rel, arg)
 
 
 # suite smoke runs (small parameters, symbolic and numeric agree)
@@ -184,7 +189,7 @@ def test_relation_sides_are_well_formed():
 
 def test_daha_suite_passes_and_is_seeded():
     cfg = RunConfig(ell=1, mode="both", seed=3)
-    rep = run_daha_suite(cfg)
+    rep = run_suite("daha", cfg)
     assert rep.ok()
     assert rep.params == {
         "m": 3,
@@ -196,21 +201,21 @@ def test_daha_suite_passes_and_is_seeded():
     }
     names = [row["vector"] for row in rep.results]
     assert any(name.startswith("rand0:") for name in names)
-    again = run_daha_suite(cfg)
+    again = run_suite("daha", cfg)
     assert rep.to_json() == again.to_json()
-    other = run_daha_suite(RunConfig(ell=1, mode="both", seed=4))
+    other = run_suite("daha", RunConfig(ell=1, mode="both", seed=4))
     assert [r["vector"] for r in other.results] != names
 
 
 def test_daha_suite_contains_twist_row():
-    rep = run_daha_suite(RunConfig(ell=1, mode="symbolic"))
+    rep = run_suite("daha", RunConfig(ell=1, mode="symbolic"))
     relations = {row["relation"] for row in rep.results}
     assert "Q Y_l Q^-1 = zeta Y1" in relations
     assert "w Q Y_l Q^-1 = zeta w Y1" in relations
 
 
 def test_finite_suite_passes():
-    rep = run_finite_suite(RunConfig(m=2, n=2, ell=2, mode="both"))
+    rep = run_suite("finite", RunConfig(m=2, n=2, ell=2, mode="both"))
     assert rep.ok()
     for row in rep.results:
         assert row["numeric"] == "pass"
@@ -218,7 +223,7 @@ def test_finite_suite_passes():
 
 
 def test_rotation_suite_families():
-    rep = run_rotation_suite(RunConfig(ell=1, modes=1, mode="symbolic"))
+    rep = run_suite("rotation", RunConfig(ell=1, modes=1, mode="symbolic"))
     assert rep.ok()
     relations = {row["relation"] for row in rep.results}
     assert {"rot-E", "rot-F", "rot-K+", "rot-K-"} <= relations
@@ -228,7 +233,7 @@ def test_rotation_suite_families():
 def test_rotation_suite_balance_cases_need_two_slots():
     # exchange balance compares adjacent slots, so it only appears
     # from two tensor factors on
-    rep = run_rotation_suite(RunConfig(ell=2, modes=0, mode="symbolic"))
+    rep = run_suite("rotation", RunConfig(ell=2, modes=0, mode="symbolic"))
     assert rep.ok()
     relations = {row["relation"] for row in rep.results}
     assert {
@@ -240,7 +245,7 @@ def test_rotation_suite_balance_cases_need_two_slots():
 
 
 def test_toroidal_suite_small():
-    rep = run_toroidal_suite(RunConfig(ell=1, modes=0, mode="both"))
+    rep = run_suite("toroidal", RunConfig(ell=1, modes=0, mode="both"))
     summary = rep.summary()
     assert summary["fail"] == 0
     assert summary["excluded"] == 2
@@ -254,7 +259,7 @@ def test_toroidal_suite_small():
 
 
 def test_affine_suite_small():
-    rep = run_affine_suite(RunConfig(ell=1, mode="symbolic"))
+    rep = run_suite("affine", RunConfig(ell=1, mode="symbolic"))
     assert rep.ok()
     assert {row["form"] for row in rep.results} == {"affine", "vertical"}
 
@@ -264,6 +269,9 @@ def test_jobs_do_not_change_report():
         ("toroidal", RunConfig(ell=1, modes=0, mode="symbolic")),
         ("toroidal", RunConfig(ell=1, modes=0, mode="both")),
         ("affine", RunConfig(ell=1, mode="both")),
+        ("finite", RunConfig(m=2, n=2, ell=2, mode="both")),
+        ("daha", RunConfig(ell=2, mode="both")),
+        ("rotation", RunConfig(ell=2, modes=0, mode="both")),
     ):
         base = run_suite(suite, cfg)
         split = run_suite(suite, dataclasses.replace(cfg, jobs=2))
@@ -348,7 +356,7 @@ def test_wrap_currents_rotate_each_vector_once(monkeypatch):
 
     monkeypatch.setattr(tor, "psi_apply", counted)
     cfg = RunConfig(m=3, n=1, ell=1, modes=0, mode="symbolic")
-    assert run_toroidal_suite(cfg).ok()
+    assert run_suite("toroidal", cfg).ok()
     assert inputs
     assert len(inputs) == len({id(fv) for fv in inputs})
 
@@ -392,15 +400,15 @@ def test_run_suite_dispatch():
 
 
 def test_numeric_failure_gates_symbolic(monkeypatch):
-    ctx = _SuiteContext("toroidal", RunConfig(ell=1, modes=0, mode="both"))
+    ctx = SuiteContext.for_suite("toroidal", RunConfig(ell=1, modes=0, mode="both"))
     idx = next(
         i for i, inst in enumerate(ctx.instances) if inst[0] == "EF"
     )
 
     # lhs = identity, rhs empty: the difference is the vector itself
     instances = list(ctx.instances)
-    relation, nodes, modes, form, _, _ = instances[idx]
-    instances[idx] = (relation, nodes, modes, form, [(verify._ONE, ())], [])
+    relation, nodes, modes, form, _, _, vectors = instances[idx]
+    instances[idx] = (relation, nodes, modes, form, [(verify._ONE, ())], [], vectors)
     monkeypatch.setattr(ctx, "instances", instances)
     rows = ctx.rows(idx, idx + 1)
     assert rows
@@ -426,9 +434,9 @@ def _flip_correction(bl_exchange):
     return flipped
 
 
-# gating in the checked suites: (suite, config, patched module and name,
+# gating in the tabled suites: (suite, config, patched module and name,
 # fault, failing rows); the counts were measured with each suite's own
-# row builder, so the shared gate must not move a verdict
+# checker and row builder, before all suites shared one evaluator
 GATED_FAULTS = [
     ("finite", RunConfig(m=2, n=2, ell=2), looprep, "hecke_exchange_terms",
      _flip_swapped_term, 18),
@@ -445,6 +453,8 @@ def test_numeric_failure_gates_symbolic_in_checked_suites(
     monkeypatch, suite, cfg, module, name, fault, count
 ):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    # a cached suite context keeps the images of the unpatched code
+    monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
     fails = [row for row in run_suite(suite, cfg).results if row["status"] == "fail"]
     assert len(fails) == count
     for row in fails:
@@ -474,7 +484,7 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
     # hide the patch
     monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
     cfg = RunConfig(m=3, n=1, ell=1, modes=0)
-    both = run_toroidal_suite(cfg)
+    both = run_suite("toroidal", cfg)
     fails = [row for row in both.results if row["status"] == "fail"]
     assert len(fails) == 168
     counts = collections.Counter(row["relation"] for row in fails)
@@ -482,7 +492,7 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
     assert all(
         row["numeric"] == "fail" and row["symbolic"] == "skipped" for row in fails
     )
-    symbolic = run_toroidal_suite(dataclasses.replace(cfg, mode="symbolic"))
+    symbolic = run_suite("toroidal", dataclasses.replace(cfg, mode="symbolic"))
     assert _failing_rows(symbolic) == _failing_rows(both)
     # the symbolic residuals render byte for byte as with all-Fraction
     # coefficients (digest computed before integral coefficients became ints)
@@ -502,7 +512,7 @@ def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
     flipped = lambda e, j, exp=1, orig=tor.right_mul_X: orig(e, j, -exp)
     monkeypatch.setattr(tor, "right_mul_X", flipped)
     monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
-    report = run_rotation_suite(RunConfig(ell=2, modes=0))
+    report = run_suite("rotation", RunConfig(ell=2, modes=0))
     fails = [row for row in report.results if row["status"] == "fail"]
     assert len(fails) == 760
     assert collections.Counter(row["relation"] for row in fails) == {
@@ -516,16 +526,18 @@ def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
 
 
 def test_rotation_suite_rotates_each_vector_once(monkeypatch):
+    # the inputs are kept so that ids stay unique: each vector's memo is
+    # dropped once the vector is done, and freed ids are reused
     inputs = []
 
     def counted(fv, orig=tor.psi_apply):
-        inputs.append(id(fv))
+        inputs.append(fv)
         return orig(fv)
 
     monkeypatch.setattr(tor, "psi_apply", counted)
-    assert run_rotation_suite(RunConfig(ell=1, modes=1, mode="symbolic")).ok()
+    assert run_suite("rotation", RunConfig(ell=1, modes=1, mode="symbolic")).ok()
     # 28 battery vectors, each rotated once and its image once more
-    assert len(inputs) == len(set(inputs)) == 56
+    assert len(inputs) == len({id(fv) for fv in inputs}) == 56
 
 
 # configuration validation
