@@ -260,7 +260,10 @@ def _assert_all_pass(ctx, presented: bool):
     """
     battery = default_battery(ctx)
     words = len(battery)
-    instances = daha_instances(ctx.ell, words, 0) if presented else daha_instances(ctx.ell, 0, words)
+    if presented:
+        instances = daha_instances(ctx.ell, words, 0)
+    else:
+        instances = daha_instances(ctx.ell, 0, words)
     rows = SuiteContext(instances, [("symbolic", ctx.R, battery)]).rows(0, len(instances))
     bad = [row for row in rows if row["status"] != "pass"]
     assert rows and not bad, bad[:5]
