@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qtschur.verify import SUITES, RunConfig, SuiteContext
+from qtschur.verify import SUITES, RunConfig, SuiteContext, Verdicts
 
 
 def main() -> int:
@@ -43,9 +43,9 @@ def main() -> int:
     counts = defaultdict(int)
     for idx, (relation, *_) in enumerate(ctx.instances):
         start = time.perf_counter()
-        rows = ctx.rows(idx, idx + 1)
+        blocks = ctx.verdicts(idx, idx + 1)
         spent[relation] += time.perf_counter() - start
-        counts[relation] += len(rows)
+        counts[relation] += len(Verdicts(ctx, blocks, idx))
 
     total = sum(spent.values())
     print(f"{args.suite} m{args.m} n{args.n} ell{args.ell} R{args.modes}, {args.mode} stage")

@@ -28,16 +28,17 @@ per row.  Each stage resolves the table's coefficients in its ring
 once; instances are evaluated in chunks (one per worker task),
 vector-major within a chunk: each battery vector goes through every
 instance with one memo of operator images, dropped before the next
-vector, and rows are emitted in instance order.  Reports are
-deterministic: same configuration and seed give byte-identical JSON,
-independent of the worker count.  Report.write streams that JSON to a
-file one row at a time, in the layout of json.dumps(..., sort_keys=True,
-indent=2), so the whole text is never held in memory.
+vector.  A chunk keeps verdict codes and the failures' residual text,
+not rows.  Reports are deterministic: same configuration and seed give
+byte-identical JSON, independent of the worker count.  Report.write
+builds the rows from the codes and streams that JSON to a file one row
+at a time, in the layout of json.dumps(..., sort_keys=True, indent=2).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -169,26 +170,35 @@ def _coeffs(cfg: RunConfig, stage: str, zeta: str):
 
 @dataclass
 class Report:
+    """A suite's rows with its parameters.
+
+    results is a list of row dicts or, from run_suite, Verdicts, which
+    build each row only when iterated.  summary, ok and render_summary
+    share one count per relation, taken once.
+    """
+
     suite: str
     params: dict
-    results: list
+    results: list | Verdicts
+
+    @functools.cached_property
+    def _counts(self) -> dict:
+        rows, per = self.results, {}
+        tally = rows.tally() if isinstance(rows, Verdicts) else (
+            (row["relation"], row["status"], 1) for row in rows)
+        for relation, status, count in tally:
+            per.setdefault(relation, {"pass": 0, "fail": 0, "excluded": 0})[status] += count
+        return per
 
     def summary(self) -> dict:
-        out = {"pass": 0, "fail": 0, "excluded": 0}
-        for row in self.results:
-            out[row["status"]] += 1
-        return out
+        return {s: sum(c[s] for c in self._counts.values()) for s in ("pass", "fail", "excluded")}
 
     def ok(self) -> bool:
         return self.summary()["fail"] == 0
 
     def to_payload(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "results": self.results,
-            "summary": self.summary(),
-        }
+        return {"suite": self.suite, "params": self.params,
+                "results": list(self.results), "summary": self.summary()}
 
     def _chunks(self):
         """The report's JSON text in pieces, one per row between head and tail.
@@ -203,7 +213,7 @@ class Report:
         for row in self.results:
             yield sep + _row_json(row)
             sep = ",\n"
-        yield "\n  ]" if self.results else "]"
+        yield "\n  ]" if sep != "\n" else "]"
         tail = json.dumps({"suite": self.suite, "summary": self.summary()},
                           sort_keys=True, indent=2)
         yield "," + tail[1:] + "\n"
@@ -217,24 +227,14 @@ class Report:
 
     def render_summary(self) -> str:
         lines = []
-        per: dict = {}
-        for row in self.results:
-            rel = row["relation"]
-            per.setdefault(rel, {"pass": 0, "fail": 0, "excluded": 0})
-            per[rel][row["status"]] += 1
-        for rel in sorted(per):
-            counts = per[rel]
+        for rel, counts in sorted(self._counts.items()):
             tag = "ok" if counts["fail"] == 0 else "FAIL"
             if counts["excluded"] and not (counts["pass"] or counts["fail"]):
                 tag = "excluded"
-            lines.append(
-                f"  {rel:<16} pass {counts['pass']:>6}  fail {counts['fail']:>4}  {tag}"
-            )
+            lines.append(f"  {rel:<16} pass {counts['pass']:>6}  fail {counts['fail']:>4}  {tag}")
         total = self.summary()
-        lines.append(
-            f"{self.suite}: {total['pass']} pass, {total['fail']} fail, "
-            f"{total['excluded']} excluded"
-        )
+        lines.append(f"{self.suite}: {total['pass']} pass, {total['fail']} fail, "
+                     f"{total['excluded']} excluded")
         return "\n".join(lines)
 
 
@@ -261,33 +261,65 @@ def _row_json(row: dict) -> str:
     return "    {\n" + ",\n".join(fields) + "\n    }"
 
 
-def _new_row(relation, nodes, modes, vector, combined: bool, form=None) -> dict:
-    """A passing row; in combined mode its symbolic verdict starts skipped."""
-    row = {
-        "relation": relation,
-        "nodes": list(nodes),
-        "modes": list(modes),
-        "vector": vector,
-        "status": "pass",
-    }
+def _row(relation, nodes, modes, form, vector, verdict: dict) -> dict:
+    """One report row; verdict holds its status and per-stage fields."""
+    row = {"relation": relation, "nodes": list(nodes), "modes": list(modes), "vector": vector}
     if form is not None:
         row["form"] = form
-    if combined:
-        row["symbolic"] = "skipped"
+    row.update(verdict)
     return row
 
 
-def _record(row: dict, stage: str, diff, combined: bool) -> None:
-    """Record the verdict diff == 0 of one stage on row."""
-    ok = diff.is_zero()
-    if combined:
-        row[stage] = "pass" if ok else "fail"
-    if not ok:
-        row["status"] = "fail"
-        if isinstance(diff, tor.FunctorVector):
-            row["residual"] = diff.render(limit=5)
-        else:
-            row["residual"] = diff.render()
+def _verdict(stages: list, code: int) -> dict:
+    """Row fields of verdict code 0 (pass) or s + 1 (failed stage s, later ones skipped)."""
+    out = {"status": "fail" if code else "pass"}
+    if len(stages) > 1:
+        for s, stage in enumerate(stages, 1):
+            out[stage] = "pass" if not code or s < code else "fail" if s == code else "skipped"
+    return out
+
+
+class Verdicts:
+    """A run's report rows, kept as one verdict block per instance and built on iteration.
+
+    A block is None for an excluded instance, else (codes, residuals): a
+    bytearray with one code per vector the instance runs on, 0 for pass
+    and s + 1 for a failure at stage s, and {position: residual text}
+    for the failing vectors only.
+    """
+
+    def __init__(self, ctx: "SuiteContext", blocks: list, lo: int = 0):
+        self.stages = [stage for stage, *_ in ctx.stages]
+        self.names = [name for name, _ in ctx.stages[-1][1]]
+        self.instances = ctx.instances[lo : lo + len(blocks)]
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(1 if block is None else len(block[0]) for block in self.blocks)
+
+    def __iter__(self):
+        verdicts = [_verdict(self.stages, code) for code in range(len(self.stages) + 1)]
+        for (relation, nodes, modes, form, *_, vectors), block in zip(self.instances, self.blocks):
+            if block is None:
+                note = "mn = 2 incompatible with kappa >= 4"
+                yield _row(relation, nodes, modes, None, "-", {"status": "excluded", "note": note})
+                continue
+            codes, residuals = block
+            names = self.names if vectors is None else self.names[vectors.start : vectors.stop]
+            for pos, code in enumerate(codes):
+                row = _row(relation, nodes, modes, form, names[pos], verdicts[code])
+                if code:
+                    row["residual"] = residuals[pos]
+                yield row
+
+    def tally(self):
+        """(relation, status, count) triples that add up to the rows' statuses."""
+        for (relation, *_), block in zip(self.instances, self.blocks):
+            if block is None:
+                yield relation, "excluded", 1
+            elif block[0]:
+                passed = block[0].count(0)
+                yield from ((relation, "pass", passed), (relation, "fail", len(block[0]) - passed))
 
 
 # ----------------------------------------------------------------------
@@ -796,7 +828,8 @@ class SuiteContext:
 
     SuiteContext.for_suite(suite, cfg) builds a suite's own; any table
     can also be paired with any battery and ring, as long as the
-    table's vector ranges index that battery.
+    table's vector ranges index that battery.  verdicts() evaluates it
+    to verdict blocks, not rows (see Verdicts).
     """
 
     def __init__(self, instances: list, stages: list):
@@ -816,53 +849,54 @@ class SuiteContext:
         instances = _table(suite, cfg, pd, rings[0][1])
         return cls(instances, [(stage, R, _battery(suite, cfg, pd, R)) for stage, R in rings])
 
-    def rows(self, lo: int, hi: int) -> list[dict]:
-        """Rows of instances lo..hi-1, in instance order.
+    def verdicts(self, lo: int, hi: int) -> list:
+        """The verdict blocks (see Verdicts) of instances lo..hi-1, in instance order.
 
         Evaluation is vector-major: each battery vector is taken through
         the stages (numeric first) and, per stage, through every
         instance of the chunk that runs on it, with one fresh memo of
-        operator images, dropped when the vector is done.  A row whose
-        numeric stage failed is not evaluated symbolically.
+        operator images, dropped when the vector is done.  A vector that
+        failed a stage is not evaluated in the later ones.
         """
-        combined = len(self.stages) > 1
-        names = [name for name, _ in self.stages[-1][1]]
-        out, live = [], []
-        for relation, nodes, modes, form, lhs, rhs, vectors in self.instances[lo:hi]:
+        size = len(self.stages[-1][1])
+        blocks, live = [], []
+        for *_, lhs, rhs, vectors in self.instances[lo:hi]:
             if not lhs:
-                row = _new_row(relation, nodes, modes, "-", False)
-                row.update(status="excluded", note="mn = 2 incompatible with kappa >= 4")
-                out.append(row)
+                blocks.append(None)
                 continue
-            vectors = range(len(names)) if vectors is None else vectors
-            # the rows of one instance share its node and mode lists (memory)
-            base = _new_row(relation, nodes, modes, None, combined, form)
-            rows = [dict(base, vector=names[k]) for k in vectors]
-            out.extend(rows)
-            live.append((vectors.start, vectors.stop, lhs, rhs, rows))
-        for k in range(len(names)):
-            for stage, battery, values in self.stages:
+            vectors = range(size) if vectors is None else vectors
+            blocks.append((bytearray(len(vectors)), {}))
+            live.append((vectors.start, vectors.stop, lhs, rhs, *blocks[-1]))
+        for k in range(size):
+            for code, (_, battery, values) in enumerate(self.stages, 1):
                 u, memo = battery[k][1], {}
-                for start, stop, lhs, rhs, rows in live:
-                    if start <= k < stop and rows[k - start]["status"] != "fail":
+                for start, stop, lhs, rhs, codes, residuals in live:
+                    if start <= k < stop and not codes[k - start]:
                         diff = _difference(memo, values, lhs, rhs, u)
-                        _record(rows[k - start], stage, diff, combined)
-        return out
+                        if not diff.is_zero():
+                            codes[k - start] = code
+                            if isinstance(diff, tor.FunctorVector):
+                                residuals[k - start] = diff.render(limit=5)
+                            else:
+                                residuals[k - start] = diff.render()
+        return blocks
 
 
+# the most recent suite context of this process, keyed on (suite, config key)
 _WORKER_CONTEXTS: dict = {}
 
 
 def _context(suite: str, cfg_key: tuple) -> SuiteContext:
     ctx = _WORKER_CONTEXTS.get((suite, cfg_key))
     if ctx is None:
+        _WORKER_CONTEXTS.clear()
         ctx = SuiteContext.for_suite(suite, RunConfig(*cfg_key))
         _WORKER_CONTEXTS[(suite, cfg_key)] = ctx
     return ctx
 
 
-def _instance_worker(suite: str, cfg_key: tuple, lo: int, hi: int) -> list[dict]:
-    return _context(suite, cfg_key).rows(lo, hi)
+def _instance_worker(suite: str, cfg_key: tuple, lo: int, hi: int) -> list:
+    return _context(suite, cfg_key).verdicts(lo, hi)
 
 
 def _plan(count: int, jobs: int) -> tuple[list[tuple[int, int]], int]:
@@ -877,19 +911,15 @@ def _plan(count: int, jobs: int) -> tuple[list[tuple[int, int]], int]:
     return ranges, min(jobs, len(ranges), os.cpu_count() or 1)
 
 
-def _run_instances(suite: str, cfg: RunConfig) -> list[dict]:
-    count = len(_context(suite, cfg.key()).instances)
+def _run_instances(suite: str, cfg: RunConfig) -> Verdicts:
+    ctx = _context(suite, cfg.key())
+    count = len(ctx.instances)
     ranges, workers = _plan(count, cfg.jobs)
     if workers == 1:
-        return _instance_worker(suite, cfg.key(), 0, count)
-    rows: list[dict] = []
+        return Verdicts(ctx, _instance_worker(suite, cfg.key(), 0, count))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_instance_worker, suite, cfg.key(), lo, hi) for lo, hi in ranges
-        ]
-        for fut in futures:
-            rows.extend(fut.result())
-    return rows
+        futures = [pool.submit(_instance_worker, suite, cfg.key(), lo, hi) for lo, hi in ranges]
+        return Verdicts(ctx, [block for fut in futures for block in fut.result()])
 
 
 def run_suite(suite: str, cfg: RunConfig) -> Report:

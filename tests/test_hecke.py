@@ -27,7 +27,7 @@ from qtschur.hecke import (
     x_letter_word,
 )
 from qtschur.scalar import NumericContext, SymbolicContext, specialize
-from qtschur.verify import SuiteContext, daha_instances
+from qtschur.verify import SuiteContext, Verdicts, daha_instances
 
 
 def sym_ctx(ell):
@@ -264,7 +264,8 @@ def _assert_all_pass(ctx, presented: bool):
         instances = daha_instances(ctx.ell, words, 0)
     else:
         instances = daha_instances(ctx.ell, 0, words)
-    rows = SuiteContext(instances, [("symbolic", ctx.R, battery)]).rows(0, len(instances))
+    suite = SuiteContext(instances, [("symbolic", ctx.R, battery)])
+    rows = list(Verdicts(suite, suite.verdicts(0, len(instances))))
     bad = [row for row in rows if row["status"] != "pass"]
     assert rows and not bad, bad[:5]
 

@@ -28,7 +28,7 @@ from qtschur.looprep import (
 )
 from qtschur.scalar import NumericContext, SymbolicContext, specialize
 from qtschur.superdata import ParityData, node_parity
-from qtschur.verify import SuiteContext, finite_instances
+from qtschur.verify import SuiteContext, Verdicts, finite_instances
 
 
 def space_for(m, n, ell):
@@ -137,7 +137,8 @@ def test_schur_weyl_commutation():
         sp = TensorSpace(pd, ell, SymbolicContext(formal_zeta=True))
         battery = [(str(labels), sp.basis(labels)) for labels in sp.all_labels()]
         instances = finite_instances(pd, ell)
-        rows = SuiteContext(instances, [("symbolic", sp.R, battery)]).rows(0, len(instances))
+        suite = SuiteContext(instances, [("symbolic", sp.R, battery)])
+        rows = list(Verdicts(suite, suite.verdicts(0, len(instances))))
         bad = [row for row in rows if row["status"] != "pass"]
         assert len(rows) == len(instances) and not bad, bad[:5]
 

@@ -13,7 +13,7 @@ from qtschur import toroidal as tor
 from qtschur.looprep import hecke_exchange_terms
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData
-from qtschur.verify import SuiteContext, rotation_instances
+from qtschur.verify import SuiteContext, Verdicts, rotation_instances
 from qtschur.toroidal import (
     FunctorSpace,
     dump_mode_action,
@@ -50,7 +50,7 @@ def evaluated(space, battery, bound=0, balance=False):
     if not balance:
         instances = [inst[:6] + (None,) for inst in instances]
     ctx = SuiteContext(instances, [("symbolic", space.R, battery)])
-    return ctx.rows(0, len(instances))
+    return list(Verdicts(ctx, ctx.verdicts(0, len(instances))))
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from qtschur.verify import (
     _leaf,
     _plan,
     SuiteContext,
+    Verdicts,
     affine_instances,
     daha_instances,
     finite_instances,
@@ -410,7 +411,7 @@ def test_numeric_failure_gates_symbolic(monkeypatch):
     relation, nodes, modes, form, _, _, vectors = instances[idx]
     instances[idx] = (relation, nodes, modes, form, [(verify._ONE, ())], [], vectors)
     monkeypatch.setattr(ctx, "instances", instances)
-    rows = ctx.rows(idx, idx + 1)
+    rows = list(Verdicts(ctx, ctx.verdicts(idx, idx + 1), idx))
     assert rows
     for row in rows:
         assert row["status"] == "fail"
@@ -453,8 +454,6 @@ def test_numeric_failure_gates_symbolic_in_checked_suites(
     monkeypatch, suite, cfg, module, name, fault, count
 ):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    # a cached suite context keeps the images of the unpatched code
-    monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
     fails = [row for row in run_suite(suite, cfg).results if row["status"] == "fail"]
     assert len(fails) == count
     for row in fails:
@@ -479,10 +478,6 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
     # the quadratic relations; counts measured with the per-instance
     # evaluator
     monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
-    # mmatrix is read when the instance table is built, so a suite
-    # context cached by an earlier run of the same configuration would
-    # hide the patch
-    monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
     cfg = RunConfig(m=3, n=1, ell=1, modes=0)
     both = run_suite("toroidal", cfg)
     fails = [row for row in both.results if row["status"] == "fail"]
@@ -505,13 +500,47 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
         assert _written(report) == _dumped(report)
 
 
+def test_failing_residuals_survive_worker_processes(monkeypatch):
+    # the configuration of test_memo_does_not_hide_dropped_d_power, its
+    # verdict blocks made in worker processes and returned to this one
+    monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
+    cfg = RunConfig(m=3, n=1, ell=1, modes=0, mode="symbolic", jobs=2)
+    report = run_suite("toroidal", cfg)
+    assert report.summary()["fail"] == 168
+    assert _digest(report) == (
+        "02f1434b6a400c21836740cc73b6313aa5532b623d2799fba2c734687d7ee77b"
+    )
+
+
+def test_run_suite_builds_rows_only_while_writing(monkeypatch):
+    built = []
+
+    def counted(*args, orig=verify._row):
+        built.append(args[0])
+        return orig(*args)
+
+    monkeypatch.setattr(verify, "_row", counted)
+    report = run_suite("toroidal", RunConfig(m=3, n=1, ell=1, modes=0, mode="both"))
+    assert report.ok() and report.render_summary() and report.summary()["pass"]
+    assert built == []
+    written = _written(report)
+    assert len(built) == len(report.results) == sum(report.summary().values())
+    assert written == _dumped(report)
+    assert hashlib.sha256(written.encode()).hexdigest() == PINNED_REPORTS[0][2]
+
+
+def test_context_cache_keeps_the_latest_context_only():
+    run_suite("daha", RunConfig(ell=1))
+    run_suite("daha", RunConfig(ell=2))
+    assert list(verify._WORKER_CONTEXTS) == [("daha", RunConfig(ell=2).key())]
+
+
 def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
     # X_j^e computed as X_j^-e; the rotation kernels are built through the
     # patched letter, so every cached image carries the fault; counts and
     # digest measured with the letter-by-letter rotation
     flipped = lambda e, j, exp=1, orig=tor.right_mul_X: orig(e, j, -exp)
     monkeypatch.setattr(tor, "right_mul_X", flipped)
-    monkeypatch.setattr(verify, "_WORKER_CONTEXTS", {})
     report = run_suite("rotation", RunConfig(ell=2, modes=0))
     fails = [row for row in report.results if row["status"] == "fail"]
     assert len(fails) == 760
