@@ -502,7 +502,8 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
 
 def test_failing_residuals_survive_worker_processes(monkeypatch):
     # the configuration of test_memo_does_not_hide_dropped_d_power, its
-    # verdict blocks made in worker processes and returned to this one
+    # verdict blocks made in worker processes and returned to this one;
+    # the workers are forked after the patch, so they evaluate with it
     monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
     cfg = RunConfig(m=3, n=1, ell=1, modes=0, mode="symbolic", jobs=2)
     report = run_suite("toroidal", cfg)
