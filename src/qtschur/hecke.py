@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from qtschur.scalar import _accumulate
+
 Token = tuple[str, int, int]  # (kind in "TXYQ", index, exponent +-1)
 BasisKey = tuple[int, tuple[int, ...], tuple[int, ...]]  # (k, window, mu)
 
@@ -231,15 +233,7 @@ class DahaElement:
         assert self.ctx is other.ctx
         support = dict(self.support)
         for key, coeff in other.support.items():
-            cur = support.get(key)
-            if cur is None:
-                support[key] = coeff
-            else:
-                cur = cur + coeff
-                if cur:
-                    support[key] = cur
-                else:
-                    del support[key]
+            _accumulate(support, key, coeff)
         return DahaElement(self.ctx, support)
 
     def __neg__(self) -> "DahaElement":
@@ -421,19 +415,6 @@ def apply_word(e: DahaElement, word: Iterable[Token]) -> DahaElement:
         else:
             raise ValueError(f"unknown token kind {kind!r}")
     return e
-
-
-def _accumulate(acc: dict, key, coeff) -> None:
-    cur = acc.get(key)
-    if cur is None:
-        if coeff:
-            acc[key] = coeff
-    else:
-        cur = cur + coeff
-        if cur:
-            acc[key] = cur
-        else:
-            del acc[key]
 
 
 def _combine(ctx: DahaContext, parts: list) -> DahaElement:

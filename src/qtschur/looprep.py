@@ -15,16 +15,13 @@ operators act here:
   * the two-slot Hecke operator on adjacent labels.
 
 The published mode formulas hold on nondecreasing label tuples, and
-mode_apply_plain enforces that cone.  Compositions inside the affine
-bracket trees must pass through arbitrary keys, so the internal
-evaluator extends the same coproduct structure to every key: psi
-factors sit at whichever slots carry the two relevant labels, on the
-head side for x^- and the tail side for x^+.  On the nondecreasing
-cone the two agree by construction.
+mode_apply_plain raises off that cone.
 
 This module states operators only: the finite Schur-Weyl relations
 (the Hecke quadratic and braid relations on slots, and commutation
-with the finite Chevalley action) are a relation table in verify.
+with the finite Chevalley action) and the zero-mode dictionary, which
+writes the wrap-node generators through finite-node modes, are
+relation tables in verify.
 """
 
 from __future__ import annotations
@@ -32,8 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from qtschur.hecke import _accumulate
-from qtschur.scalar import delta_psi_mode, psi_product_mode
+from qtschur.scalar import _accumulate, delta_psi_mode, psi_product_mode
 from qtschur.superdata import ParityData, koszul_sign, mu, node_parity
 
 TensorKey = tuple[tuple[int, ...], tuple[int, ...]]  # (labels, xi-exponents)
@@ -348,9 +344,14 @@ def mode_terms(space, family: str, i: int, r: int, labels, power, inverted: bool
         raise ValueError(f"unknown mode family {family!r}")
 
 
-def _mode_general(space: TensorSpace, family: str, i: int, r: int, v: PlainTensor):
+def mode_apply_plain(family: str, i: int, r: int, v: PlainTensor) -> PlainTensor:
+    """Exact z^{-r} mode of the labeled current on nondecreasing keys."""
+    space = v.space
+    assert 1 <= i < space.kappa, f"node {i} not a finite node"
     acc: dict = {}
     for (labels, nu), cin in v.support.items():
+        if any(labels[a] > labels[a + 1] for a in range(space.ell - 1)):
+            raise ValueError(f"non-monotone key {labels}")
         terms = mode_terms(space, family, i, r, labels, space.R.qpow, False)
         for labels2, sign, mult in terms:
             base = cin if sign > 0 else -cin
@@ -358,186 +359,3 @@ def _mode_general(space: TensorSpace, family: str, i: int, r: int, v: PlainTenso
                 nu2 = tuple(n + d for n, d in zip(nu, vec))
                 _accumulate(acc, (labels2, nu2), base * c)
     return PlainTensor(space, acc)
-
-
-def mode_apply_plain(family: str, i: int, r: int, v: PlainTensor) -> PlainTensor:
-    """Exact z^{-r} mode of the labeled current on nondecreasing keys."""
-    space = v.space
-    assert 1 <= i < space.kappa, f"node {i} not a finite node"
-    for labels, _ in v.support:
-        if any(labels[a] > labels[a + 1] for a in range(space.ell - 1)):
-            raise ValueError(f"non-monotone key {labels}")
-    return _mode_general(space, family, i, r, v)
-
-
-# ----------------------------------------------------------------------
-# bracket expression trees for the affine node
-
-# tree grammar:
-#   ("mode", family, i, r)
-#   ("bracket", left, right, qexp)   [L, R]_{q^qexp}
-#   ("compose", left, right)         left after right
-#   ("scale", rational, tree)
-
-
-def tree_parity(tree, pd: ParityData) -> int:
-    tag = tree[0]
-    if tag == "mode":
-        return node_parity(pd, tree[2]) if tree[1] in ("x+", "x-") else 0
-    if tag == "bracket":
-        return (tree_parity(tree[1], pd) + tree_parity(tree[2], pd)) % 2
-    if tag == "compose":
-        return (tree_parity(tree[1], pd) + tree_parity(tree[2], pd)) % 2
-    if tag == "scale":
-        return tree_parity(tree[2], pd)
-    raise ValueError(f"unknown tree tag {tree[0]!r}")
-
-
-def tree_apply(tree, v: PlainTensor, leaf_apply=None) -> PlainTensor:
-    """Evaluate an operator tree; leaf_apply defaults to the plain modes."""
-    space = v.space
-    if leaf_apply is None:
-        leaf_apply = lambda fam, i, r, vec: _mode_general(space, fam, i, r, vec)
-    tag = tree[0]
-    if tag == "mode":
-        return leaf_apply(tree[1], tree[2], tree[3], v)
-    if tag == "compose":
-        return tree_apply(tree[1], tree_apply(tree[2], v, leaf_apply), leaf_apply)
-    if tag == "scale":
-        return tree_apply(tree[2], v, leaf_apply).scale(space.R.rational(tree[1]))
-    if tag == "bracket":
-        _, left, right, qexp = tree
-        lr = tree_apply(left, tree_apply(right, v, leaf_apply), leaf_apply)
-        rl = tree_apply(right, tree_apply(left, v, leaf_apply), leaf_apply)
-        deform = space.R.qpow(qexp)
-        if tree_parity(left, space.pd) & tree_parity(right, space.pd):
-            deform = -deform
-        return lr - rl.scale(deform)
-    raise ValueError(f"unknown tree tag {tree[0]!r}")
-
-
-def dj_drinfeld_zero_modes(m: int, n: int):
-    """Bracket trees realizing e_0, f_0, t_0 from finite-node modes.
-
-    Stated for the standard parity sequence; evaluation spaces must
-    carry it.  Requires kappa = m + n >= 3 (the f_0 chain starts from
-    a two-node bracket).
-    """
-    kappa = m + n
-    assert kappa >= 3, "need at least three labels"
-    assert m >= 1 and n >= 1
-    pd = ParityData.standard(m, n)
-    sk = pd.sign(kappa)
-
-    kinv = ("mode", "k-", 1, 0)
-    kplus = ("mode", "k+", 1, 0)
-    for i in range(2, kappa):
-        kinv = ("compose", ("mode", "k-", i, 0), kinv)
-        kplus = ("compose", ("mode", "k+", i, 0), kplus)
-
-    # lowering chain deforms by q^{-s_j}, raising chain by q^{+s_j}
-    a_tree = ("mode", "x-", 1, 1)
-    for j in range(2, kappa):
-        a_tree = ("bracket", ("mode", "x-", j, 0), a_tree, -pd.sign(j))
-    e0 = ("scale", (-1) ** n * sk, ("compose", a_tree, kinv))
-
-    b_tree = ("bracket", ("mode", "x+", 1, -1), ("mode", "x+", 2, 0), pd.sign(2))
-    for j in range(3, kappa):
-        b_tree = ("bracket", b_tree, ("mode", "x+", j, 0), pd.sign(j))
-    f0 = ("scale", sk, ("compose", kplus, b_tree))
-
-    t0 = kinv
-    return {"e0": e0, "f0": f0, "t0": t0}
-
-
-def _peel_step(op, op_parity, j, pd, lowering_chain):
-    """Strip the outermost bracket of a nested chain, as an operator.
-
-    The opposite-sign Chevalley generator at node j super-commutes past
-    every other factor of the chain, so a super-commutator with it plus
-    a Cartan correction inverts one bracket.  For the lowering chain the
-    step is s_j [e_j, .] k_j^{-1}; for the raising chain it is
-    s_j q^{-s_j} [f_j, .]-flipped times k_j.
-    """
-    neg = node_parity(pd, j) & op_parity
-    sj = pd.sign(j)
-    probe = "e" if lowering_chain else "f"
-    cartan = "tinv" if lowering_chain else "t"
-
-    def stripped(v):
-        R = v.space.R
-        w = chevalley_apply(ChevalleyGen(cartan, j), v)
-        probe_after = chevalley_apply(ChevalleyGen(probe, j), op(w))
-        probe_first = op(chevalley_apply(ChevalleyGen(probe, j), w))
-        if neg:
-            inner = probe_after + probe_first
-        elif lowering_chain:
-            inner = probe_after - probe_first
-        else:
-            inner = probe_first - probe_after
-        coeff = R.rational(sj)
-        if not lowering_chain:
-            coeff = coeff * R.qpow(-sj)
-        return inner.scale(coeff)
-
-    return stripped
-
-
-def recovered_shift_modes(m: int, n: int):
-    """All-key action of the two degree-shifted modes in the dictionary.
-
-    The slotwise coefficient formulas only hold on nondecreasing keys;
-    composing them inside bracket trees passes through keys where they
-    drop genuine cross terms.  Inverting the dictionary instead writes
-    x^-_1[1] and x^+_1[-1] as nested super-commutators of zero-node and
-    finite Chevalley operators, all of which act correctly everywhere.
-    Standard parity sequence, kappa >= 3.
-    """
-    kappa = m + n
-    assert kappa >= 3
-    pd = ParityData.standard(m, n)
-    sk = pd.sign(kappa)
-
-    def cartan_all(v, inv):
-        out = v
-        for i in range(1, kappa):
-            out = chevalley_apply(ChevalleyGen("tinv" if inv else "t", i), out)
-        return out
-
-    def lowering_seed(v):
-        out = chevalley_apply(ChevalleyGen("e", 0), cartan_all(v, inv=False))
-        return out.scale(v.space.R.rational((-1) ** n * sk))
-
-    def raising_seed(v):
-        out = cartan_all(chevalley_apply(ChevalleyGen("f", 0), v), inv=True)
-        return out.scale(v.space.R.rational(sk))
-
-    xminus = lowering_seed
-    xplus = raising_seed
-    parity = sum(node_parity(pd, i) for i in range(1, kappa)) % 2
-    for j in range(kappa - 1, 1, -1):
-        xminus = _peel_step(xminus, parity, j, pd, lowering_chain=True)
-        xplus = _peel_step(xplus, parity, j, pd, lowering_chain=False)
-        parity = (parity + node_parity(pd, j)) % 2
-
-    return {("x-", 1, 1): xminus, ("x+", 1, -1): xplus}
-
-
-def dictionary_leaf_apply(m: int, n: int):
-    """Leaf evaluator for the zero-node trees, sound on every key.
-
-    Zero modes coincide with the Chevalley coproduct action everywhere,
-    so the slotwise evaluator is safe for them; the two shifted modes
-    come from recovered_shift_modes.
-    """
-    recovered = recovered_shift_modes(m, n)
-
-    def leaf(family, i, r, v):
-        if r == 0:
-            return _mode_general(v.space, family, i, r, v)
-        try:
-            return recovered[(family, i, r)](v)
-        except KeyError:
-            raise ValueError(f"no all-key evaluator for mode {family} {i} {r}")
-
-    return leaf

@@ -546,10 +546,12 @@ class NumericContext:
 # callers reinterpret the vectors as xi- or Y-exponents.
 
 
-def _merge(acc: dict, key: tuple, coeff) -> None:
+def _accumulate(acc: dict, key, coeff) -> None:
+    """Add coeff at key of the support dict acc, keeping no zero coefficient."""
     cur = acc.get(key)
     if cur is None:
-        acc[key] = coeff
+        if coeff:
+            acc[key] = coeff
     else:
         cur = cur + coeff
         if cur:
@@ -591,7 +593,7 @@ def convolve_streams(ctx, streams: list[list[dict]], upto: int) -> list[dict]:
                 for va, ca in terms_a.items():
                     for vb, cb in terms_b.items():
                         key = tuple(x + y for x, y in zip(va, vb))
-                        _merge(nxt[da + db], key, ca * cb)
+                        _accumulate(nxt[da + db], key, ca * cb)
         acc = nxt
     return acc
 
@@ -623,48 +625,34 @@ def delta_psi_mode(
         vec[delta_slot] = ee
         return tuple(vec), scale_pow(ee)
 
-    # psi halves: direction '+' (z^{-k}): argument small iff not inverted
+    # psi halves: direction '+' (z^{-k}): argument small iff not inverted;
+    # the '+' half pairs psi degree k with delta degree t - k, the '-' half
+    # with t + k
     eps_plus = -1 if inverted else 1
     if boundary == "+":
-        plus_range = range(0, t + 1) if t >= 0 else range(0)
-        minus_range = range(0, -t) if t < 0 else range(0)
+        halves = ((eps_plus, -1, range(t + 1)), (-eps_plus, 1, range(-t)))
     else:
-        plus_range = range(0, t) if t > 0 else range(0)
-        minus_range = range(0, -t + 1) if t <= 0 else range(0)
+        halves = ((eps_plus, -1, range(t)), (-eps_plus, 1, range(1 - t)))
 
     acc: dict = {}
-    if len(plus_range):
-        upto = plus_range[-1]
+    for eps, step, degrees in halves:
+        if not degrees:
+            continue
+        upto = degrees[-1]
         streams = [
-            psi_half_stream(ctx, c, slot, scale_pow, eps_plus, ell, upto)
+            psi_half_stream(ctx, c, slot, scale_pow, eps, ell, upto)
             for slot, c in psi_slots
         ]
         phi = convolve_streams(ctx, streams, upto) if streams else None
-        for k in plus_range:
-            dvec, dcoeff = delta_pow(t - k)
+        for k in degrees:
+            dvec, dcoeff = delta_pow(t + step * k)
             if phi is None:
                 if k == 0:
-                    _merge(acc, dvec, dcoeff)
+                    _accumulate(acc, dvec, dcoeff)
                 continue
             for vec, coeff in phi[k].items():
                 key = tuple(x + y for x, y in zip(vec, dvec))
-                _merge(acc, key, coeff * dcoeff)
-    if len(minus_range):
-        upto = minus_range[-1]
-        streams = [
-            psi_half_stream(ctx, c, slot, scale_pow, -eps_plus, ell, upto)
-            for slot, c in psi_slots
-        ]
-        phi = convolve_streams(ctx, streams, upto) if streams else None
-        for k in minus_range:
-            dvec, dcoeff = delta_pow(t + k)
-            if phi is None:
-                if k == 0:
-                    _merge(acc, dvec, dcoeff)
-                continue
-            for vec, coeff in phi[k].items():
-                key = tuple(x + y for x, y in zip(vec, dvec))
-                _merge(acc, key, coeff * dcoeff)
+                _accumulate(acc, key, coeff * dcoeff)
     return acc
 
 

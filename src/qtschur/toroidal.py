@@ -49,7 +49,6 @@ import itertools
 from qtschur.hecke import (
     DahaContext,
     DahaElement,
-    _accumulate,
     default_battery,
     right_mul_T,
     right_mul_X,
@@ -63,6 +62,7 @@ from qtschur.looprep import (
     mode_terms,
     tensor_leg_apply,
 )
+from qtschur.scalar import _accumulate
 from qtschur.superdata import ParityData, tau_power
 
 

@@ -5,19 +5,23 @@ id, node indices, a mode tuple, a form, the two sides of the relation
 as data, and the battery vectors it runs on.  A side is a list of
 (coefficient, word) terms, a word a tuple of operator letters, and a
 coefficient a ring-free sum of monomials; bracket trees are expanded
-into terms once, when the table is built.  One evaluator sums each side
-on a vector and takes the difference.  hecke, looprep and toroidal
-state relations and operators; only this module checks them.  The
-batteries are deterministic: plain basis tensors (finite), Hecke-algebra
-elements with seeded random words (daha), and that algebra battery
-crossed with all nondecreasing label tuples (toroidal, affine,
-rotation), the rotation suite first crossing it with every unsorted
-label tuple.  Current relations are checked in mode-truncated form: the
-coefficient of z^{-r} in z * E(z) is E_{r+1}, the delta function
-delta(w/z) couples modes by r + s, and the diagonal series K^+ and K^-
-carry modes r >= 0 and r <= 0, their mode-zero terms the two inverse
-diagonal generators.  All checks run at trivial central charge, where
-the dressed K-K exchange collapses to plain commutation.
+into terms once, when the table is built, through one q-bracket of two
+sides.  One evaluator sums each side on a vector and takes the
+difference.  hecke, looprep and toroidal state relations and operators;
+only this module checks them.  The batteries are deterministic: plain
+basis tensors (finite), Hecke-algebra elements with seeded random words
+(daha), and that algebra battery crossed with all nondecreasing label
+tuples (toroidal, affine, rotation), the rotation suite first crossing
+it with every unsorted label tuple.  The zero-mode dictionary, which
+writes the wrap-node Chevalley generators through finite-node modes,
+is a table of the same shape on plain basis tensors with two
+xi-shifts; no suite runs it.  Current relations are checked in
+mode-truncated form: the coefficient of z^{-r} in z * E(z) is E_{r+1},
+the delta function delta(w/z) couples modes by r + s, and the diagonal
+series K^+ and K^- carry modes r >= 0 and r <= 0, their mode-zero
+terms the two inverse diagonal generators.  All checks run at trivial
+central charge, where the dressed K-K exchange collapses to plain
+commutation.
 
 Suites can run symbolically (exact Laurent coefficients), numerically
 (a rational sample point), or both.  Only this module builds report
@@ -332,12 +336,13 @@ class Verdicts:
 # generator (e, f, t, tinv) with its wrap-around variant, the diagonal
 # weight letter wt, or the rotation psi with arg +1 or -1; on raw
 # balanced vectors (unsorted keys) also T, the factor times T_node, and
-# the slot exchange S on the key.  On plain tensors op is S or a
-# Chevalley generator (arg None); on Hecke-algebra elements it is T, X,
-# Y or Q, multiplying on the right with the exponent as arg.  A
-# coefficient is ring-free: a tuple of (rational, q-exponent,
-# d-exponent, zeta-exponent) monomials, resolved once per stage in
-# that stage's ring.
+# the slot exchange S on the key.  On plain tensors op is S, a
+# Chevalley generator (arg None), or a finite-node current on
+# nondecreasing keys; on Hecke-algebra elements it is T, X, Y or Q,
+# multiplying on the right with the exponent as arg.  A coefficient is
+# ring-free: a tuple of (rational, q-exponent, d-exponent,
+# zeta-exponent) monomials, resolved once per stage in that stage's
+# ring.
 
 _CURRENTS = ("E", "F", "K+", "K-")
 _CHEVALLEY = ("e", "f", "t", "tinv")
@@ -380,14 +385,10 @@ def _ef_sides(pd, x, y, diagonal=()):
     return lhs, []
 
 
-def _bracket_side(pd: ParityData, expr, sign: int = 1) -> list:
-    terms, _, _ = _expr_terms(pd, expr)
-    return [(((sign * c, qexp, 0, 0),), leaves) for leaves, c, qexp in terms]
-
-
 def _serre_sides(pd: ParityData, tree, r1: int, r2: int):
     """tree(r1, r2) + tree(r2, r1) = 0, the swapped tree negated on rhs."""
-    return _bracket_side(pd, tree(r1, r2)), _bracket_side(pd, tree(r2, r1), -1)
+    swapped = _expr_terms(pd, tree(r2, r1))[0]
+    return _expr_terms(pd, tree(r1, r2))[0], _product(_constant(-1), swapped)
 
 
 def toroidal_instances(pd: ParityData, bound: int) -> list[tuple]:
@@ -532,12 +533,12 @@ def affine_instances(pd: ParityData) -> list[tuple]:
                     for kind in ("e", "f"):
                         x, y = (_leaf(kind, k, variant) for k in (i, j))
                         tree = _lb(x, _lb(x, y))
-                        add(f"serre-{kind}-cubic", (i, j), (_bracket_side(pd, tree), []))
+                        add(f"serre-{kind}-cubic", (i, j), (_expr_terms(pd, tree)[0], []))
             else:
                 for kind in ("e", "f"):
                     x, y, z = (_leaf(kind, k, variant) for k in (i, ip, im))
                     tree = _lb(x, _lb(y, _lb(x, z)))
-                    add(f"serre-{kind}-quartic", (i,), (_bracket_side(pd, tree), []))
+                    add(f"serre-{kind}-quartic", (i,), (_expr_terms(pd, tree)[0], []))
         chain = tuple(C("t", i) for i in nodes)
         add("t-chain", (), ([(_ONE, chain)], [(_ONE, ())]))
     return inst
@@ -636,37 +637,131 @@ def rotation_instances(pd: ParityData, ell: int, bound: int, words: int) -> list
     return inst
 
 
+def dictionary_instances(m: int, n: int, ell: int) -> list[tuple]:
+    """The zero-mode dictionary, on dictionary_battery(m, n, ell, R).
+
+    Standard parity, kappa = m + n >= 3.  zero-mode: the finite-node
+    currents at mode 0 are the Chevalley generators.  shift-mode:
+    x^-_1[1] and x^+_1[-1] are nested super-commutators of Chevalley
+    generators, e_0 and f_0 peeled down to node 1.  wrap-node: e_0, f_0
+    and t_0 are q-bracket chains of finite-node modes (Varagnolo and
+    Vasserot, CMP 1996), the zero modes written as Chevalley letters
+    and the two shifted modes as their shift-mode sides.  Currents act
+    on nondecreasing keys only, so the first two groups run on those;
+    the wrap-node chains run on every key.
+    """
+    pd = ParityData.standard(m, n)
+    kappa, sk = pd.kappa, pd.sign(pd.kappa)
+    if kappa < 3:
+        raise ValueError("the zero-mode dictionary needs kappa >= 3")
+    cone = range(2 * math.comb(kappa + ell - 1, ell))
+    word = lambda *letters: [(_ONE, letters)]
+    gen = lambda kind, i: (kind, i, None)
+    inst = [
+        ("zero-mode", (i,), (0,), fam, word((fam, i, 0)), word(gen(kind, i)), cone)
+        for i in range(1, kappa)
+        for fam, kind in zip(_CURRENTS, _CHEVALLEY)
+    ]
+    # peel e_0 and f_0, which have the parity of node 0, down to node 1:
+    # the opposite generator at node j super-commutes past the other factors
+    ts = [gen("t", i) for i in range(kappa - 1, 0, -1)]
+    tinvs = [gen("tinv", i) for i in range(kappa - 1, 0, -1)]
+    lower = _product(_constant((-1) ** n * sk), word(gen("e", 0), *ts))
+    upper = _product(_constant(sk), word(*tinvs, gen("f", 0)))
+    odd = node_parity(pd, 0)
+    for j in range(kappa - 1, 1, -1):
+        sj, flip = pd.sign(j), node_parity(pd, j) & odd
+        lower = _product(_constant(sj), _qbracket(word(gen("e", j)), lower, flip, 0))
+        lower = _product(lower, word(gen("tinv", j)))
+        upper = _product(_constant(sj, -sj), _qbracket(upper, word(gen("f", j)), flip, 0))
+        upper = _product(upper, word(gen("t", j)))
+        odd ^= node_parity(pd, j)
+    inst.append(("shift-mode", (1,), (1,), "F", word(("F", 1, 1)), lower, cone))
+    inst.append(("shift-mode", (1,), (-1,), "E", word(("E", 1, -1)), upper, cone))
+
+    # lowering chain deforms by q^{-s_j}, raising chain by q^{+s_j}
+    for j in range(2, kappa):
+        sj, flip = pd.sign(j), node_parity(pd, j) & odd
+        lower = _qbracket(word(gen("f", j)), lower, flip, -sj)
+        upper = _qbracket(upper, word(gen("e", j)), flip, sj)
+        odd ^= node_parity(pd, j)
+    chains = {
+        "e": _product(_constant((-1) ** n * sk), _product(lower, word(*tinvs))),
+        "f": _product(_constant(sk), _product(word(*ts), upper)),
+        "t": word(*tinvs),
+    }
+    for kind, side in chains.items():
+        inst.append(("wrap-node", (0,), (), kind, side, word(gen(kind, 0)), None))
+    return inst
+
+
+def dictionary_battery(m: int, n: int, ell: int, R) -> list[tuple]:
+    """(name, vector) pairs: plain basis tensors over R, standard parity.
+
+    Each label tuple comes with xi-shifts 0 and (1, ..., ell), the
+    nondecreasing tuples first, each group in product order.
+    """
+    space = TensorSpace(ParityData.standard(m, n), ell, R)
+    keys = sorted(space.all_labels(), key=lambda labels: list(labels) != sorted(labels))
+    return [
+        (f"v{list(labels)} xi{list(nu)}", space.basis(labels, nu))
+        for labels in keys
+        for nu in ((0,) * ell, tuple(range(1, ell + 1)))
+    ]
+
+
 # ----------------------------------------------------------------------
 # nested deformed brackets
 
 
+def _constant(c: int, qexp: int = 0) -> list:
+    """The side c q^qexp on the empty word."""
+    return [(((c, qexp, 0, 0),), ())]
+
+
+def _times(x: tuple, y: tuple, c: int = 1, qexp: int = 0) -> tuple:
+    """The term x y times c q^qexp, for terms with one-monomial coefficients."""
+    ((a, qa, da, za),), wx = x
+    ((b, qb, db, zb),), wy = y
+    return (((c * a * b, qa + qb + qexp, da + db, za + zb),), wx + wy)
+
+
+def _product(x: list, y: list) -> list:
+    """The side x y, its terms in the order of x's terms, then y's."""
+    return [_times(tx, ty) for tx in x for ty in y]
+
+
+def _qbracket(x: list, y: list, odd: int, qexp: int) -> list:
+    """The side x y - (-1)^odd q^qexp y x, of two sides of one-monomial terms.
+
+    Terms come pair by pair, x y before y x, in _product's order.
+    """
+    sign = 1 if odd else -1
+    return [t for tx in x for ty in y for t in (_times(tx, ty), _times(ty, tx, sign, qexp))]
+
+
 def _expr_terms(pd: ParityData, expr) -> tuple[list, dict, int]:
-    """Expand a bracket tree into (leaf-sequence, sign, q-exponent) terms.
+    """Expand a bracket tree into a side, with its weight and parity.
 
     The bracket lb{X, Y} = XY - (-1)^{|X||Y|} q^{-(wt X, wt Y)} YX
-    accumulates weights as node-indexed root sums paired through the
-    Cartan matrix; raising leaves count +1, lowering leaves -1.
+    (_qbracket) accumulates weights as node-indexed root sums paired
+    through the Cartan matrix; raising leaves count +1, lowering leaves
+    -1.
     """
     if expr[0] == "leaf":
         leaf = expr[1]
         sign = 1 if leaf[0] in ("E", "e") else -1
-        return [((leaf,), 1, 0)], {leaf[1]: sign}, node_parity(pd, leaf[1])
+        return [(_ONE, (leaf,))], {leaf[1]: sign}, node_parity(pd, leaf[1])
     _, left, right = expr
-    tl, wl, pl = _expr_terms(pd, left)
-    tr, wr, pr = _expr_terms(pd, right)
+    sl, wl, pl = _expr_terms(pd, left)
+    sr, wr, pr = _expr_terms(pd, right)
     pairing = sum(
         cartan(pd, i, j) * ei * ej for i, ei in wl.items() for j, ej in wr.items()
     )
-    flip = -1 if (pl and pr) else 1
-    terms = []
-    for sl, cl, el in tl:
-        for sr, cr, er in tr:
-            terms.append((sl + sr, cl * cr, el + er))
-            terms.append((sr + sl, -flip * cl * cr, el + er - pairing))
     weight = dict(wl)
     for j, e in wr.items():
         weight[j] = weight.get(j, 0) + e
-    return terms, weight, (pl + pr) % 2
+    return _qbracket(sl, sr, pl & pr, -pairing), weight, (pl + pr) % 2
 
 
 def _leaf(fam, node, arg=None):
@@ -719,7 +814,10 @@ def _image(memo: dict, op: str, node: int, arg, v):
     if hit is not None:
         return hit[1]
     if op in _CURRENTS:
-        out = tor.toroidal_mode_apply(op, node, arg, v, psi=partial(_image, memo, _PSI, 0, 1))
+        if type(v) is PlainTensor:
+            out = looprep.mode_apply_plain(tor._LOOP_FAMILY[op], node, arg, v)
+        else:
+            out = tor.toroidal_mode_apply(op, node, arg, v, psi=partial(_image, memo, _PSI, 0, 1))
     elif op in _CHEVALLEY:
         if type(v) is PlainTensor:
             out = looprep.chevalley_apply(looprep.ChevalleyGen(op, node), v)

@@ -16,18 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from qtschur.looprep import (
-    ChevalleyGen,
-    TensorSpace,
-    chevalley_apply,
-    dictionary_leaf_apply,
-    dj_drinfeld_zero_modes,
-    mode_apply_plain,
-    tree_apply,
-)
 from qtschur.scalar import NumericContext, SymbolicContext, psi_product_mode
-from qtschur.superdata import ParityData
-from qtschur.verify import RunConfig, run_suite
+from qtschur.verify import (
+    RunConfig,
+    SuiteContext,
+    dictionary_battery,
+    dictionary_instances,
+    run_suite,
+)
 
 
 def _clean(report, allow_excluded=False):
@@ -100,30 +96,23 @@ def test_criterion_3_affine_suite():
 
 
 def test_criterion_4_zero_mode_dictionary():
+    # the dictionary's relation table through the suite evaluator, numeric
+    # then symbolic stage; zero-mode and shift-mode rows run on the
+    # nondecreasing keys, wrap-node rows on every key, each key with
+    # xi-shifts 0 and (1, ..., ell)
     start = time.perf_counter()
-    pd = ParityData.standard(3, 1)
-    trees = dj_drinfeld_zero_modes(3, 1)
-    leaf = dictionary_leaf_apply(3, 1)
-    finite_pairs = [("x+", "e"), ("x-", "f"), ("k+", "t"), ("k-", "tinv")]
-    wrap_pairs = [("e0", "e"), ("f0", "f"), ("t0", "t")]
-    for ell in (1, 2):
-        sp = TensorSpace(pd, ell, SymbolicContext(formal_zeta=True))
-        for labels in sp.all_labels():
-            if any(a > b for a, b in zip(labels, labels[1:])):
-                continue  # slotwise currents live on the nondecreasing cone
-            b = sp.basis(labels)
-            for i in range(1, 4):
-                for fam, kind in finite_pairs:
-                    lhs = mode_apply_plain(fam, i, 0, b)
-                    rhs = chevalley_apply(ChevalleyGen(kind, i), b)
-                    assert lhs == rhs, (fam, i, labels)
-        for labels in sp.all_labels():
-            for nu in [(0,) * ell, tuple(range(1, ell + 1))]:
-                b = sp.basis(labels, nu=nu)
-                for tree_name, kind in wrap_pairs:
-                    lhs = tree_apply(trees[tree_name], b, leaf_apply=leaf)
-                    rhs = chevalley_apply(ChevalleyGen(kind, 0), b)
-                    assert lhs == rhs, (tree_name, labels, nu)
+    rings = [("numeric", NumericContext(Fraction(2), Fraction(3))),
+             ("symbolic", SymbolicContext(formal_zeta=True))]
+    configs = [(3, 1, 1), (3, 1, 2), (2, 3, 1), (2, 3, 2), (2, 2, 1), (2, 2, 2),
+               (1, 2, 1), (1, 2, 2)]
+    for m, n, ell in configs:
+        instances = dictionary_instances(m, n, ell)
+        assert {rel for rel, *_ in instances} == {"zero-mode", "shift-mode", "wrap-node"}
+        ctx = SuiteContext(
+            instances, [(stage, R, dictionary_battery(m, n, ell, R)) for stage, R in rings]
+        )
+        blocks = ctx.verdicts(0, len(instances))
+        assert all(codes and not any(codes) for codes, _ in blocks), (m, n, ell)
     _budget(start, 120, "criterion 4 (zero-mode dictionary)")
 
 

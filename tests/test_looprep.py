@@ -5,30 +5,35 @@ expansion (lead q^c, jumps (q^c - q^{-c}) times powers of the shifted
 point) before running the engine.
 """
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from qtschur import verify
 from qtschur.looprep import (
     ChevalleyGen,
     PlainTensor,
     TensorSpace,
     chevalley_apply,
-    dictionary_leaf_apply,
-    dj_drinfeld_zero_modes,
     hecke_T_apply,
     mode_apply_plain,
-    recovered_shift_modes,
     slot_ops,
     tensor_leg_apply,
-    tree_apply,
-    tree_parity,
 )
 from qtschur.scalar import NumericContext, SymbolicContext, specialize
 from qtschur.superdata import ParityData, node_parity
-from qtschur.verify import SuiteContext, Verdicts, finite_instances
+from qtschur.verify import (
+    SuiteContext,
+    Verdicts,
+    _difference,
+    dictionary_battery,
+    dictionary_instances,
+    finite_instances,
+)
 
 
 def space_for(m, n, ell):
@@ -243,79 +248,115 @@ def test_zero_mode_agreement():
 
 
 # ----------------------------------------------------------------------
-# affine bracket trees
+# the zero-mode dictionary, a relation table in verify
+
+RINGS = [
+    ("numeric", NumericContext(Fraction(2), Fraction(3))),
+    ("symbolic", SymbolicContext(formal_zeta=True)),
+]
+
+
+def dictionary_rows(m, n, ell):
+    """Rows of the dictionary table on its battery, numeric stage first."""
+    instances = dictionary_instances(m, n, ell)
+    ctx = SuiteContext(
+        instances, [(stage, R, dictionary_battery(m, n, ell, R)) for stage, R in RINGS]
+    )
+    return list(Verdicts(ctx, ctx.verdicts(0, len(instances))))
+
+
+def wrap_node_sides(instances):
+    return {form: lhs for rel, _, _, form, lhs, *_ in instances if rel == "wrap-node"}
 
 
 def test_tree_parity():
-    pd = ParityData.standard(3, 1)
-    trees = dj_drinfeld_zero_modes(3, 1)
-    # e_0 composes x^-_1, x^-_2, x^-_3; only node 3 is odd here
-    assert tree_parity(trees["e0"], pd) == node_parity(pd, 0)
-    assert tree_parity(trees["t0"], pd) == 0
+    # every word on either side of a dictionary row has one parity, so
+    # the e_0 and f_0 chains have the parity of node 0
+    for m, n in [(3, 1), (2, 3)]:
+        pd = ParityData.standard(m, n)
+        for relation, _, _, form, lhs, rhs, _ in dictionary_instances(m, n, 1):
+            parities = {
+                sum(node_parity(pd, node) for op, node, _ in word if op in "efEF") % 2
+                for _, word in lhs + rhs
+            }
+            assert len(parities) == 1, (m, n, relation, form)
+            if relation == "wrap-node" and form != "t":
+                assert parities == {node_parity(pd, 0)}
 
 
 def test_tree_paper_values():
     sp = space_for(3, 1, 1)
-    trees = dj_drinfeld_zero_modes(3, 1)
-    got = tree_apply(trees["e0"], sp.basis((1,)))
+    instances = dictionary_instances(3, 1, 1)
+    values = SuiteContext(instances, [("symbolic", sp.R, [])]).stages[0][2]
+    sides = wrap_node_sides(instances)
+    got = _difference({}, values, sides["e"], [], sp.basis((1,)))
     assert got.support == {((4,), (1,)): sp.R.one}
-    got = tree_apply(trees["f0"], sp.basis((4,)))
+    got = _difference({}, values, sides["f"], [], sp.basis((4,)))
     assert got.support == {((1,), (-1,)): -sp.R.one}
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_tree_agreement(ell):
-    # the shifted leaf modes come from the inverse dictionary, so the
-    # trees must reproduce the node-0 Chevalley action on every key,
-    # ordered or not
-    sp = space_for(3, 1, ell)
-    trees = dj_drinfeld_zero_modes(3, 1)
-    leaf = dictionary_leaf_apply(3, 1)
-    pairs = [("e0", "e"), ("f0", "f"), ("t0", "t")]
-    for labels in sp.all_labels():
-        for nu in [(0,) * ell, tuple(range(1, ell + 1))]:
-            b = sp.basis(labels, nu=nu)
-            for tree_name, kind in pairs:
-                lhs = tree_apply(trees[tree_name], b, leaf_apply=leaf)
-                rhs = chevalley_apply(ChevalleyGen(kind, 0), b)
-                assert lhs == rhs, (tree_name, labels, nu)
+    # the shifted modes inside the chains are written through Chevalley
+    # letters, so the chains reproduce the node-0 Chevalley action on
+    # every key, ordered or not, with xi-shifts 0 and (1, ..., ell)
+    rows = [row for row in dictionary_rows(3, 1, ell) if row["relation"] == "wrap-node"]
+    assert len(rows) == 3 * 2 * 4**ell
+    assert all(row["status"] == "pass" for row in rows)
 
 
 @pytest.mark.parametrize("m,n,ell", [(3, 1, 1), (3, 1, 2), (2, 2, 2), (1, 2, 2)])
 def test_recovered_modes_match_cone(m, n, ell):
-    # on nondecreasing keys the dictionary-recovered operators must agree
-    # with the slotwise current formulas; off the cone only the recovered
-    # ones are meaningful
-    sp = space_for(m, n, ell)
-    recovered = recovered_shift_modes(m, n)
-    for labels in sp.all_labels():
-        if any(a > b for a, b in zip(labels, labels[1:])):
-            continue
-        for nu in [(0,) * ell, tuple(range(1, ell + 1))]:
-            b = sp.basis(labels, nu=nu)
-            for (fam, i, r), op in recovered.items():
-                assert op(b) == mode_apply_plain(fam, i, r, b), (fam, r, labels, nu)
+    # on nondecreasing keys the super-commutator forms of x^-_1[1] and
+    # x^+_1[-1] agree with the slotwise current formulas
+    rows = [row for row in dictionary_rows(m, n, ell) if row["relation"] == "shift-mode"]
+    assert len(rows) == 2 * 2 * math.comb(m + n + ell - 1, ell)
+    assert all(row["status"] == "pass" for row in rows)
 
 
 def test_tree_t0_all_keys():
-    # k-modes are diagonal, so the t_0 chain is insensitive to key order
-    sp = space_for(3, 1, 2)
-    trees = dj_drinfeld_zero_modes(3, 1)
-    for labels in sp.all_labels():
-        b = sp.basis(labels)
-        assert tree_apply(trees["t0"], b) == chevalley_apply(ChevalleyGen("t", 0), b)
+    # t_0 is the inverse Cartan chain over the finite nodes, on every key
+    assert wrap_node_sides(dictionary_instances(3, 1, 2))["t"] == [
+        (((1, 0, 0, 0),), tuple(("tinv", i, None) for i in (3, 2, 1)))
+    ]
+    rows = [row for row in dictionary_rows(3, 1, 2) if row["form"] == "t"]
+    assert len(rows) == 2 * 16 and all(row["status"] == "pass" for row in rows)
 
 
 def test_tree_agreement_25():
-    sp = space_for(2, 3, 1)
-    trees = dj_drinfeld_zero_modes(2, 3)
-    leaf = dictionary_leaf_apply(2, 3)
-    for labels in sp.all_labels():
-        b = sp.basis(labels)
-        for tree_name, kind in [("e0", "e"), ("f0", "f"), ("t0", "t")]:
-            assert tree_apply(trees[tree_name], b, leaf_apply=leaf) == chevalley_apply(
-                ChevalleyGen(kind, 0), b
-            ), (tree_name, labels)
+    rows = dictionary_rows(2, 3, 1)
+    assert {row["relation"] for row in rows} == {"zero-mode", "shift-mode", "wrap-node"}
+    assert all(row["status"] == "pass" for row in rows)
+
+
+def _negated_exponent(bracket):
+    return lambda x, y, odd, qexp: bracket(x, y, odd, -qexp)
+
+
+def _flipped_sign(bracket):
+    return lambda x, y, odd, qexp: bracket(x, y, 1 - odd, qexp)
+
+
+# a fault in verify's one q-bracket helper, and the dictionary rows it
+# fails at ell = 2 (numeric stage, symbolic skipped); at ell = 1 every
+# row still passes
+BRACKET_FAULTS = [
+    (_negated_exponent, 3, 1, {("wrap-node", "e"): 8, ("wrap-node", "f"): 8}),
+    (_negated_exponent, 2, 3, {("wrap-node", "e"): 12, ("wrap-node", "f"): 12}),
+    (_flipped_sign, 3, 1, {("shift-mode", "F"): 4, ("shift-mode", "E"): 4,
+                           ("wrap-node", "e"): 12, ("wrap-node", "f"): 10}),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, m, n, counts", BRACKET_FAULTS, ids=["exponent-31", "exponent-23", "sign-31"]
+)
+def test_dictionary_catches_bracket_faults(monkeypatch, fault, m, n, counts):
+    monkeypatch.setattr(verify, "_qbracket", fault(verify._qbracket))
+    assert all(row["status"] == "pass" for row in dictionary_rows(m, n, 1))
+    fails = [row for row in dictionary_rows(m, n, 2) if row["status"] == "fail"]
+    assert collections.Counter((row["relation"], row["form"]) for row in fails) == counts
+    assert all(row["numeric"] == "fail" and row["symbolic"] == "skipped" for row in fails)
 
 
 # ----------------------------------------------------------------------

@@ -68,20 +68,19 @@ def test_mode_tuples_exact(k, bound):
 
 def test_bracket_expansion_even_nodes():
     # lb{E1[0], lb{E1[1], E2[0]}} over the standard (3,1) parity:
-    # inner pairing (a1|a2) = -1, outer pairing (a1|a1+a2) = 1
+    # inner pairing (a1|a2) = -1, outer pairing (a1|a1+a2) = 1; the
+    # terms come pair by pair, XY before YX
     A, B, C = ("E", 1, 0), ("E", 1, 1), ("E", 2, 0)
     expr = _lb(_leaf(*A), _lb(_leaf(*B), _leaf(*C)))
-    terms, weight, parity = _expr_terms(PD31, expr)
+    side, weight, parity = _expr_terms(PD31, expr)
     assert weight == {1: 2, 2: 1}
     assert parity == 0
-    assert sorted(terms) == sorted(
-        [
-            ((A, B, C), 1, 0),
-            ((A, C, B), -1, 1),
-            ((B, C, A), -1, -1),
-            ((C, B, A), 1, 0),
-        ]
-    )
+    assert side == [
+        (((1, 0, 0, 0),), (A, B, C)),
+        (((-1, -1, 0, 0),), (B, C, A)),
+        (((-1, 1, 0, 0),), (A, C, B)),
+        (((1, 0, 0, 0),), (C, B, A)),
+    ]
 
 
 def test_bracket_expansion_super_sign():
@@ -89,15 +88,15 @@ def test_bracket_expansion_super_sign():
     # the cyclic pairing (a3|a0) = -s_4 = 1
     X, Y = ("E", 3, 0), ("E", 0, 0)
     expr = _lb(_leaf(*X), _leaf(*Y))
-    terms, _, parity = _expr_terms(PD31, expr)
+    side, _, parity = _expr_terms(PD31, expr)
     assert parity == 0
-    assert sorted(terms) == sorted([((X, Y), 1, 0), ((Y, X), 1, -1)])
+    assert side == [(((1, 0, 0, 0),), (X, Y)), (((1, -1, 0, 0),), (Y, X))]
 
 
 def test_bracket_weight_lowering():
-    terms, weight, _ = _expr_terms(PD31, _lb(_leaf("F", 1, 0), _leaf("F", 2, 0)))
+    side, weight, _ = _expr_terms(PD31, _lb(_leaf("F", 1, 0), _leaf("F", 2, 0)))
     assert weight == {1: -1, 2: -1}
-    assert len(terms) == 2
+    assert len(side) == 2
 
 
 # instance enumeration
