@@ -38,8 +38,11 @@ The rotation and the dead-key test right-multiply the algebra factor,
 so both sum per-basis-key kernels: the image of a unit factor T_w Y^mu
 on one key, built once by the letter-by-letter formula and cached per
 space and (operator, key, w, mu).  The sums are exact, so pruning and
-residuals are those of the formula on the whole factor.  Current modes
-and Chevalley operators apply their letters directly.
+residuals are those of the formula on the whole factor.  Current
+modes, Chevalley operators and the descent sort act on the key and only
+right-multiply the factor by Y, X and T letters, so they cache their
+terms per (letter, key) and apply them through one loop; keying these on
+the factor's basis keys too would cost more memory than it saves time.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from qtschur.hecke import (
     default_battery,
     right_mul_T,
     right_mul_X,
-    right_mul_Y,
 )
 from qtschur.looprep import (
     ChevalleyGen,
@@ -85,7 +87,7 @@ class FunctorSpace:
         self._family.setdefault(pd.s, self)
         self._sort_cache: dict = {}
         self._sym_cache: dict = {}
-        self._mode_cache: dict = {}
+        self._letter_terms: dict = {}
         self._kernels: dict = {}
         self._rotated: dict = {}
 
@@ -109,9 +111,8 @@ class FunctorSpace:
         if not all(1 <= j <= self.kappa for j in labels):
             raise ValueError(f"labels must lie in 1..{self.kappa}: {labels}")
         w = self.daha.one() if w is None else w
-        acc: dict = {}
-        _sorted_accumulate(self, acc, labels, w)
-        return FunctorVector(self, _normalize(self, acc))
+        sort = lambda space, _, key: [(key, (0,) * space.ell, space.R.one)]
+        return _letter_apply(FunctorVector(self, {labels: w}), "sort", sort)
 
     def all_keys(self):
         return itertools.combinations_with_replacement(range(1, self.kappa + 1), self.ell)
@@ -260,15 +261,38 @@ def _symmetric_group_words(k: int) -> list[tuple[int, ...]]:
     return sorted(words.values())
 
 
-def _sorted_accumulate(space: FunctorSpace, acc: dict, labels, w: DahaElement) -> None:
-    if w.is_zero():
-        return
-    word, coeff, sl = space.sort_schedule(tuple(labels))
-    for a in word:
-        w = right_mul_T(w, a)
-    w = w.scale(coeff)
-    cur = acc.get(sl)
-    acc[sl] = w if cur is None else cur + w
+def _right_mul_ymono(w: DahaElement, vec) -> DahaElement:
+    if not any(vec):
+        return w
+    acc = {}
+    for (k, window, mus), coeff in w.support.items():
+        acc[(k, window, tuple(a + b for a, b in zip(mus, vec)))] = coeff
+    return DahaElement(w.ctx, acc)
+
+
+def _letter_apply(fv: "FunctorVector", letter, build) -> "FunctorVector":
+    """fv under a letter that acts on keys and right-multiplies factors.
+
+    build(space, letter, key) yields (unsorted key, Y-exponent vector or
+    X letter ("X", j, exp), coeff); its terms are sorted, merged and
+    cached per (letter, key) as (target, monomial, T-word, coeff).
+    """
+    space, cache, acc = fv.space, fv.space._letter_terms, {}
+    for labels, w in fv.support.items():
+        terms = cache.get((letter, labels))
+        if terms is None:
+            merged: dict = {}
+            for key, mono, coeff in build(space, letter, labels):
+                word, sort_coeff, target = space.sort_schedule(key)
+                _accumulate(merged, (target, mono, word), coeff * sort_coeff)
+            terms = cache[letter, labels] = tuple((*h, c) for h, c in merged.items())
+        for target, mono, word, coeff in terms:
+            w2 = right_mul_X(w, *mono[1:]) if mono[0] == "X" else _right_mul_ymono(w, mono)
+            for a in word:
+                w2 = right_mul_T(w2, a)
+            w2, cur = w2.scale(coeff), acc.get(target)
+            acc[target] = w2 if cur is None else cur + w2
+    return FunctorVector(space, _normalize(space, acc))
 
 
 def _normalize(space: FunctorSpace, acc: dict) -> dict:
@@ -334,15 +358,6 @@ class FunctorVector:
         return f"FunctorVector<{self.render(limit=4)}>"
 
 
-def _right_mul_ymono(w: DahaElement, vec) -> DahaElement:
-    if not any(vec):
-        return w
-    acc = {}
-    for (k, window, mus), coeff in w.support.items():
-        acc[(k, window, tuple(a + b for a, b in zip(mus, vec)))] = coeff
-    return DahaElement(w.ctx, acc)
-
-
 # ----------------------------------------------------------------------
 # current modes at finite nodes
 
@@ -352,30 +367,42 @@ def _right_mul_ymono(w: DahaElement, vec) -> DahaElement:
 _LOOP_FAMILY = {"E": "x+", "F": "x-", "K+": "k+", "K-": "k-"}
 
 
+def _mode_terms(space: FunctorSpace, letter, labels):
+    family, i, r = letter
+    terms = mode_terms(space, _LOOP_FAMILY[family], i, r, labels, space.R.q1pow, True)
+    for labels2, sign, mult in terms:
+        for vec, c in mult.items():
+            yield labels2, vec, c if sign > 0 else -c
+
+
 def vertical_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
     """Exact z^{-r} mode of the labeled current at a finite node."""
-    space = fv.space
-    assert 1 <= i < space.kappa, f"node {i} not a finite node"
-    acc: dict = {}
-    for labels, w in fv.support.items():
-        key = (family, i, r, labels)
-        terms = space._mode_cache.get(key)
-        if terms is None:
-            terms = tuple(
-                mode_terms(
-                    space, _LOOP_FAMILY[family], i, r, labels, space.R.q1pow, True
-                )
-            )
-            space._mode_cache[key] = terms
-        for labels2, sign, mult in terms:
-            for vec, coeff in mult.items():
-                w2 = _right_mul_ymono(w, vec).scale(coeff if sign > 0 else -coeff)
-                _sorted_accumulate(space, acc, labels2, w2)
-    return FunctorVector(space, _normalize(space, acc))
+    if family not in _LOOP_FAMILY:
+        raise ValueError(f"unknown current family {family!r}")
+    if not 1 <= i < fv.space.kappa:
+        raise ValueError(f"node {i} not a finite node")
+    return _letter_apply(fv, (family, i, r), _mode_terms)
 
 
 # ----------------------------------------------------------------------
 # Chevalley operators (all nodes; three wrap-around variants)
+
+
+def _chevalley_terms(space: FunctorSpace, letter, labels):
+    kind, node, variant = letter
+    ts, mono = space._legs, (0,) * space.ell
+    for legs, j, shift, extra in _chevalley_summands(ts, ChevalleyGen(kind, node)):
+        hit = tensor_leg_apply(ts, legs, labels)
+        if hit is None:
+            continue
+        labels2, c = hit
+        if j is None:
+            yield labels2, mono, c * extra
+        elif variant == "horizontal":
+            yield labels2, ("X", j + 1, shift), c * extra
+        else:
+            c = c * space.R.dpow(-shift) if variant == "vertical" else c
+            yield labels2, mono[:j] + (-shift,) + mono[j + 1 :], c * extra
 
 
 def functor_chevalley_apply(
@@ -389,28 +416,10 @@ def functor_chevalley_apply(
     "vertical" the same with a d^{-(nu shift)} scalar, "horizontal"
     X_j^{+(nu shift)}.
     """
-    assert variant in ("affine", "vertical", "horizontal"), variant
-    space = fv.space
-    ts = space._legs
-    acc: dict = {}
-    summands = list(_chevalley_summands(ts, ChevalleyGen(kind, node)))
-    for labels, w in fv.support.items():
-        for legs, shift_slot, shift, extra in summands:
-            hit = tensor_leg_apply(ts, legs, labels)
-            if hit is None:
-                continue
-            labels2, c = hit
-            w2 = w
-            if shift_slot is not None:
-                j = shift_slot + 1
-                if variant == "horizontal":
-                    w2 = right_mul_X(w2, j, shift)
-                else:
-                    w2 = right_mul_Y(w2, j, -shift)
-                    if variant == "vertical":
-                        c = c * space.R.dpow(-shift)
-            _sorted_accumulate(space, acc, labels2, w2.scale(c * extra))
-    return FunctorVector(space, _normalize(space, acc))
+    known = kind in ("e", "f", "t", "tinv") and variant in ("affine", "vertical", "horizontal")
+    if not (known and 0 <= node < fv.space.kappa):
+        raise ValueError(f"no Chevalley letter {kind!r} at node {node} ({variant!r})")
+    return _letter_apply(fv, (kind, node, variant), _chevalley_terms)
 
 
 # ----------------------------------------------------------------------
@@ -431,10 +440,10 @@ def _rotation_formula(space: FunctorSpace, step: int, labels, w: DahaElement):
         if j == wrap:
             w = right_mul_X(w, a, -step)
     labels2 = tuple((j + step - 1) % kappa + 1 for j in labels)
-    acc: dict = {}
-    _sorted_accumulate(space.rotated(step), acc, labels2, w)
-    [hit] = acc.items()
-    return hit
+    word, coeff, target = space.rotated(step).sort_schedule(labels2)
+    for a in word:
+        w = right_mul_T(w, a)
+    return target, w.scale(coeff)
 
 
 def _rotate(space: FunctorSpace, items, step: int) -> FunctorVector:

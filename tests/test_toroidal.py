@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from qtschur.hecke import default_battery, right_mul_T, right_mul_X, right_mul_Y
 from qtschur import toroidal as tor
-from qtschur.looprep import hecke_exchange_terms
+from qtschur.looprep import (
+    ChevalleyGen,
+    _chevalley_summands,
+    hecke_exchange_terms,
+    mode_terms,
+    tensor_leg_apply,
+)
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData
 from qtschur.verify import SuiteContext, Verdicts, rotation_instances
@@ -315,6 +321,159 @@ def test_second_rotation_reuses_kernels(monkeypatch):
     calls.clear()
     assert psi_apply(u).support == first.support
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# cached letter terms against the per-summand formulas
+
+
+def _sorted_add(space, acc, labels, w):
+    """Add w tensor labels into acc, sorting the key letter by letter."""
+    if w.is_zero():
+        return
+    word, coeff, key = space.sort_schedule(tuple(labels))
+    for a in word:
+        w = right_mul_T(w, a)
+    w = w.scale(coeff)
+    acc[key] = acc[key] + w if key in acc else w
+
+
+def _pruned(space, acc):
+    return {k: w for k, w in acc.items() if not _whole_factor_dead(space, k, w)}
+
+
+def _reference_mode(family, i, r, fv):
+    """A current mode summand by summand, with no cache."""
+    space = fv.space
+    acc = {}
+    for labels, w in fv.support.items():
+        loop_family = tor._LOOP_FAMILY[family]
+        for labels2, sign, mult in mode_terms(space, loop_family, i, r, labels, space.R.q1pow, True):
+            for vec, coeff in mult.items():
+                w2 = tor._right_mul_ymono(w, vec).scale(coeff if sign > 0 else -coeff)
+                _sorted_add(space, acc, labels2, w2)
+    return _pruned(space, acc)
+
+
+def _reference_chevalley(kind, node, fv, variant):
+    """A Chevalley operator summand by summand, with no cache."""
+    space = fv.space
+    ts = space._legs
+    acc = {}
+    for labels, w in fv.support.items():
+        for legs, shift_slot, shift, extra in _chevalley_summands(ts, ChevalleyGen(kind, node)):
+            hit = tensor_leg_apply(ts, legs, labels)
+            if hit is None:
+                continue
+            labels2, c = hit
+            w2 = w
+            if shift_slot is not None:
+                j = shift_slot + 1
+                if variant == "horizontal":
+                    w2 = right_mul_X(w2, j, shift)
+                else:
+                    w2 = right_mul_Y(w2, j, -shift)
+                    if variant == "vertical":
+                        c = c * space.R.dpow(-shift)
+            _sorted_add(space, acc, labels2, w2.scale(c * extra))
+    return _pruned(space, acc)
+
+
+def _letters(kappa):
+    """(cached operator, reference formula) for every letter of one space."""
+    out = []
+    for kind in ("e", "f", "t", "tinv"):
+        for node in range(kappa):
+            for variant in ("affine", "vertical", "horizontal"):
+                args = (kind, node, variant)
+                out.append((
+                    lambda u, a=args: functor_chevalley_apply(a[0], a[1], u, variant=a[2]),
+                    lambda u, a=args: _reference_chevalley(a[0], a[1], u, a[2]),
+                ))
+    for family in ("E", "F", "K+", "K-"):
+        for i in range(1, kappa):
+            for r in (-1, 0, 1):
+                args = (family, i, r)
+                out.append((
+                    lambda u, a=args: vertical_mode_apply(*a, u),
+                    lambda u, a=args: _reference_mode(*a, u),
+                ))
+    return out
+
+
+@pytest.mark.parametrize(
+    "pd,ell,R,step",
+    [
+        (PD31, 2, R31, 1),
+        (PD31, 2, NumericContext(Fraction(2), Fraction(3), 3, 1), 1),
+        # three slots sort through T-words of length up to three
+        (PD22, 3, R22, 11),
+    ],
+    ids=["symbolic", "numeric", "odd-ell3-sampled"],
+)
+def test_letter_terms_match_per_summand_formulas(pd, ell, R, step):
+    sp = FunctorSpace(pd, ell, R)
+    battery = [u for _, u in functor_battery(sp)][::step]
+    letters = _letters(sp.kappa)
+    assert len(letters) == 4 * 4 * 3 + 4 * 3 * 3
+    want = [[reference(u) for u in battery] for _, reference in letters]
+    assert all(letter == "sort" for letter, _ in sp._letter_terms)
+    for _ in ("cold", "warm"):
+        for (apply, _), images in zip(letters, want):
+            for u, image in zip(battery, images):
+                assert apply(u).support == image
+    assert any(image for images in want for image in images)
+
+
+def test_second_application_reuses_letter_terms(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(tor, "tensor_leg_apply", counted(tor.tensor_leg_apply))
+    monkeypatch.setattr(tor, "mode_terms", counted(tor.mode_terms))
+    sp = space31(2)
+    battery = [u for _, u in functor_battery(sp)]
+    letters = [apply for apply, _ in _letters(sp.kappa)]
+    u = battery[-1]
+    for apply in letters:
+        calls.clear()
+        first = apply(u)
+        assert calls
+        calls.clear()
+        assert apply(u).support == first.support
+        assert calls == []
+    for apply in letters:
+        for v in battery:
+            apply(v)
+    keys = len(list(sp.all_keys()))
+    # one entry per (letter, key), the descent sort included, whatever
+    # the number of factors per key
+    assert len(battery) > keys
+    assert len(sp._letter_terms) <= (len(letters) + 1) * keys
+
+
+def test_bad_letters_raise_before_the_cache():
+    sp = space31(1)
+    u = sp.basis((2,))
+    bad = [
+        lambda: functor_chevalley_apply("e", 0, u, variant="diagonal"),
+        lambda: functor_chevalley_apply("x", 1, u),
+        lambda: functor_chevalley_apply("f", sp.kappa, u),
+        lambda: functor_chevalley_apply("t", -1, u),
+        lambda: vertical_mode_apply("E", 0, 0, u),
+        lambda: vertical_mode_apply("F", sp.kappa, 1, u),
+        lambda: vertical_mode_apply("G", 1, 0, u),
+    ]
+    for call in bad:
+        with pytest.raises(ValueError):
+            call()
+    assert all(letter == "sort" for letter, _ in sp._letter_terms)
 
 
 # ----------------------------------------------------------------------
