@@ -39,7 +39,8 @@ class TensorSpace:
     """Bundle of parity data, tensor length, and coefficient context."""
 
     def __init__(self, pd: ParityData, ell: int, coeffs):
-        assert ell >= 1
+        if ell < 1:
+            raise ValueError(f"tensor length must be >= 1, got {ell}")
         self.pd = pd
         self.ell = ell
         self.R = coeffs
@@ -196,8 +197,8 @@ class ChevalleyGen:
     node: int
 
     def __post_init__(self):
-        assert self.kind in ("e", "f", "t", "tinv"), self.kind
-        assert self.node >= 0
+        if self.kind not in ("e", "f", "t", "tinv") or self.node < 0:
+            raise ValueError(f"bad Chevalley generator {self.kind!r} at node {self.node}")
 
 
 def _chevalley_summands(space: TensorSpace, g: ChevalleyGen):
@@ -220,7 +221,8 @@ def _chevalley_summands(space: TensorSpace, g: ChevalleyGen):
         else:
             yield [ktheta(1)] * ell, None, 0, R.one
         return
-    assert 1 <= i < space.kappa, f"node {i} out of range"
+    if not 1 <= i < space.kappa:
+        raise ValueError(f"node {i} out of range")
     if g.kind == "e":
         for r in range(1, ell + 1):
             yield [ident()] * (r - 1) + [e(i)] + [t(i, 1)] * (ell - r), None, 0, R.one
@@ -281,7 +283,8 @@ def hecke_exchange_terms(space, i: int, labels):
 def hecke_T_apply(i: int, v: PlainTensor) -> PlainTensor:
     """Adjacent-slot action on labels (xi-exponents ride along unchanged)."""
     space = v.space
-    assert 1 <= i < space.ell, f"slot index {i} out of range"
+    if not 1 <= i < space.ell:
+        raise ValueError(f"slot index {i} out of range")
     acc: dict = {}
     for (labels, nu), cin in v.support.items():
         for labels2, c in hecke_exchange_terms(space, i, labels):
@@ -347,7 +350,8 @@ def mode_terms(space, family: str, i: int, r: int, labels, power, inverted: bool
 def mode_apply_plain(family: str, i: int, r: int, v: PlainTensor) -> PlainTensor:
     """Exact z^{-r} mode of the labeled current on nondecreasing keys."""
     space = v.space
-    assert 1 <= i < space.kappa, f"node {i} not a finite node"
+    if not 1 <= i < space.kappa:
+        raise ValueError(f"node {i} not a finite node")
     acc: dict = {}
     for (labels, nu), cin in v.support.items():
         if any(labels[a] > labels[a + 1] for a in range(space.ell - 1)):

@@ -20,9 +20,11 @@ Both expansions of psi_c are eventually constant, which keeps every mode
 coefficient a finite sum.
 
 A numeric specialization q -> q0, d -> d0 (rationals) doubles as a fast
-cross-check oracle for all symbolic identities.  Both coefficient
-contexts memoize the constants they hand out (powers, quantum integers,
-rationals); Scalar and Fraction are immutable, so sharing them is safe.
+cross-check oracle for all symbolic identities; its values lie in Z[1/L]
+for an integer L read off the point, stored gcd-free as ZL.  Both
+coefficient contexts memoize the constants they hand out (powers,
+quantum integers, rationals); Scalar and ZL are immutable, so sharing
+them is safe.
 """
 
 from __future__ import annotations
@@ -291,12 +293,8 @@ def _coerce(x) -> "Scalar":
     return NotImplemented
 
 
-_ZERO = Scalar.__new__(Scalar)
-_ZERO._terms = {}
-_ZERO._hash = None
-_ONE = Scalar.__new__(Scalar)
-_ONE._terms = {(0, 0, 0): 1}
-_ONE._hash = None
+_ZERO = Scalar()
+_ONE = Scalar({(0, 0, 0): 1})
 
 
 def q_pow(e: int) -> Scalar:
@@ -407,7 +405,7 @@ def specialize(x: Scalar, q0, d0, zeta0=None) -> Fraction:
 # coefficient contexts
 #
 # The Hecke and representation engines are generic over the coefficient
-# ring: symbolically they work with Scalar, numerically with Fraction.
+# ring: symbolically they work with Scalar, numerically with ZL.
 # A context supplies the constants they need; the elements themselves
 # only ever go through +, -, *, == and truthiness.  Each context memoizes
 # the constants it hands out, keyed by (method, argument).
@@ -430,8 +428,6 @@ def _memoized(method):
 class SymbolicContext:
     """Coefficients are Scalar values; zeta may be formal or concrete."""
 
-    numeric = False
-
     def __init__(self, m: int | None = None, n: int | None = None, formal_zeta: bool = False):
         self.m, self.n = m, n
         self.formal_zeta = formal_zeta
@@ -440,8 +436,7 @@ class SymbolicContext:
                 raise ValueError("concrete zeta needs (m, n)")
             if m == n:
                 raise ValueError("m = n is not allowed")
-        self.one = _ONE
-        self.zero = _ZERO
+        self.one, self.zero = _ONE, _ZERO
         self._memo: dict = {}
 
     @_memoized
@@ -474,59 +469,125 @@ class SymbolicContext:
         return coeff.render()
 
 
-class NumericContext:
-    """Coefficients are plain Fractions at a fixed evaluation point."""
+class ZL:
+    """n / L^k in Z[1/L] (int n, k >= 0), never reduced by a gcd; zero iff n is.
 
-    numeric = True
+    Values that meet share one L.  == and hash agree with the Fraction of
+    the same value, and str (also repr) renders that Fraction.
+    """
+
+    __slots__ = ("n", "k", "L")
+
+    def __init__(self, n: int, k: int, L: int):
+        self.n, self.k, self.L = n, k, L
+
+    def __mul__(self, other) -> "ZL":
+        if type(other) is ZL:
+            return ZL(self.n * other.n, self.k + other.k, self.L)
+        if isinstance(other, int):
+            return ZL(self.n * other, self.k, self.L)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __add__(self, other) -> "ZL":
+        if type(other) is not ZL:
+            if not isinstance(other, int):
+                return NotImplemented
+            other = ZL(other, 0, self.L)
+        k, ko = self.k, other.k
+        if k == ko:
+            return ZL(self.n + other.n, k, self.L)
+        if k < ko:
+            return ZL(self.n * self.L ** (ko - k) + other.n, ko, self.L)
+        return ZL(self.n + other.n * self.L ** (k - ko), k, self.L)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ZL":
+        return ZL(-self.n, self.k, self.L)
+
+    def __sub__(self, other) -> "ZL":
+        return self + -other
+
+    def __bool__(self) -> bool:
+        return self.n != 0
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (ZL, int)):
+            return not (self - other).n
+        if isinstance(other, Fraction):
+            return self.n * other.denominator == other.numerator * self.L**self.k
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(Fraction(self.n, self.L**self.k))
+
+    def __repr__(self) -> str:
+        return str(Fraction(self.n, self.L**self.k))
+
+
+class NumericContext:
+    """Coefficients are ZL values at a fixed rational point (q0, d0, zeta0).
+
+    L is the lcm of the numerators and denominators of q0, d0 and a given
+    zeta0; rational() raises ValueError on a value outside Z[1/L].
+    """
 
     def __init__(self, q0, d0, m: int | None = None, n: int | None = None, zeta0=None):
         self.q0, self.d0 = Fraction(q0), Fraction(d0)
-        if self.q0 == 0 or self.d0 == 0:
-            raise ValueError("q0 and d0 must be nonzero")
+        self.zeta0 = None if zeta0 is None else Fraction(zeta0)
+        if 0 in (self.q0, self.d0, self.zeta0):
+            raise ValueError("q0, d0 and zeta0 must be nonzero")
         if self.q0 in (1, -1):
             raise ValueError("|q0| = 1 specializes q to a root of unity")
         self.m, self.n = m, n
-        if zeta0 is not None:
-            self.zeta0 = Fraction(zeta0)
-        elif m is not None and n is not None:
+        points = [x for x in (self.q0, self.d0, self.zeta0) if x is not None]
+        self.L = math.lcm(*(v for x in points for v in (x.numerator, x.denominator)))
+        if self.zeta0 is None and m is not None and n is not None:
             if m == n:
                 raise ValueError("m = n is not allowed")
             self.zeta0 = (self.d0 / self.q0) ** (n - m)
-        else:
-            self.zeta0 = None
-        self.one = Fraction(1)
-        self.zero = Fraction(0)
+        self.one, self.zero = ZL(1, 0, self.L), ZL(0, 0, self.L)
         self._memo: dict = {}
 
-    @_memoized
-    def qpow(self, e: int) -> Fraction:
-        return self.q0**e
+    def _lift(self, x: Fraction) -> ZL:
+        """x as n / L^k with the least k; den | L^k needs k < den.bit_length()."""
+        den = x.denominator
+        k = next((k for k in range(den.bit_length()) if self.L**k % den == 0), None)
+        if k is None:
+            raise ValueError(f"{x} is not in Z[1/{self.L}]")
+        return ZL(x.numerator * self.L**k // den, k, self.L)
 
     @_memoized
-    def dpow(self, e: int) -> Fraction:
-        return self.d0**e
+    def qpow(self, e: int) -> ZL:
+        return self._lift(self.q0**e)
 
     @_memoized
-    def q1pow(self, e: int) -> Fraction:
-        return (self.d0 / self.q0) ** e
+    def dpow(self, e: int) -> ZL:
+        return self._lift(self.d0**e)
 
     @_memoized
-    def zetapow(self, e: int) -> Fraction:
+    def q1pow(self, e: int) -> ZL:
+        return self._lift((self.d0 / self.q0) ** e)
+
+    @_memoized
+    def zetapow(self, e: int) -> ZL:
         if self.zeta0 is None:
             raise ValueError("no zeta value configured")
-        return self.zeta0**e
+        return self._lift(self.zeta0**e)
 
     @_memoized
-    def qint(self, k: int) -> Fraction:
+    def qint(self, k: int) -> ZL:
         if k == 0:
-            return Fraction(0)
-        return (self.q0**k - self.q0**-k) / (self.q0 - 1 / self.q0)
+            return self.zero
+        return self._lift((self.q0**k - self.q0**-k) / (self.q0 - 1 / self.q0))
 
     @_memoized
-    def rational(self, x) -> Fraction:
-        return Fraction(x)
+    def rational(self, x) -> ZL:
+        return self._lift(Fraction(x))
 
-    def render(self, coeff: Fraction) -> str:
+    def render(self, coeff: ZL) -> str:
         return str(coeff)
 
 

@@ -160,9 +160,8 @@ def _coeffs(cfg: RunConfig, stage: str, zeta: str):
     (d/q)^{n-m} monomial, "none" promises it is never used.
     """
     if stage == "numeric":
-        if zeta == "none":
-            return NumericContext(Fraction(cfg.q0), Fraction(cfg.d0))
-        return NumericContext(Fraction(cfg.q0), Fraction(cfg.d0), cfg.m, cfg.n)
+        mn = () if zeta == "none" else (cfg.m, cfg.n)
+        return NumericContext(cfg.q0, cfg.d0, *mn)
     if zeta == "folded":
         return SymbolicContext(m=cfg.m, n=cfg.n)
     return SymbolicContext(formal_zeta=True)

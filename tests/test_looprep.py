@@ -8,8 +8,12 @@ point) before running the engine.
 import collections
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ from qtschur.looprep import (
     slot_ops,
     tensor_leg_apply,
 )
-from qtschur.scalar import NumericContext, SymbolicContext, specialize
+from qtschur.scalar import ZL, NumericContext, SymbolicContext, specialize
 from qtschur.superdata import ParityData, node_parity
 from qtschur.verify import (
     SuiteContext,
@@ -34,6 +38,9 @@ from qtschur.verify import (
     dictionary_instances,
     finite_instances,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def space_for(m, n, ell):
@@ -223,6 +230,44 @@ def test_mode_rejects_unsorted():
     sp = space_for(3, 1, 2)
     with pytest.raises(ValueError):
         mode_apply_plain("x+", 1, 0, sp.basis((2, 1)))
+
+
+def test_bad_letters_raise():
+    sp = TensorSpace(ParityData.standard(3, 1), 2, SymbolicContext(m=3, n=1))
+    v = sp.basis((1, 4))
+    bad = [
+        lambda: ChevalleyGen("x", 0),
+        lambda: ChevalleyGen("e", -1),
+        lambda: chevalley_apply(ChevalleyGen("f", sp.kappa), v),
+        lambda: mode_apply_plain("x+", 7, 0, v),
+        lambda: mode_apply_plain("k-", 0, 0, v),
+        lambda: hecke_T_apply(2, v),
+        lambda: hecke_T_apply(0, v),
+        lambda: TensorSpace(sp.pd, 0, sp.R),
+    ]
+    for call in bad:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_bad_letters_raise_under_optimize():
+    # python -O strips assert statements; these checks must not be asserts
+    setup = (
+        "from qtschur.looprep import ChevalleyGen, TensorSpace, chevalley_apply, "
+        "mode_apply_plain; "
+        "from qtschur.scalar import SymbolicContext; "
+        "from qtschur.superdata import ParityData; "
+        "v = TensorSpace(ParityData.standard(3, 1), 2, SymbolicContext(m=3, n=1)).basis((1, 4)); "
+    )
+    for call in ('chevalley_apply(ChevalleyGen("x", 0), v)', 'mode_apply_plain("x+", 7, 0, v)'):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", setup + call],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode != 0, call
+        assert "ValueError" in proc.stderr, call
 
 
 def test_zero_mode_agreement():
@@ -429,3 +474,4 @@ def test_mode_specialization_agrees():
             if val:
                 spec[key] = val
         assert spec == ne.support, (family, i, r)
+        assert all(type(c) is ZL for c in ne.support.values())

@@ -10,6 +10,7 @@ from qtschur.scalar import (
     NumericContext,
     Scalar,
     SymbolicContext,
+    ZL,
     d_pow,
     delta_psi_mode,
     psi_coeffs,
@@ -99,6 +100,64 @@ def test_context_constants_are_memoized():
             assert getattr(fresh, name)(arg) == first
     assert SymbolicContext(3, 1).qint(3) == qint(3)
     assert NumericContext(2, 3).qpow(-2) == Fraction(1, 4)
+
+
+# numeric contexts and the exact point values of their generators; the
+# last zeta0 brings a prime (7) that q0 and d0 lack
+NUMERIC_POINTS = [
+    (NumericContext(2, 3, 3, 1), Fraction(2), Fraction(3), Fraction(4, 9)),
+    (NumericContext(Fraction(-9, 7), Fraction(5, 3), 3, 1), Fraction(-9, 7), Fraction(5, 3), Fraction(729, 1225)),
+    (NumericContext(Fraction(3), Fraction(5, 2), zeta0=Fraction(7, 4)), Fraction(3), Fraction(5, 2), Fraction(7, 4)),
+]
+# a sum of c * q^a * d^b * zeta^z terms; unequal exponents give operands with unequal k
+numeric_terms = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(-4, 4), st.integers(-4, 4), st.integers(-2, 2)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _numeric_pair(point, terms):
+    """The sum of terms in the context of point, and the same sum as a Fraction."""
+    ctx, q0, d0, z0 = point
+    got, want = ctx.zero, Fraction(0)
+    for c, a, b, z in terms:
+        got = got + ctx.rational(c) * ctx.qpow(a) * ctx.dpow(b) * ctx.zetapow(z)
+        want += c * q0**a * d0**b * z0**z
+    return got, want
+
+
+@given(st.sampled_from(NUMERIC_POINTS), numeric_terms, numeric_terms, st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_numeric_values_match_fraction(point, xs, ys, c):
+    x, fx = _numeric_pair(point, xs)
+    y, fy = _numeric_pair(point, ys)
+    cases = [
+        (x, fx), (x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx), (x - x, 0),
+        (x + c, fx + c), (c + x, c + fx), (x - c, fx - c), (c * x, c * fx),
+    ]
+    for got, want in cases:
+        assert type(got) is ZL
+        assert got == want and want == got
+        assert bool(got) == bool(want)
+        assert hash(got) == hash(want)
+        assert str(got) == str(Fraction(want))
+    assert (x == y) == (fx == fy)
+    assert (x != y) == (fx != fy)
+
+
+def test_numeric_context_values_lie_in_its_ring():
+    ctx = NumericContext(2, 3)
+    assert ctx.L == 6
+    assert ctx.rational(Fraction(5, 12)) == Fraction(5, 12)
+    assert ctx.qint(-3) == -(Fraction(4) + 1 + Fraction(1, 4))
+    with pytest.raises(ValueError):
+        ctx.rational(Fraction(1, 7))
+    with pytest.raises(ValueError):
+        NumericContext(2, 3, zeta0=0)
+    # a numerator with a large prime factor needs no factoring
+    big = NumericContext(Fraction(2**61 - 1, 3), 5)
+    assert big.qpow(-2) * big.qpow(2) == 1
 
 
 def test_monomial_units():

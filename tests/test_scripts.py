@@ -10,13 +10,19 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 RUNS = [
     ("profile_relations.py", "--suite", "daha", "--ell", "1"),
+    ("profile_relations.py", "--suite", "daha", "--ell", "1", "--mode", "numeric"),
     ("wrap_node_table.py",),
     ("bench_pairs.py", "--help"),
     ("sweep_suites.py", "--help"),
 ]
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=[run[0] for run in RUNS])
+def run_id(run):
+    """The script name, and the stage when the run picks one."""
+    return run[0] + (f"-{run[-1]}" if "--mode" in run else "")
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[run_id(run) for run in RUNS])
 def test_script_exits_zero(argv):
     script, *args = argv
     proc = subprocess.run(

@@ -512,6 +512,25 @@ def test_failing_residuals_survive_worker_processes(monkeypatch):
     )
 
 
+# residual text of the numeric stage at three points, with m(i, j) forced
+# to 0 as in test_memo_does_not_hide_dropped_d_power; digests computed
+# while numeric coefficients were Fractions
+NUMERIC_RESIDUALS = [
+    ("2", "3", "ed13b3b4bbe8a55ac45047c0f331da62c6ea219b8e5f959f874897aa7448acff"),
+    ("-9/7", "5/3", "68d913c449078b77302fb033fce86b3e05b07dd3192ca77868c9bc5db79fad4a"),
+    ("4/5", "-7/2", "9b39bcc11dbbbaafd7d20506b40cac0ea46319593576cd1ae8923beca174d798"),
+]
+
+
+@pytest.mark.parametrize("q0, d0, digest", NUMERIC_RESIDUALS)
+def test_numeric_residual_text_pinned(monkeypatch, q0, d0, digest):
+    monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
+    cfg = RunConfig(m=3, n=1, ell=1, modes=0, mode="numeric", q0=q0, d0=d0)
+    report = run_suite("toroidal", cfg)
+    assert report.summary()["fail"] == 168
+    assert hashlib.sha256(_written(report).encode()).hexdigest() == digest
+
+
 def test_run_suite_builds_rows_only_while_writing(monkeypatch):
     built = []
 
