@@ -106,8 +106,14 @@ def test_context_constants_are_memoized():
 # last zeta0 brings a prime (7) that q0 and d0 lack
 NUMERIC_POINTS = [
     (NumericContext(2, 3, 3, 1), Fraction(2), Fraction(3), Fraction(4, 9)),
-    (NumericContext(Fraction(-9, 7), Fraction(5, 3), 3, 1), Fraction(-9, 7), Fraction(5, 3), Fraction(729, 1225)),
-    (NumericContext(Fraction(3), Fraction(5, 2), zeta0=Fraction(7, 4)), Fraction(3), Fraction(5, 2), Fraction(7, 4)),
+    (
+        NumericContext(Fraction(-9, 7), Fraction(5, 3), 3, 1),
+        Fraction(-9, 7), Fraction(5, 3), Fraction(729, 1225),
+    ),
+    (
+        NumericContext(Fraction(3), Fraction(5, 2), zeta0=Fraction(7, 4)),
+        Fraction(3), Fraction(5, 2), Fraction(7, 4),
+    ),
 ]
 # a sum of c * q^a * d^b * zeta^z terms; unequal exponents give operands with unequal k
 numeric_terms = st.lists(
