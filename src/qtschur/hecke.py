@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from qtschur.scalar import _accumulate
+from qtschur.scalar import SparseVector, _accumulate
 
 Token = tuple[str, int, int]  # (kind in "TXYQ", index, exponent +-1)
 BasisKey = tuple[int, tuple[int, ...], tuple[int, ...]]  # (k, window, mu)
@@ -107,16 +107,18 @@ class AffinePermutation:
         w = list(self.window)
         if i == 0:
             w[0], w[ell - 1] = self.window[ell - 1] - ell, self.window[0] + ell
-        else:
-            assert 1 <= i < ell
+        elif 1 <= i < ell:
             w[i - 1], w[i] = w[i], w[i - 1]
+        else:
+            raise ValueError(f"s index {i} out of range for window size {ell}")
         return AffinePermutation(w)
 
     def has_right_descent(self, i: int) -> bool:
         """l(w s_i) < l(w), i.e. w(i) > w(i+1)."""
         if i == 0:
             return self.window[-1] - self.ell > self.window[0]
-        assert 1 <= i < self.ell
+        if not 1 <= i < self.ell:
+            raise ValueError(f"s index {i} out of range for window size {self.ell}")
         return self.window[i - 1] > self.window[i]
 
     def length(self) -> int:
@@ -182,7 +184,8 @@ class DahaContext:
     """Shared configuration: window size, coefficient context, caches."""
 
     def __init__(self, ell: int, coeffs):
-        assert ell >= 1
+        if ell < 1:
+            raise ValueError(f"window size must be >= 1, got {ell}")
         self.ell = ell
         self.R = coeffs
         self._id_window = tuple(range(1, ell + 1))
@@ -207,63 +210,22 @@ class DahaContext:
         return apply_word(self.one(), word)
 
 
-class DahaElement:
+class DahaElement(SparseVector):
     """Finite coefficient combination of normal-form basis words."""
 
-    __slots__ = ("ctx", "support")
-
-    def __init__(self, ctx: DahaContext, support: dict):
-        self.ctx = ctx
-        self.support = support
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DahaElement)
-            and self.ctx is other.ctx
-            and self.support == other.support
-        )
+    __slots__ = ()
+    ctx = SparseVector.owner
 
     def __hash__(self) -> int:
         return hash(frozenset(self.support.items()))
 
-    def __add__(self, other: "DahaElement") -> "DahaElement":
-        assert self.ctx is other.ctx
-        support = dict(self.support)
-        for key, coeff in other.support.items():
-            _accumulate(support, key, coeff)
-        return DahaElement(self.ctx, support)
-
-    def __neg__(self) -> "DahaElement":
-        return DahaElement(self.ctx, {k: -c for k, c in self.support.items()})
-
-    def __sub__(self, other: "DahaElement") -> "DahaElement":
-        return self + (-other)
-
-    def scale(self, coeff) -> "DahaElement":
-        if not coeff:
-            return DahaElement(self.ctx, {})
-        return DahaElement(self.ctx, {k: coeff * c for k, c in self.support.items()})
-
-    def render(self) -> str:
-        if not self.support:
-            return "0"
-        ctx = self.ctx
-        parts = []
-        for key in sorted(self.support):
-            k, window, mu = key
-            coeff = self.support[key]
-            parts.append(
-                f"({ctx.R.render(coeff)}) * Q^{k}"
-                f" * T[{','.join(map(str, window))}]"
-                f" * Y^({','.join(map(str, mu))})"
-            )
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"DahaElement<{self.render()}>"
+    def _term(self, key: BasisKey, coeff) -> str:
+        k, window, mu = key
+        return (
+            f"({self.ctx.R.render(coeff)}) * Q^{k}"
+            f" * T[{','.join(map(str, window))}]"
+            f" * Y^({','.join(map(str, mu))})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +291,10 @@ def _basis_mul_Q(ctx: DahaContext, key: BasisKey, exp: int) -> tuple[BasisKey, o
 
 def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:
     """X_j^{+-1} as a word in T and Q letters (without the q-prefactor)."""
-    assert 1 <= j <= ell
+    if not 1 <= j <= ell:
+        raise ValueError(f"X index {j} out of range")
+    if exp not in (1, -1):
+        raise ValueError(f"X exponent must be +-1, got {exp}")
     if exp == 1:
         word = [("T", a, 1) for a in range(j - 1, 0, -1)]
         word.append(("Q", 0, 1))
@@ -343,8 +308,10 @@ def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:
 
 def right_mul_T(e: DahaElement, i: int, exp: int = 1) -> DahaElement:
     ctx = e.ctx
-    assert 1 <= i < ctx.ell, f"T index {i} out of range"
-    assert exp in (1, -1)
+    if not 1 <= i < ctx.ell:
+        raise ValueError(f"T index {i} out of range")
+    if exp not in (1, -1):
+        raise ValueError(f"T exponent must be +-1, got {exp}")
     acc: dict = {}
     for key, coeff in e.support.items():
         k, window, mu = key
@@ -357,18 +324,16 @@ def right_mul_T(e: DahaElement, i: int, exp: int = 1) -> DahaElement:
             _accumulate(acc, (k + dk, win2, mu2), coeff * c2)
     out = DahaElement(ctx, acc)
     if exp == -1:
-        # T_i^{-1} = q^{-2} T_i + (q^{-2} - 1): rewrite using the result
-        # for +1 would recompute, so assemble directly instead
-        return _combine(
-            e.ctx,
-            [(ctx.R.qpow(-2), out), (ctx.R.qpow(-2) - ctx.R.one, e)],
-        )
+        # T_i^{-1} = q^{-2} T_i + (q^{-2} - 1)
+        qm2 = ctx.R.qpow(-2)
+        return out.scale(qm2) + e.scale(qm2 - ctx.R.one)
     return out
 
 
 def right_mul_Y(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
     ctx = e.ctx
-    assert 1 <= j <= ctx.ell, f"Y index {j} out of range"
+    if not 1 <= j <= ctx.ell:
+        raise ValueError(f"Y index {j} out of range")
     acc: dict = {}
     for (k, window, mu), coeff in e.support.items():
         mu2 = list(mu)
@@ -378,19 +343,14 @@ def right_mul_Y(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
 
 
 def right_mul_Q(e: DahaElement, exp: int = 1) -> DahaElement:
+    if exp not in (1, -1):
+        raise ValueError(f"Q exponent must be +-1, got {exp}")
     ctx = e.ctx
-    assert exp in (1, -1)
-    acc: dict = {}
-    for key, coeff in e.support.items():
-        new, zeta = _basis_mul_Q(ctx, key, exp)
-        _accumulate(acc, new, coeff * zeta)
-    return DahaElement(ctx, acc)
+    return e.linear(lambda key: [_basis_mul_Q(ctx, key, exp)])
 
 
 def right_mul_X(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
     ctx = e.ctx
-    assert 1 <= j <= ctx.ell, f"X index {j} out of range"
-    assert exp in (1, -1)
     word = x_letter_word(ctx.ell, j, exp)
     out = e
     for kind, idx, sub in word:
@@ -417,16 +377,6 @@ def apply_word(e: DahaElement, word: Iterable[Token]) -> DahaElement:
     return e
 
 
-def _combine(ctx: DahaContext, parts: list) -> DahaElement:
-    acc: dict = {}
-    for scalar, elem in parts:
-        if not scalar:
-            continue
-        for key, coeff in elem.support.items():
-            _accumulate(acc, key, scalar * coeff)
-    return DahaElement(ctx, acc)
-
-
 # ----------------------------------------------------------------------
 # composite words
 
@@ -438,21 +388,18 @@ def composite(kind: str, **params) -> list[Token]:
     reverse product; Qij(i, j) is X_i T_{i,j}; Pr(r, ell) the telescope
     of Qij factors whose c-th factor from the right is Q_{c, c+r-1}.
     """
-    if kind == "T_range_up":
+    if kind in ("T_range_up", "T_range_down", "Qij"):
         i, j = params["i"], params["j"]
-        assert 1 <= i <= j
-        return [("T", a, 1) for a in range(i, j + 1)]
-    if kind == "T_range_down":
-        i, j = params["i"], params["j"]
-        assert 1 <= i <= j
-        return [("T", a, 1) for a in range(j, i - 1, -1)]
-    if kind == "Qij":
-        i, j = params["i"], params["j"]
-        assert 1 <= i <= j
-        return [("X", i, 1)] + [("T", a, 1) for a in range(i, j + 1)]
+        if not 1 <= i <= j:
+            raise ValueError(f"{kind} needs 1 <= i <= j, got i={i}, j={j}")
+        if kind == "T_range_down":
+            return [("T", a, 1) for a in range(j, i - 1, -1)]
+        word = [("T", a, 1) for a in range(i, j + 1)]
+        return [("X", i, 1)] + word if kind == "Qij" else word
     if kind == "Pr":
         r, ell = params["r"], params["ell"]
-        assert 1 <= r < ell
+        if not 1 <= r < ell:
+            raise ValueError(f"Pr needs 1 <= r < ell, got r={r}, ell={ell}")
         word: list[Token] = []
         for c in range(ell - r, 0, -1):
             word.extend(composite("Qij", i=c, j=c + r - 1))

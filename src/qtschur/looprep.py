@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from qtschur.scalar import _accumulate, delta_psi_mode, psi_product_mode
+from qtschur.scalar import SparseVector, delta_psi_mode, psi_product_mode
 from qtschur.superdata import ParityData, koszul_sign, mu, node_parity
 
 TensorKey = tuple[tuple[int, ...], tuple[int, ...]]  # (labels, xi-exponents)
@@ -65,68 +65,33 @@ class TensorSpace:
         return itertools.product(range(1, self.kappa + 1), repeat=self.ell)
 
 
-class PlainTensor:
-    __slots__ = ("space", "support")
+class PlainTensor(SparseVector):
+    """Finite sum of coefficient * xi^nu v(labels) over a TensorSpace."""
 
-    def __init__(self, space: TensorSpace, support: dict):
-        self.space = space
-        self.support = support
+    __slots__ = ()
+    space = SparseVector.owner
 
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __eq__(self, other) -> bool:
+    def _term(self, key: TensorKey, coeff) -> str:
+        labels, nu = key
         return (
-            isinstance(other, PlainTensor)
-            and self.space is other.space
-            and self.support == other.support
+            f"({self.space.R.render(coeff)}) * xi^({','.join(map(str, nu))})"
+            f" * v({','.join(map(str, labels))})"
         )
-
-    def __add__(self, other: "PlainTensor") -> "PlainTensor":
-        assert self.space is other.space
-        support = dict(self.support)
-        for key, coeff in other.support.items():
-            _accumulate(support, key, coeff)
-        return PlainTensor(self.space, support)
-
-    def __neg__(self) -> "PlainTensor":
-        return PlainTensor(self.space, {k: -c for k, c in self.support.items()})
-
-    def __sub__(self, other: "PlainTensor") -> "PlainTensor":
-        return self + (-other)
-
-    def scale(self, coeff) -> "PlainTensor":
-        if not coeff:
-            return PlainTensor(self.space, {})
-        return PlainTensor(self.space, {k: coeff * c for k, c in self.support.items()})
-
-    def render(self) -> str:
-        if not self.support:
-            return "0"
-        R = self.space.R
-        parts = []
-        for labels, nu in sorted(self.support):
-            coeff = self.support[(labels, nu)]
-            parts.append(
-                f"({R.render(coeff)}) * xi^({','.join(map(str, nu))})"
-                f" * v({','.join(map(str, labels))})"
-            )
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"PlainTensor<{self.render()}>"
 
 
 # ----------------------------------------------------------------------
 # single-slot operators and the shared tensor-leg helper
 
 
-def slot_ops(space: TensorSpace):
+def slot_ops(space):
     """Single-slot operator constructors on the label alphabet.
 
     Each operator is a pair (parity, fn) with fn(j) -> (j', coeff) or
     None; all of them are monomial maps, which keeps the tensor-leg
-    helper a single pass.
+    helper a single pass.  space, here and in tensor_leg_apply and
+    _chevalley_summands, is any bundle with parity data pd, coefficient
+    context R, length ell and label count kappa: a TensorSpace or a
+    balanced space.
     """
     pd, R, kappa = space.pd, space.R, space.kappa
 
@@ -161,7 +126,7 @@ def slot_ops(space: TensorSpace):
     return ident, e, f, t, etheta, ftheta, ktheta
 
 
-def tensor_leg_apply(space: TensorSpace, legs, labels):
+def tensor_leg_apply(space, legs, labels):
     """Apply one single-slot operator per leg, with the Koszul sign.
 
     The sign for leg b is (-1)^(|op_b| * sum of |v_{labels[a]}|, a < b),
@@ -201,7 +166,7 @@ class ChevalleyGen:
             raise ValueError(f"bad Chevalley generator {self.kind!r} at node {self.node}")
 
 
-def _chevalley_summands(space: TensorSpace, g: ChevalleyGen):
+def _chevalley_summands(space, g: ChevalleyGen):
     """Yield (legs, nu-shift slot or None, nu-shift amount, extra coeff)."""
     ident, e, f, t, etheta, ftheta, ktheta = slot_ops(space)
     ell, R = space.ell, space.R
@@ -237,9 +202,10 @@ def _chevalley_summands(space: TensorSpace, g: ChevalleyGen):
 
 def chevalley_apply(g: ChevalleyGen, v: PlainTensor) -> PlainTensor:
     space = v.space
-    acc: dict = {}
     summands = list(_chevalley_summands(space, g))
-    for (labels, nu), cin in v.support.items():
+
+    def terms(key):
+        labels, nu = key
         for legs, shift_slot, shift, extra in summands:
             hit = tensor_leg_apply(space, legs, labels)
             if hit is None:
@@ -248,14 +214,10 @@ def chevalley_apply(g: ChevalleyGen, v: PlainTensor) -> PlainTensor:
             if shift_slot is None:
                 nu2 = nu
             else:
-                lst = list(nu)
-                lst[shift_slot] += shift
-                nu2 = tuple(lst)
-            coeff = cin * c
-            if extra is not space.R.one:
-                coeff = coeff * extra
-            _accumulate(acc, (labels2, nu2), coeff)
-    return PlainTensor(space, acc)
+                nu2 = nu[:shift_slot] + (nu[shift_slot] + shift,) + nu[shift_slot + 1 :]
+            yield (labels2, nu2), c if extra is space.R.one else c * extra
+
+    return v.linear(terms)
 
 
 # ----------------------------------------------------------------------
@@ -285,11 +247,12 @@ def hecke_T_apply(i: int, v: PlainTensor) -> PlainTensor:
     space = v.space
     if not 1 <= i < space.ell:
         raise ValueError(f"slot index {i} out of range")
-    acc: dict = {}
-    for (labels, nu), cin in v.support.items():
-        for labels2, c in hecke_exchange_terms(space, i, labels):
-            _accumulate(acc, (labels2, nu), cin * c)
-    return PlainTensor(space, acc)
+
+    def terms(key):
+        labels, nu = key
+        return [((labels2, nu), c) for labels2, c in hecke_exchange_terms(space, i, labels)]
+
+    return v.linear(terms)
 
 
 # ----------------------------------------------------------------------
@@ -352,14 +315,13 @@ def mode_apply_plain(family: str, i: int, r: int, v: PlainTensor) -> PlainTensor
     space = v.space
     if not 1 <= i < space.kappa:
         raise ValueError(f"node {i} not a finite node")
-    acc: dict = {}
-    for (labels, nu), cin in v.support.items():
+
+    def terms(key):
+        labels, nu = key
         if any(labels[a] > labels[a + 1] for a in range(space.ell - 1)):
             raise ValueError(f"non-monotone key {labels}")
-        terms = mode_terms(space, family, i, r, labels, space.R.qpow, False)
-        for labels2, sign, mult in terms:
-            base = cin if sign > 0 else -cin
+        for labels2, sign, mult in mode_terms(space, family, i, r, labels, space.R.qpow, False):
             for vec, c in mult.items():
-                nu2 = tuple(n + d for n, d in zip(nu, vec))
-                _accumulate(acc, (labels2, nu2), base * c)
-    return PlainTensor(space, acc)
+                yield (labels2, tuple(n + d for n, d in zip(nu, vec))), c if sign > 0 else -c
+
+    return v.linear(terms)

@@ -8,9 +8,11 @@ Integral coefficients are stored as Python ints and other rationals as
 Fractions; every coefficient the verification suites produce is integral,
 so their arithmetic never leaves int.
 
-Besides the ring type this module holds the small amount of series
-machinery the rest of the package needs: expansions of the rational
-function
+Besides the ring type this module holds the sparse-vector base that
+Hecke-algebra elements, plain tensors and balanced tensors share (one
+copy of their support arithmetic, linear extension and rendering), and
+the small amount of series machinery the rest of the package needs:
+expansions of the rational function
 
     psi_c(z) = (q^c - q^{-c} z) / (1 - z)
 
@@ -592,19 +594,7 @@ class NumericContext:
 
 
 # ----------------------------------------------------------------------
-# normal-ordered mode extraction
-#
-# The current actions all reduce to extracting one z-mode from
-#
-#     :[ delta(arg_0) * prod_p psi_{c_p}(arg_p) ]^{boundary}:
-#
-# where each argument is scale*var_p/z (inverted=False) or
-# scale*var_p*z (inverted=True).  The normal ordering splits the
-# delta function into its two halves and pairs each half with the
-# matching expansion of the psi product, so every mode is a finite
-# convolution.  We return multipliers as dense per-slot exponent
-# vectors (powers of the var_p) mapped to context coefficients; the
-# callers reinterpret the vectors as xi- or Y-exponents.
+# sparse vectors
 
 
 def _accumulate(acc: dict, key, coeff) -> None:
@@ -619,6 +609,95 @@ def _accumulate(acc: dict, key, coeff) -> None:
             acc[key] = cur
         else:
             del acc[key]
+
+
+class SparseVector:
+    """Finite sum of coefficient * basis key over an owner (a context or space).
+
+    support maps basis keys to nonzero coefficients.  A coefficient needs
+    only +, unary -, * by a scalar on the right and truthiness, so it may
+    itself be a vector.  No operation changes a support in place; sums,
+    scalings and linear images build new ones.  A subclass names the
+    owner slot as its callers read it and writes one term in _term.
+    """
+
+    __slots__ = ("owner", "support")
+
+    def __init__(self, owner, support: dict):
+        self.owner = owner
+        self.support = support
+
+    def is_zero(self) -> bool:
+        return not self.support
+
+    def __bool__(self) -> bool:
+        return bool(self.support)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.owner is other.owner
+            and self.support == other.support
+        )
+
+    def __add__(self, other):
+        if other.owner is not self.owner:
+            raise ValueError("vectors live in different spaces")
+        support = dict(self.support)
+        for key, coeff in other.support.items():
+            _accumulate(support, key, coeff)
+        return type(self)(self.owner, support)
+
+    def __neg__(self):
+        return type(self)(self.owner, {k: -c for k, c in self.support.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        """Every coefficient times coeff, on the right."""
+        if not coeff:
+            return type(self)(self.owner, {})
+        return type(self)(self.owner, {k: c * coeff for k, c in self.support.items()})
+
+    __mul__ = scale
+
+    def linear(self, terms):
+        """Image under the linear map sending key to the sum of c * key2 over terms(key)."""
+        acc: dict = {}
+        for key, coeff in self.support.items():
+            for key2, c in terms(key):
+                _accumulate(acc, key2, coeff * c)
+        return type(self)(self.owner, acc)
+
+    def render(self, limit: int | None = None) -> str:
+        """Terms in key order joined by " + ", past limit cut to a key count."""
+        if not self.support:
+            return "0"
+        keys = sorted(self.support)
+        parts = [self._term(key, self.support[key]) for key in keys[:limit]]
+        if limit is not None and len(keys) > limit:
+            parts.append(f"... ({len(keys)} keys)")
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self.render(limit=4)}>"
+
+
+# ----------------------------------------------------------------------
+# normal-ordered mode extraction
+#
+# The current actions all reduce to extracting one z-mode from
+#
+#     :[ delta(arg_0) * prod_p psi_{c_p}(arg_p) ]^{boundary}:
+#
+# where each argument is scale*var_p/z (inverted=False) or
+# scale*var_p*z (inverted=True).  The normal ordering splits the
+# delta function into its two halves and pairs each half with the
+# matching expansion of the psi product, so every mode is a finite
+# convolution.  We return multipliers as dense per-slot exponent
+# vectors (powers of the var_p) mapped to context coefficients; the
+# callers reinterpret the vectors as xi- or Y-exponents.
 
 
 def psi_half_stream(ctx, c: int, slot: int, scale_pow, eps: int, ell: int, upto: int) -> list[dict]:

@@ -12,7 +12,7 @@ the periodic extension dictates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -91,16 +91,13 @@ def mmatrix(pd: ParityData, i: int, j: int) -> int:
 
 def mu(pd: ParityData, i: int) -> int:
     """Partial sum s_1 + ... + s_i, with mu(0) = 0."""
-    assert 0 <= i <= pd.kappa
+    if not 0 <= i <= pd.kappa:
+        raise ValueError(f"mu index {i} out of range 0..{pd.kappa}")
     return sum(pd.s[:i])
 
 
-def tau(pd: ParityData) -> ParityData:
-    """Rotate the sequence one step: (s_kappa, s_1, ..., s_{kappa-1})."""
-    return ParityData(pd.m, pd.n, (pd.s[-1],) + pd.s[:-1])
-
-
 def tau_power(pd: ParityData, r: int) -> ParityData:
+    """Rotate the sequence r steps; one step gives (s_kappa, s_1, ..., s_{kappa-1})."""
     r %= pd.kappa
     return ParityData(pd.m, pd.n, pd.s[-r:] + pd.s[:-r]) if r else pd
 
@@ -116,33 +113,9 @@ def koszul_sign(pd: ParityData, i: int, r: int, j: Sequence[int]) -> int:
     Position r is 1-based; the sign is (-1) to the node parity of i
     times the total parity of v_{j_1}, ..., v_{j_{r-1}}.
     """
-    assert 1 <= r <= len(j)
+    if not 1 <= r <= len(j):
+        raise ValueError(f"position {r} out of range 1..{len(j)}")
     if node_parity(pd, i) == 0:
         return 1
     weight = sum(pd.vector_parity(j[a]) for a in range(r - 1))
     return -1 if weight % 2 else 1
-
-
-@dataclass(frozen=True)
-class CartanData:
-    """All matrix data of a parity sequence, materialized for reports."""
-
-    pd: ParityData
-    a: tuple[tuple[int, ...], ...] = field(init=False)
-    m: tuple[tuple[int, ...], ...] = field(init=False)
-    node_parities: tuple[int, ...] = field(init=False)
-    mus: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        kappa = self.pd.kappa
-        rng = range(kappa)
-        object.__setattr__(
-            self, "a", tuple(tuple(cartan(self.pd, i, j) for j in rng) for i in rng)
-        )
-        object.__setattr__(
-            self, "m", tuple(tuple(mmatrix(self.pd, i, j) for j in rng) for i in rng)
-        )
-        object.__setattr__(
-            self, "node_parities", tuple(node_parity(self.pd, i) for i in rng)
-        )
-        object.__setattr__(self, "mus", tuple(mu(self.pd, i) for i in rng))

@@ -58,13 +58,12 @@ from qtschur.hecke import (
 )
 from qtschur.looprep import (
     ChevalleyGen,
-    TensorSpace,
     _chevalley_summands,
     hecke_exchange_terms,
     mode_terms,
     tensor_leg_apply,
 )
-from qtschur.scalar import _accumulate
+from qtschur.scalar import SparseVector, _accumulate
 from qtschur.superdata import ParityData, tau_power
 
 
@@ -82,7 +81,6 @@ class FunctorSpace:
         self.R = coeffs
         self.kappa = pd.kappa
         self.daha = DahaContext(ell, coeffs) if daha is None else daha
-        self._legs = TensorSpace(pd, ell, coeffs)
         self._family = {pd.s: self} if _family is None else _family
         self._family.setdefault(pd.s, self)
         self._sort_cache: dict = {}
@@ -303,59 +301,27 @@ def _normalize(space: FunctorSpace, acc: dict) -> dict:
     }
 
 
-class FunctorVector:
-    """Finite sum of (algebra factor) tensor (nondecreasing key)."""
+class FunctorVector(SparseVector):
+    """Finite sum of (algebra factor) tensor (nondecreasing key).
 
-    __slots__ = ("space", "support")
+    The factors are the coefficients; a sum drops the keys it kills, and
+    equality is emptiness of the difference.
+    """
 
-    def __init__(self, space: FunctorSpace, support: dict):
-        self.space = space
-        self.support = support
-
-    def is_zero(self) -> bool:
-        return not self.support
+    __slots__ = ()
+    space = SparseVector.owner
 
     def __add__(self, other: "FunctorVector") -> "FunctorVector":
-        assert self.space is other.space
-        acc = dict(self.support)
-        for labels, w in other.support.items():
-            cur = acc.get(labels)
-            acc[labels] = w if cur is None else cur + w
-        return FunctorVector(self.space, _normalize(self.space, acc))
-
-    def __neg__(self) -> "FunctorVector":
-        return FunctorVector(self.space, {k: -w for k, w in self.support.items()})
-
-    def __sub__(self, other: "FunctorVector") -> "FunctorVector":
-        return self + (-other)
-
-    def scale(self, coeff) -> "FunctorVector":
-        if not coeff:
-            return FunctorVector(self.space, {})
-        return FunctorVector(
-            self.space, {k: w.scale(coeff) for k, w in self.support.items()}
-        )
+        total = SparseVector.__add__(self, other).support
+        return FunctorVector(self.space, _normalize(self.space, total))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctorVector):
             return NotImplemented
-        assert self.space is other.space, "vectors live in different spaces"
         return (self - other).is_zero()
 
-    def render(self, limit: int | None = None) -> str:
-        if not self.support:
-            return "0"
-        parts = []
-        for labels in sorted(self.support):
-            parts.append(
-                f"[{self.support[labels].render()}] (x) v({','.join(map(str, labels))})"
-            )
-        if limit is not None and len(parts) > limit:
-            parts = parts[:limit] + [f"... ({len(self.support)} keys)"]
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"FunctorVector<{self.render(limit=4)}>"
+    def _term(self, labels, w: DahaElement) -> str:
+        return f"[{w.render()}] (x) v({','.join(map(str, labels))})"
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +356,9 @@ def vertical_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> Funct
 
 def _chevalley_terms(space: FunctorSpace, letter, labels):
     kind, node, variant = letter
-    ts, mono = space._legs, (0,) * space.ell
-    for legs, j, shift, extra in _chevalley_summands(ts, ChevalleyGen(kind, node)):
-        hit = tensor_leg_apply(ts, legs, labels)
+    mono = (0,) * space.ell
+    for legs, j, shift, extra in _chevalley_summands(space, ChevalleyGen(kind, node)):
+        hit = tensor_leg_apply(space, legs, labels)
         if hit is None:
             continue
         labels2, c = hit
@@ -476,12 +442,7 @@ def factor_T_apply(i: int, fv: FunctorVector) -> FunctorVector:
 
 def key_T_apply(i: int, fv: FunctorVector) -> FunctorVector:
     """The two-slot exchange on slots i, i+1 of every key, left unsorted."""
-    acc: dict = {}
-    for labels, w in fv.support.items():
-        for labels2, coeff in hecke_exchange_terms(fv.space, i, labels):
-            part, cur = w.scale(coeff), acc.get(labels2)
-            acc[labels2] = part if cur is None else cur + part
-    return FunctorVector(fv.space, acc)
+    return fv.linear(lambda labels: hecke_exchange_terms(fv.space, i, labels))
 
 
 # ----------------------------------------------------------------------

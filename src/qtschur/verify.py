@@ -175,21 +175,19 @@ def _coeffs(cfg: RunConfig, stage: str, zeta: str):
 class Report:
     """A suite's rows with its parameters.
 
-    results is a list of row dicts or, from run_suite, Verdicts, which
-    build each row only when iterated.  summary, ok and render_summary
-    share one count per relation, taken once.
+    results are Verdicts, which build each row only when iterated.
+    summary, ok and render_summary share one count per relation, taken
+    once.
     """
 
     suite: str
     params: dict
-    results: list | Verdicts
+    results: Verdicts
 
     @functools.cached_property
     def _counts(self) -> dict:
-        rows, per = self.results, {}
-        tally = rows.tally() if isinstance(rows, Verdicts) else (
-            (row["relation"], row["status"], 1) for row in rows)
-        for relation, status, count in tally:
+        per = {}
+        for relation, status, count in self.results.tally():
             per.setdefault(relation, {"pass": 0, "fail": 0, "excluded": 0})[status] += count
         return per
 
@@ -800,11 +798,12 @@ def _image(memo: dict, op: str, node: int, arg, v):
     because an inner image comes back as the same object.  Sharing
     images between relations is sound because no vector or algebra
     element operation changes a support dict in place: sums, scalings
-    and products build new ones.  The wrap-node currents take their
-    rotation of v from the psi letter's entry, so each vector is rotated
-    once.  A zero input is its own image and skips both the memo and the
-    call: every operator but the rotation maps a space to itself, and
-    the rotation of zero is the zero of the rotated space.
+    and products build new ones (tests/test_verify.py checks this on
+    every letter and vector operation).  The wrap-node currents take
+    their rotation of v from the psi letter's entry, so each vector is
+    rotated once.  A zero input is its own image and skips both the
+    memo and the call: every operator but the rotation maps a space to
+    itself, and the rotation of zero is the zero of the rotated space.
     """
     if not v.support and op != _PSI:
         return v

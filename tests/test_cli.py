@@ -7,7 +7,9 @@ import pytest
 from qtschur import cli
 from qtschur import toroidal as tor
 from qtschur.cli import main
-from qtschur.verify import Report
+from qtschur.hecke import DahaContext
+from qtschur.scalar import SymbolicContext
+from qtschur.verify import Report, SuiteContext, Verdicts
 
 
 def run_cli(*argv):
@@ -174,7 +176,13 @@ def test_bench_named_suites(capsys):
 
 
 def test_bench_exits_one_on_failing_suite(monkeypatch, capsys):
-    failing = Report("daha", {}, [{"relation": "x", "status": "fail"}])
+    # one relation, "1 = 0", on the unit of the Hecke algebra
+    R = SymbolicContext(formal_zeta=True)
+    ctx = SuiteContext(
+        [("x", (), (), None, [(((1, 0, 0, 0),), ())], [], None)],
+        [("symbolic", R, [("1", DahaContext(1, R).one())])],
+    )
+    failing = Report("daha", {}, Verdicts(ctx, ctx.verdicts(0, 1)))
     monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: failing)
     assert run_cli("bench", "daha", "--ell", "1") == 1
     assert "FAIL" in capsys.readouterr().out

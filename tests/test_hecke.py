@@ -5,8 +5,12 @@ Frozen expectations were derived by hand from the quadratic relation
 rotation conjugation, before the engine existed.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,9 @@ from qtschur.hecke import (
 )
 from qtschur.scalar import NumericContext, SymbolicContext, specialize
 from qtschur.verify import SuiteContext, Verdicts, daha_instances
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sym_ctx(ell):
@@ -325,3 +332,38 @@ def test_specialization_coherence():
             if val:
                 spec[key] = val
         assert spec == ne.support, word
+
+
+def test_bad_letters_raise_under_optimize():
+    # python -O strips assert statements; these checks must not be asserts
+    setup = (
+        "from qtschur.hecke import *; "
+        "from qtschur.scalar import SymbolicContext; "
+        "from qtschur.superdata import ParityData, koszul_sign, mu; "
+        "R = SymbolicContext(formal_zeta=True); one = DahaContext(2, R).one(); "
+        "pd = ParityData.standard(3, 1); "
+    )
+    for call in (
+        "right_mul_T(one, 0)",
+        "right_mul_T(one, 1, 2)",
+        "right_mul_Y(one, 3)",
+        "right_mul_Q(one, 2)",
+        "right_mul_X(one, 1, 5)",
+        "right_mul_X(one, 3)",
+        "x_letter_word(2, 0, 1)",
+        "DahaContext(0, R)",
+        'composite("Pr", r=5, ell=2)',
+        'composite("Qij", i=2, j=1)',
+        "AffinePermutation.identity(2).right_mul_s(2)",
+        "AffinePermutation.identity(2).has_right_descent(-1)",
+        "mu(pd, 5)",
+        "koszul_sign(pd, 3, 0, (1, 4))",
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", setup + call],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode != 0, call
+        assert "ValueError" in proc.stderr, call

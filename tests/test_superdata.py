@@ -9,14 +9,12 @@ from pathlib import Path
 import pytest
 
 from qtschur.superdata import (
-    CartanData,
     ParityData,
     cartan,
     koszul_sign,
     mmatrix,
     mu,
     node_parity,
-    tau,
     tau_power,
 )
 
@@ -156,18 +154,18 @@ def test_mu_values():
 
 def test_tau():
     pd = ParityData(2, 2, (1, 1, -1, -1))
-    assert tau(pd).s == (-1, 1, 1, -1)
-    assert tau(ParityData.standard(3, 1)).s == (-1, 1, 1, 1)
+    assert tau_power(pd, 1).s == (-1, 1, 1, -1)
+    assert tau_power(ParityData.standard(3, 1), 1).s == (-1, 1, 1, 1)
     cur = pd
     for _ in range(pd.kappa):
-        cur = tau(cur)
+        cur = tau_power(cur, 1)
     assert cur == pd
-    assert tau_power(pd, 2) == tau(tau(pd))
+    assert tau_power(pd, 2) == tau_power(tau_power(pd, 1), 1)
     assert tau_power(pd, 0) == pd
     # mu shifts by one slot under tau: mu_{tau s}(i) = s_kappa + mu_s(i-1)
     for pd in all_parities(3, 2):
         for i in range(1, pd.kappa + 1):
-            assert mu(tau(pd), i) == pd.sign(pd.kappa) + mu(pd, i - 1)
+            assert mu(tau_power(pd, 1), i) == pd.sign(pd.kappa) + mu(pd, i - 1)
 
 
 def test_node_parity():
@@ -185,17 +183,3 @@ def test_koszul_sign():
     assert koszul_sign(pd, 1, 2, (3, 3)) == 1  # even node
     assert koszul_sign(pd, 2, 2, (3, 3)) == -1  # odd node over one odd vector
     assert koszul_sign(pd, 2, 3, (3, 3, 1)) == 1  # two odd vectors cancel
-
-
-def test_cartan_data_tables():
-    pd = ParityData.standard(3, 1)
-    cd = CartanData(pd)
-    kappa = pd.kappa
-    assert cd.a == tuple(
-        tuple(cartan(pd, i, j) for j in range(kappa)) for i in range(kappa)
-    )
-    assert cd.m == tuple(
-        tuple(mmatrix(pd, i, j) for j in range(kappa)) for i in range(kappa)
-    )
-    assert cd.node_parities == (1, 0, 0, 1)
-    assert cd.mus == (0, 1, 2, 3)

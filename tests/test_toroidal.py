@@ -358,11 +358,10 @@ def _reference_mode(family, i, r, fv):
 def _reference_chevalley(kind, node, fv, variant):
     """A Chevalley operator summand by summand, with no cache."""
     space = fv.space
-    ts = space._legs
     acc = {}
     for labels, w in fv.support.items():
-        for legs, shift_slot, shift, extra in _chevalley_summands(ts, ChevalleyGen(kind, node)):
-            hit = tensor_leg_apply(ts, legs, labels)
+        for legs, shift_slot, shift, extra in _chevalley_summands(space, ChevalleyGen(kind, node)):
+            hit = tensor_leg_apply(space, legs, labels)
             if hit is None:
                 continue
             labels2, c = hit

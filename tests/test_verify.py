@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qtschur import hecke, looprep, verify
 from qtschur.hecke import bounded_tuples
 from qtschur import toroidal as tor
+from qtschur.scalar import SparseVector, SymbolicContext
 from qtschur.superdata import ParityData, cartan, node_parity
 from qtschur.verify import (
     ConfigError,
@@ -21,6 +22,7 @@ from qtschur.verify import (
     _lb,
     _leaf,
     _plan,
+    _row_json,
     SuiteContext,
     Verdicts,
     affine_instances,
@@ -334,15 +336,95 @@ def test_report_bytes_pinned(suite, cfg, digest):
 
 
 def test_report_without_rows_matches_json():
-    report = Report("daha", {"m": 3, "parity": "+++-"}, [])
+    empty = SuiteContext([], [("symbolic", SymbolicContext(formal_zeta=True), [])])
+    report = Report("daha", {"m": 3, "parity": "+++-"}, Verdicts(empty, []))
     assert _written(report) == report.to_json() == _dumped(report)
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, [0, True], [1.0]])
 def test_report_rows_take_only_str_and_int_lists(value):
-    report = Report("daha", {}, [{"relation": "x", "status": "pass", "vector": value}])
     with pytest.raises(TypeError):
-        report.to_json()
+        _row_json({"relation": "x", "status": "pass", "vector": value})
+
+
+def _frozen(v):
+    """v's support as nested tuples, in dict order, factors frozen too."""
+    return tuple(
+        (key, _frozen(c) if isinstance(c, SparseVector) else c) for key, c in v.support.items()
+    )
+
+
+def _small_tables():
+    """(instances, battery, extra letters) of every suite and the dictionary, symbolic.
+
+    The extra letters are the horizontal Chevalley variant, which no
+    table uses.
+    """
+    out = []
+    for suite, cfg in [
+        ("finite", RunConfig(ell=2)),
+        ("daha", RunConfig(ell=2)),
+        ("toroidal", RunConfig(m=3, n=1, ell=1, modes=0)),
+        ("affine", RunConfig(m=3, n=1, ell=1)),
+        ("rotation", RunConfig(ell=2, modes=0)),
+    ]:
+        ctx = SuiteContext.for_suite(suite, dataclasses.replace(cfg, mode="symbolic"))
+        extra = [(kind, 0, "horizontal") for kind in ("e", "f", "t", "tinv")]
+        out.append((ctx.instances, ctx.stages[0][1], extra if suite == "affine" else []))
+    R = SymbolicContext(formal_zeta=True)
+    out.append((verify.dictionary_instances(3, 1, 2), verify.dictionary_battery(3, 1, 2, R), []))
+    return out
+
+
+def test_no_operation_changes_an_operand():
+    # _image shares memoized images between relations, which is sound only
+    # if no letter and no vector operation changes a support in place:
+    # every operand is frozen when first seen and compared at the end
+    seen = set()
+    for instances, battery, extra in _small_tables():
+        for k, (_, u) in enumerate(battery):
+            memo, operands = {}, {}
+            R = u.owner.R
+
+            def operate(v):
+                operands[id(v)] = (v, _frozen(v))
+                if v.owner is not u.owner:
+                    with pytest.raises(ValueError):
+                        u + v
+                    return
+                for w in (u + v, u - v, -v, v.scale(R.qpow(1)), v.scale(R.zero),
+                          v.linear(lambda key: [(key, R.qpow(-1))])):
+                    operands.setdefault(id(w), (w, _frozen(w)))
+                assert (u == v) in (True, False) and bool(v) is not v.is_zero()
+                v.render(limit=2)
+                if isinstance(v, hecke.DahaElement):
+                    hash(v)
+
+            def image(letter, v):
+                seen.add((letter[0], type(v).__name__))
+                out = verify._image(memo, *letter, v)
+                if id(out) not in operands:
+                    operate(out)
+                return out
+
+            operate(u)
+            for *_, lhs, rhs, vectors in instances:
+                if vectors is None or k in vectors:
+                    for _, word in lhs + rhs:
+                        v = u
+                        for letter in reversed(word):
+                            v = image(letter, v)
+            for letter in extra:
+                image(letter, u)
+            assert all(_frozen(v) == frozen for v, frozen in operands.values()), k
+    assert {op for op, _ in seen} == {
+        "E", "F", "K+", "K-", "e", "f", "t", "tinv", "wt", "psi", "S", "T", "X", "Y", "Q"
+    }
+    assert {(op, t) for op, t in seen if op in ("E", "e", "S", "T")} == {
+        ("E", "PlainTensor"), ("E", "FunctorVector"), ("e", "PlainTensor"),
+        ("e", "FunctorVector"), ("S", "PlainTensor"), ("S", "FunctorVector"),
+        ("T", "DahaElement"), ("T", "FunctorVector"),
+    }
 
 
 def test_wrap_currents_rotate_each_vector_once(monkeypatch):
