@@ -394,13 +394,13 @@ def composite(kind: str, **params) -> list[Token]:
             raise ValueError(f"{kind} needs 1 <= i <= j, got i={i}, j={j}")
         if kind == "T_range_down":
             return [("T", a, 1) for a in range(j, i - 1, -1)]
-        word = [("T", a, 1) for a in range(i, j + 1)]
+        word: list[Token] = [("T", a, 1) for a in range(i, j + 1)]
         return [("X", i, 1)] + word if kind == "Qij" else word
     if kind == "Pr":
         r, ell = params["r"], params["ell"]
         if not 1 <= r < ell:
             raise ValueError(f"Pr needs 1 <= r < ell, got r={r}, ell={ell}")
-        word: list[Token] = []
+        word = []
         for c in range(ell - r, 0, -1):
             word.extend(composite("Qij", i=c, j=c + r - 1))
         return word
