@@ -31,8 +31,10 @@ relation are a relation table in verify; this module checks nothing.
 
 Equality is decided per key through the parabolic symmetrizer of the
 repeated-label blocks: a factor w kills the key exactly when w times
-the block symmetrizer vanishes, so supports are pruned against that
-test and vector equality reduces to emptiness of a difference.
+the block symmetrizer vanishes.  The test is linear in w, so sums are
+taken flat, {key: {Hecke basis key: coeff}} in any order, and pruned
+once by _collect, the one normalize; equality is emptiness of a
+difference.
 
 The rotation and the dead-key test right-multiply the algebra factor,
 so both sum per-basis-key kernels: the image of a unit factor T_w Y^mu
@@ -288,17 +290,16 @@ def _letter_apply(fv: "FunctorVector", letter, build) -> "FunctorVector":
             w2 = right_mul_X(w, *mono[1:]) if mono[0] == "X" else _right_mul_ymono(w, mono)
             for a in word:
                 w2 = right_mul_T(w2, a)
-            w2, cur = w2.scale(coeff), acc.get(target)
-            acc[target] = w2 if cur is None else cur + w2
-    return FunctorVector(space, _normalize(space, acc))
+            part = acc.setdefault(target, {})
+            for key, c in w2.support.items():
+                _accumulate(part, key, c * coeff)
+    return _collect(space, acc)
 
 
-def _normalize(space: FunctorSpace, acc: dict) -> dict:
-    return {
-        labels: w
-        for labels, w in acc.items()
-        if not space.key_is_dead(labels, w)
-    }
+def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
+    """The vector of a flat sum {key: {Hecke basis key: coeff}}, each dead key dropped."""
+    parts = ((labels, DahaElement(space.daha, part)) for labels, part in acc.items() if part)
+    return FunctorVector(space, {k: w for k, w in parts if not space.key_is_dead(k, w)})
 
 
 class FunctorVector(SparseVector):
@@ -313,7 +314,7 @@ class FunctorVector(SparseVector):
 
     def __add__(self, other: "FunctorVector") -> "FunctorVector":
         total = SparseVector.__add__(self, other).support
-        return FunctorVector(self.space, _normalize(self.space, total))
+        return _collect(self.space, {labels: w.support for labels, w in total.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctorVector):
@@ -414,12 +415,7 @@ def _rotation_formula(space: FunctorSpace, step: int, labels, w: DahaElement):
 
 def _rotate(space: FunctorSpace, items, step: int) -> FunctorVector:
     """Rotation by step of the (key, factor) pairs in items, through kernels."""
-    target = space.rotated(step)
-    acc = {
-        labels: DahaElement(target.daha, part)
-        for labels, part in _kernel_sum(space, step, items).items()
-    }
-    return FunctorVector(target, _normalize(target, acc))
+    return _collect(space.rotated(step), _kernel_sum(space, step, items))
 
 
 def psi_apply(fv: FunctorVector) -> FunctorVector:

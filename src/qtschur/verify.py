@@ -65,7 +65,7 @@ from qtschur.hecke import (
     toshow_relations,
 )
 from qtschur.looprep import PlainTensor, TensorSpace
-from qtschur.scalar import NumericContext, SymbolicContext
+from qtschur.scalar import NumericContext, SymbolicContext, _accumulate
 from qtschur.superdata import ParityData, cartan, mmatrix, node_parity
 
 SUITES = ("finite", "affine", "toroidal", "daha", "rotation")
@@ -841,26 +841,32 @@ def _image(memo: dict, op: str, node: int, arg, v):
 
 
 def _difference(memo: dict, values: dict, lhs: list, rhs: list, u):
-    """lhs(u) - rhs(u), or lhs(u) alone when rhs is empty.
+    """lhs(u) - rhs(u), summed flat.
 
-    Each side is summed left to right from its first term: dead-key
-    pruning makes the representative of a sum depend on the order of
-    additions, and the report renders that representative.
+    Every image times its coefficient, negated on rhs, goes into one
+    support: {basis key: coeff}, or {key: {Hecke basis key: coeff}} on
+    balanced vectors, whose dead keys toroidal._collect drops once.  Key
+    death is linear in the factor, so neither verdict nor residual
+    depends on the order of the terms or on the side they sit on.
     """
-    one = values[_ONE]
-    sums = []
-    for side in (lhs, rhs):
-        acc = None
+    one, acc, owner = values[_ONE], {}, None
+    for negate, side in ((False, lhs), (True, rhs)):
         for coeff, word in side:
             v = u
             for letter in reversed(word):
                 v = _image(memo, *letter, v)
-            c = values[coeff]
-            if c is not one:
-                v = v.scale(c)
-            acc = v if acc is None else acc + v
-        sums.append(acc)
-    return sums[0] if sums[1] is None else sums[0] - sums[1]
+            if owner is None:
+                owner, kind = v.owner, type(v)
+            elif v.owner is not owner:
+                raise ValueError("vectors live in different spaces")
+            c = -values[coeff] if negate else values[coeff]
+            for key, part in v.support.items() if kind is tor.FunctorVector else [(None, v)]:
+                into = acc.setdefault(key, {})
+                for k, x in part.support.items():
+                    _accumulate(into, k, x if c is one else x * c)
+    if kind is tor.FunctorVector:
+        return tor._collect(owner, acc)
+    return kind(owner, acc.get(None, {}))
 
 
 # ----------------------------------------------------------------------
@@ -971,10 +977,8 @@ class SuiteContext:
                         diff = _difference(memo, values, lhs, rhs, u)
                         if not diff.is_zero():
                             codes[k - start] = code
-                            if isinstance(diff, tor.FunctorVector):
-                                residuals[k - start] = diff.render(limit=5)
-                            else:
-                                residuals[k - start] = diff.render()
+                            limit = 5 if isinstance(diff, tor.FunctorVector) else None
+                            residuals[k - start] = diff.render(limit)
         return blocks
 
 

@@ -355,10 +355,10 @@ def _frozen(v):
 
 
 def _small_tables():
-    """(instances, battery, extra letters) of every suite and the dictionary, symbolic.
+    """(instances, battery, values, extra letters) of every suite and the dictionary.
 
-    The extra letters are the horizontal Chevalley variant, which no
-    table uses.
+    All symbolic; values are the resolved coefficients.  The extra
+    letters are the horizontal Chevalley variant, which no table uses.
     """
     out = []
     for suite, cfg in [
@@ -370,18 +370,22 @@ def _small_tables():
     ]:
         ctx = SuiteContext.for_suite(suite, dataclasses.replace(cfg, mode="symbolic"))
         extra = [(kind, 0, "horizontal") for kind in ("e", "f", "t", "tinv")]
-        out.append((ctx.instances, ctx.stages[0][1], extra if suite == "affine" else []))
+        _, battery, values = ctx.stages[0]
+        out.append((ctx.instances, battery, values, extra if suite == "affine" else []))
     R = SymbolicContext(formal_zeta=True)
-    out.append((verify.dictionary_instances(3, 1, 2), verify.dictionary_battery(3, 1, 2, R), []))
+    instances, battery = verify.dictionary_instances(3, 1, 2), verify.dictionary_battery(3, 1, 2, R)
+    values = SuiteContext(instances, [("symbolic", R, battery)]).stages[0][2]
+    out.append((instances, battery, values, []))
     return out
 
 
 def test_no_operation_changes_an_operand():
     # _image shares memoized images between relations, which is sound only
-    # if no letter and no vector operation changes a support in place:
-    # every operand is frozen when first seen and compared at the end
+    # if no letter, no vector operation and no relation difference changes
+    # a support in place: every operand is frozen when first seen and
+    # compared at the end; each difference sums images already memoized
     seen = set()
-    for instances, battery, extra in _small_tables():
+    for instances, battery, values, extra in _small_tables():
         for k, (_, u) in enumerate(battery):
             memo, operands = {}, {}
             R = u.owner.R
@@ -414,6 +418,9 @@ def test_no_operation_changes_an_operand():
                         v = u
                         for letter in reversed(word):
                             v = image(letter, v)
+                    if lhs:
+                        diff = verify._difference(memo, values, lhs, rhs, u)
+                        operands.setdefault(id(diff), (diff, _frozen(diff)))
             for letter in extra:
                 image(letter, u)
             assert all(_frozen(v) == frozen for v, frozen in operands.values()), k
@@ -425,6 +432,62 @@ def test_no_operation_changes_an_operand():
         ("e", "FunctorVector"), ("S", "PlainTensor"), ("S", "FunctorVector"),
         ("T", "DahaElement"), ("T", "FunctorVector"),
     }
+
+
+def _reference_difference(memo, values, lhs, rhs, u):
+    """lhs(u) - rhs(u) through +, scale and -, each side summed from its first term."""
+    sums = []
+    for side in (lhs, rhs):
+        acc = None
+        for coeff, word in side:
+            v = u
+            for letter in reversed(word):
+                v = verify._image(memo, *letter, v)
+            v = v.scale(values[coeff])
+            acc = v if acc is None else acc + v
+        sums.append(acc)
+    return sums[0] if sums[1] is None else sums[0] - sums[1]
+
+
+def test_flat_difference_matches_the_vector_sum():
+    # the flat sum and the sum through vector operations agree on every
+    # instance and vector: same zero test, and equal as vectors (balanced
+    # ones up to dead keys, through FunctorVector.__eq__)
+    for instances, battery, values, _ in _small_tables():
+        for k, (_, u) in enumerate(battery):
+            memo = {}
+            for relation, *_, lhs, rhs, vectors in instances:
+                if lhs and (vectors is None or k in vectors):
+                    got = verify._difference(memo, values, lhs, rhs, u)
+                    want = _reference_difference(memo, values, lhs, rhs, u)
+                    assert type(got) is type(want) and got.owner is want.owner
+                    assert got.is_zero() == want.is_zero(), (relation, k)
+                    assert got == want, (relation, k)
+
+
+def test_difference_of_images_in_two_spaces_raises():
+    space = tor.FunctorSpace(PD31, 1, SymbolicContext(formal_zeta=True))
+    values = {verify._ONE: space.R.one}
+    rotated = [(verify._ONE, ((verify._PSI, 0, 1),))]
+    assert space.rotated(1) is not space
+    with pytest.raises(ValueError):
+        verify._difference({}, values, rotated, [(verify._ONE, ())], space.basis((1,)))
+    with pytest.raises(ValueError):
+        verify._difference({}, values, [(verify._ONE, ())] + rotated, [], space.basis((2,)))
+
+
+def test_one_term_difference_drops_dead_keys():
+    # T_1 - q^2 kills the key (1, 1): the raw vector is nonzero, and its
+    # difference with an empty side is zero in the balanced product
+    R = SymbolicContext(formal_zeta=True)
+    space = tor.FunctorSpace(PD31, 2, R)
+    one = space.daha.one()
+    w = hecke.right_mul_T(one, 1) - one.scale(R.qpow(2))
+    u = tor.FunctorVector(space, {(1, 1): w})
+    assert u and space.key_is_dead((1, 1), w)
+    diff = verify._difference({}, {verify._ONE: R.one}, [(verify._ONE, ())], [], u)
+    assert diff.is_zero() and diff.space is space
+    assert u.support == {(1, 1): w}
 
 
 def test_wrap_currents_rotate_each_vector_once(monkeypatch):
@@ -611,6 +674,44 @@ def test_numeric_residual_text_pinned(monkeypatch, q0, d0, digest):
     report = run_suite("toroidal", cfg)
     assert report.summary()["fail"] == 168
     assert hashlib.sha256(_written(report).encode()).hexdigest() == digest
+
+
+# order invariance: the fault-injected configurations above, their tables
+# rewritten with every side's terms reversed, or with the rhs moved onto
+# the lhs, negated; the report bytes must not move
+
+
+def _reversed_sides(row):
+    *head, lhs, rhs, vectors = row
+    return (*head, lhs[::-1], rhs[::-1], vectors)
+
+
+def _one_side(row):
+    *head, lhs, rhs, vectors = row
+    negated = [(tuple((-c, *exps) for c, *exps in coeff), word) for coeff, word in rhs]
+    return (*head, (lhs + negated)[::-1], [], vectors)
+
+
+ORDER_CASES = [(suite, cfg, module, name, fault) for suite, cfg, module, name, fault, _ in GATED_FAULTS] + [
+    ("toroidal", RunConfig(m=3, n=1, ell=1, modes=0, mode="numeric", q0=q0, d0=d0),
+     verify, "mmatrix", lambda _: lambda pd, i, j: 0)
+    for q0, d0, _ in NUMERIC_RESIDUALS
+]
+
+
+@pytest.mark.parametrize(
+    "suite, cfg, module, name, fault", ORDER_CASES,
+    ids=[f"{case[0]}-{case[1].q0}-{case[1].d0}" for case in ORDER_CASES],
+)
+def test_report_bytes_independent_of_term_order(monkeypatch, suite, cfg, module, name, fault):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    report = run_suite(suite, cfg)
+    assert report.summary()["fail"]
+    expected, table = _written(report), verify._table
+    for rewrite in (_reversed_sides, _one_side):
+        verify._WORKER_CONTEXTS.clear()
+        monkeypatch.setattr(verify, "_table", lambda *args: [rewrite(row) for row in table(*args)])
+        assert _written(run_suite(suite, cfg)) == expected, rewrite.__name__
 
 
 def test_run_suite_builds_rows_only_while_writing(monkeypatch):
