@@ -6,8 +6,8 @@ as data, and the battery vectors it runs on.  A side is a list of
 (coefficient, word) terms, a word a tuple of operator letters, and a
 coefficient a ring-free sum of monomials; bracket trees are expanded
 into terms once, when the table is built, through one q-bracket of two
-sides.  One evaluator sums each side on a vector and takes the
-difference.  hecke, looprep and toroidal state relations and operators;
+sides.  One evaluator sums the difference of the sides on a vector,
+flat.  hecke, looprep and toroidal state relations and operators;
 only this module checks them.  The batteries are deterministic: plain
 basis tensors (finite), Hecke-algebra elements with seeded random words
 (daha), and that algebra battery crossed with all nondecreasing label
@@ -369,7 +369,7 @@ def _shift_sides(fx, i, r, fy, j, s, m, a, sign=1):
 def _ef_sides(pd, x, y, diagonal=()):
     """(q - q^{-1})(x y - sign y x) = k - k^{-1}, diagonal = (k, k^{-1}) or ().
 
-    Everything sits on the left side, rhs is empty.
+    All terms sit on lhs; the flat difference does not depend on the side.
     """
     sgn = _super_sign(pd, x[1], y[1])
     lhs = [
@@ -383,7 +383,7 @@ def _ef_sides(pd, x, y, diagonal=()):
 
 
 def _serre_sides(pd: ParityData, tree, r1: int, r2: int):
-    """tree(r1, r2) + tree(r2, r1) = 0, the swapped tree negated on rhs."""
+    """tree(r1, r2) + tree(r2, r1) = 0, as tree(r1, r2) = -tree(r2, r1)."""
     swapped = _expr_terms(pd, tree(r2, r1))[0]
     return _expr_terms(pd, tree(r1, r2))[0], _product(_constant(-1), swapped)
 
@@ -796,10 +796,10 @@ def _image(memo: dict, op: str, node: int, arg, v):
     The memo is keyed on id(v) and keeps v next to its image, so the id
     stays v's while the memo lives; a word of several letters hits it
     because an inner image comes back as the same object.  Sharing
-    images between relations is sound because no vector or algebra
-    element operation changes a support dict in place: sums, scalings
-    and products build new ones (tests/test_verify.py checks this on
-    every letter and vector operation).  The wrap-node currents take
+    images between relations is sound because no operation changes a
+    support dict in place: sums, scalings, products and _difference
+    build new ones (tests/test_verify.py checks this on every letter,
+    vector operation and difference).  The wrap-node currents take
     their rotation of v from the psi letter's entry, so each vector is
     rotated once.  A zero input is its own image and skips both the
     memo and the call: every operator but the rotation maps a space to
