@@ -676,7 +676,8 @@ def test_numeric_residual_text_pinned(monkeypatch, q0, d0, digest):
     assert hashlib.sha256(_written(report).encode()).hexdigest() == digest
 
 
-# order invariance: the fault-injected configurations above, their tables
+# order invariance: the fault-injected configurations above (and the
+# symbolic one of test_memo_does_not_hide_dropped_d_power), their tables
 # rewritten with every side's terms reversed, or with the rhs moved onto
 # the lhs, negated; the report bytes must not move
 
@@ -692,16 +693,18 @@ def _one_side(row):
     return (*head, (lhs + negated)[::-1], [], vectors)
 
 
-ORDER_CASES = [(suite, cfg, module, name, fault) for suite, cfg, module, name, fault, _ in GATED_FAULTS] + [
-    ("toroidal", RunConfig(m=3, n=1, ell=1, modes=0, mode="numeric", q0=q0, d0=d0),
-     verify, "mmatrix", lambda _: lambda pd, i, j: 0)
+_D_POWER_DROPPED = [RunConfig(m=3, n=1, ell=1, modes=0, mode="symbolic")] + [
+    RunConfig(m=3, n=1, ell=1, modes=0, mode="numeric", q0=q0, d0=d0)
     for q0, d0, _ in NUMERIC_RESIDUALS
+]
+ORDER_CASES = [case[:5] for case in GATED_FAULTS] + [
+    ("toroidal", cfg, verify, "mmatrix", lambda _: lambda pd, i, j: 0) for cfg in _D_POWER_DROPPED
 ]
 
 
 @pytest.mark.parametrize(
     "suite, cfg, module, name, fault", ORDER_CASES,
-    ids=[f"{case[0]}-{case[1].q0}-{case[1].d0}" for case in ORDER_CASES],
+    ids=[f"{suite}-{cfg.mode}-{cfg.q0},{cfg.d0}" for suite, cfg, *_ in ORDER_CASES],
 )
 def test_report_bytes_independent_of_term_order(monkeypatch, suite, cfg, module, name, fault):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
