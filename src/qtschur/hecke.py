@@ -20,6 +20,12 @@ rewrite:
     wrapped Y-exponent;
   * X letters expand into a fixed word in T's and one Q.
 
+Right multiplication by a word is linear and commutes with a left
+factor Q^k, so the image of one unit basis word T_w Y^mu under a word
+serves every coefficient and every Q power: word_terms caches it per
+context and (word, window, mu), and right_mul_T reads its one-letter
+entries.
+
 The quadratic relation is normalized as (T_i + 1)(T_i - q^2) = 0, so
 T_i^{-1} = q^{-2} T_i + (q^{-2} - 1).
 
@@ -190,9 +196,9 @@ class DahaContext:
         self.R = coeffs
         self._id_window = tuple(range(1, ell + 1))
         self._zero_mu = (0,) * ell
-        # token cache: (window, mu, kind, index, exp) -> tuple of
-        # (dk, window, mu, coeff); filled on demand, values deterministic
-        self._tok_cache: dict = {}
+        # word cache: (word, window, mu) -> word_terms of the unit
+        # Q^0 T_window Y^mu; filled on demand, values deterministic
+        self._word_cache: dict = {}
 
     def zero(self) -> "DahaElement":
         return DahaElement(self, {})
@@ -306,21 +312,37 @@ def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:
     return word
 
 
+def word_terms(ctx: DahaContext, word: tuple, window, mu) -> tuple:
+    """T_window Y^mu times word as ((dk, window2, mu2), coeff) pairs, cached.
+
+    dk is the Q exponent, so Q^k T_window Y^mu times word is the sum of
+    coeff * Q^(k + dk) T_window2 Y^mu2.  word is a tuple of tokens; the
+    entry of the one-token word T_i is read off _basis_mul_T, and any
+    other word is built by apply_word, whose T letters read this cache.
+    """
+    key = (word, window, mu)
+    hit = ctx._word_cache.get(key)
+    if hit is None:
+        if len(word) == 1 and word[0][0] == "T" and word[0][2] == 1:
+            terms = _basis_mul_T(ctx, (0, window, mu), word[0][1])
+        else:
+            terms = apply_word(ctx.basis(0, window, mu), word).support.items()
+        merged: dict = {}
+        for key2, coeff in terms:
+            _accumulate(merged, key2, coeff)
+        hit = ctx._word_cache[key] = tuple(merged.items())
+    return hit
+
+
 def right_mul_T(e: DahaElement, i: int, exp: int = 1) -> DahaElement:
     ctx = e.ctx
     if not 1 <= i < ctx.ell:
         raise ValueError(f"T index {i} out of range")
     if exp not in (1, -1):
         raise ValueError(f"T exponent must be +-1, got {exp}")
-    acc: dict = {}
-    for key, coeff in e.support.items():
-        k, window, mu = key
-        cache_key = (window, mu, "T", i)
-        hits = ctx._tok_cache.get(cache_key)
-        if hits is None:
-            hits = tuple(_basis_mul_T(ctx, (0, window, mu), i))
-            ctx._tok_cache[cache_key] = hits
-        for (dk, win2, mu2), c2 in hits:
+    word, acc = (("T", i, 1),), {}
+    for (k, window, mu), coeff in e.support.items():
+        for (dk, win2, mu2), c2 in word_terms(ctx, word, window, mu):
             _accumulate(acc, (k + dk, win2, mu2), coeff * c2)
     out = DahaElement(ctx, acc)
     if exp == -1:

@@ -36,28 +36,22 @@ taken flat, {key: {Hecke basis key: coeff}} in any order, and pruned
 once by _collect, the one normalize; equality is emptiness of a
 difference.
 
-The rotation and the dead-key test right-multiply the algebra factor,
-so both sum per-basis-key kernels: the image of a unit factor T_w Y^mu
-on one key, built once by the letter-by-letter formula and cached per
-space and (operator, key, w, mu).  The sums are exact, so pruning and
-residuals are those of the formula on the whole factor.  Current
-modes, Chevalley operators and the descent sort act on the key and only
-right-multiply the factor by Y, X and T letters, so they cache their
-terms per (letter, key) and apply them through one loop; keying these on
-the factor's basis keys too would cost more memory than it saves time.
+Current modes, Chevalley operators, the descent sort and the rotation
+act on the key and only right-multiply the factor, so each is a letter
+with one cached term list per (letter, key): a sorted target key, a
+Y-exponent shift or None, a Hecke word (X letters, then the sort's T
+letters) and one coefficient.  _letter_apply applies the terms through
+hecke.word_terms, the image of a unit factor T_w Y^mu under a word,
+cached once per algebra context; the dead-key test sums the
+symmetrizer's words through the same cache.  The sums are exact, so
+pruning and residuals are those of the formulas on whole factors.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from qtschur.hecke import (
-    DahaContext,
-    DahaElement,
-    default_battery,
-    right_mul_T,
-    right_mul_X,
-)
+from qtschur.hecke import DahaContext, DahaElement, default_battery, right_mul_T, word_terms
 from qtschur.looprep import (
     ChevalleyGen,
     _chevalley_summands,
@@ -88,7 +82,6 @@ class FunctorSpace:
         self._sort_cache: dict = {}
         self._sym_cache: dict = {}
         self._letter_terms: dict = {}
-        self._kernels: dict = {}
         self._rotated: dict = {}
 
     def rotated(self, r: int) -> "FunctorSpace":
@@ -111,7 +104,7 @@ class FunctorSpace:
         if not all(1 <= j <= self.kappa for j in labels):
             raise ValueError(f"labels must lie in 1..{self.kappa}: {labels}")
         w = self.daha.one() if w is None else w
-        sort = lambda space, _, key: [(key, (0,) * space.ell, space.R.one)]
+        sort = lambda space, _, key: [(key, None, (), space.R.one)]
         return _letter_apply(FunctorVector(self, {labels: w}), "sort", sort)
 
     def all_keys(self):
@@ -120,7 +113,7 @@ class FunctorSpace:
     # -- descent rewriting ------------------------------------------------
 
     def sort_schedule(self, labels: tuple[int, ...]):
-        """(T letters, extra coefficient, sorted labels) for one tuple.
+        """(T-letter word, extra coefficient, sorted labels) for one tuple.
 
         Leftmost descents first; each descent contributes one T letter
         and one factor sign * q^{-1}, where the sign is the parity
@@ -130,7 +123,7 @@ class FunctorSpace:
         if hit is None:
             pd, R = self.pd, self.R
             lab = list(labels)
-            word: list[int] = []
+            word: list = []
             sign = 1
             steps = 0
             a = 0
@@ -138,7 +131,7 @@ class FunctorSpace:
                 if lab[a] > lab[a + 1]:
                     if pd.vector_parity(lab[a]) and pd.vector_parity(lab[a + 1]):
                         sign = -sign
-                    word.append(a + 1)
+                    word.append(("T", a + 1, 1))
                     lab[a], lab[a + 1] = lab[a + 1], lab[a]
                     steps += 1
                     a = max(a - 1, 0)
@@ -154,7 +147,7 @@ class FunctorSpace:
     # -- repeated-label symmetrizers --------------------------------------
 
     def symmetrizer(self, labels: tuple[int, ...]):
-        """T-words with coefficients whose right action tests key death.
+        """T-letter words with coefficients whose right action tests key death.
 
         Product over the blocks of equal labels; an even-label block of
         size k contributes the sum of all T_w over its local symmetric
@@ -164,15 +157,15 @@ class FunctorSpace:
         hit = self._sym_cache.get(labels)
         if hit is None:
             R = self.R
-            terms: list[tuple[tuple[int, ...], object]] = [((), R.one)]
+            terms: list[tuple[tuple, object]] = [((), R.one)]
             pos = 0
             for label, group in itertools.groupby(labels):
                 size = len(list(group))
                 if size > 1:
                     odd = self.pd.vector_parity(label)
-                    block: list[tuple[tuple[int, ...], object]] = []
+                    block: list[tuple[tuple, object]] = []
                     for local_word in _symmetric_group_words(size):
-                        word = tuple(pos + a for a in local_word)
+                        word = tuple(("T", pos + a, 1) for a in local_word)
                         if odd:
                             coeff = R.qpow(-2 * len(word))
                             if len(word) % 2:
@@ -192,55 +185,13 @@ class FunctorSpace:
         """True when w tensor the key vanishes in the balanced product."""
         if w.is_zero():
             return True
-        if len(self.symmetrizer(labels)) == 1:
+        sym = self.symmetrizer(labels)
+        if len(sym) == 1:
             return False
-        [part] = _kernel_sum(self, "sym", [(labels, w)]).values()
-        return not part
-
-    def kernel(self, op, labels: tuple[int, ...], window, mu) -> tuple:
-        """(target key, terms) of the unit factor T_window Y^mu under op, cached.
-
-        op is "sym" (times the symmetrizer of labels) or a rotation step
-        +1 / -1; terms are ((dk, window, mu), coeff) with dk the shift of
-        the Q exponent, as in DahaContext._tok_cache.
-        """
-        cache_key = (op, labels, window, mu)
-        hit = self._kernels.get(cache_key)
-        if hit is None:
-            unit = self.daha.basis(0, window, mu)
-            if op == "sym":
-                key, image = labels, _symmetrized(self, labels, unit)
-            else:
-                key, image = _rotation_formula(self, op, labels, unit)
-            hit = self._kernels[cache_key] = (key, tuple(image.support.items()))
-        return hit
-
-
-def _symmetrized(space: FunctorSpace, labels, w: DahaElement) -> DahaElement:
-    """w times the symmetrizer of labels, letter by letter (a kernel builder)."""
-    acc = space.daha.zero()
-    for word, coeff in space.symmetrizer(labels):
-        part = w
-        for a in word:
-            part = right_mul_T(part, a)
-        acc = acc + part.scale(coeff)
-    return acc
-
-
-def _kernel_sum(space: FunctorSpace, op, items) -> dict:
-    """Sum of the op kernels over the basis keys of every (key, factor).
-
-    Returns {target key: {basis key: coeff}} with zero coefficients
-    dropped.
-    """
-    acc: dict = {}
-    for labels, w in items:
-        for (k, window, mu), c in w.support.items():
-            labels2, terms = space.kernel(op, labels, window, mu)
-            part = acc.setdefault(labels2, {})
-            for (dk, win2, mu2), c2 in terms:
-                _accumulate(part, (k + dk, win2, mu2), c * c2)
-    return acc
+        acc: dict = {}
+        for word, coeff in sym:
+            _add_product(acc, w, None, word, coeff)
+        return not acc
 
 
 def _symmetric_group_words(k: int) -> list[tuple[int, ...]]:
@@ -261,39 +212,43 @@ def _symmetric_group_words(k: int) -> list[tuple[int, ...]]:
     return sorted(words.values())
 
 
-def _right_mul_ymono(w: DahaElement, vec) -> DahaElement:
-    if not any(vec):
-        return w
-    acc = {}
-    for (k, window, mus), coeff in w.support.items():
-        acc[(k, window, tuple(a + b for a, b in zip(mus, vec)))] = coeff
-    return DahaElement(w.ctx, acc)
+def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
+    """Add coeff * w * Y^vec * word (vec None for no Y letters) to a flat support."""
+    ctx = w.ctx
+    for (k, window, mu), c in w.support.items():
+        if vec is not None:
+            mu = tuple([a + b for a, b in zip(mu, vec)])
+        if not word:
+            _accumulate(acc, (k, window, mu), c * coeff)
+            continue
+        c1 = c * coeff
+        for (dk, win2, mu2), c2 in word_terms(ctx, word, window, mu):
+            _accumulate(acc, (k + dk, win2, mu2), c1 * c2)
 
 
-def _letter_apply(fv: "FunctorVector", letter, build) -> "FunctorVector":
+def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVector":
     """fv under a letter that acts on keys and right-multiplies factors.
 
     build(space, letter, key) yields (unsorted key, Y-exponent vector or
-    X letter ("X", j, exp), coeff); its terms are sorted, merged and
-    cached per (letter, key) as (target, monomial, T-word, coeff).
+    None, Hecke word, coeff); its terms are sorted in out (fv's space by
+    default), merged and cached per (letter, key) as (target, vector,
+    word, coeff), the word ending in the sort's T letters, and applied
+    to every factor by _add_product.
     """
-    space, cache, acc = fv.space, fv.space._letter_terms, {}
+    space = fv.space
+    out = space if out is None else out
+    cache, acc = space._letter_terms, {}
     for labels, w in fv.support.items():
         terms = cache.get((letter, labels))
         if terms is None:
             merged: dict = {}
-            for key, mono, coeff in build(space, letter, labels):
-                word, sort_coeff, target = space.sort_schedule(key)
-                _accumulate(merged, (target, mono, word), coeff * sort_coeff)
+            for key, vec, word, coeff in build(space, letter, labels):
+                sort_word, sort_coeff, target = out.sort_schedule(key)
+                _accumulate(merged, (target, vec, word + sort_word), coeff * sort_coeff)
             terms = cache[letter, labels] = tuple((*h, c) for h, c in merged.items())
-        for target, mono, word, coeff in terms:
-            w2 = right_mul_X(w, *mono[1:]) if mono[0] == "X" else _right_mul_ymono(w, mono)
-            for a in word:
-                w2 = right_mul_T(w2, a)
-            part = acc.setdefault(target, {})
-            for key, c in w2.support.items():
-                _accumulate(part, key, c * coeff)
-    return _collect(space, acc)
+        for target, vec, word, coeff in terms:
+            _add_product(acc.setdefault(target, {}), w, vec, word, coeff)
+    return _collect(out, acc)
 
 
 def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
@@ -339,7 +294,7 @@ def _mode_terms(space: FunctorSpace, letter, labels):
     terms = mode_terms(space, _LOOP_FAMILY[family], i, r, labels, space.R.q1pow, True)
     for labels2, sign, mult in terms:
         for vec, c in mult.items():
-            yield labels2, vec, c if sign > 0 else -c
+            yield labels2, vec if any(vec) else None, (), c if sign > 0 else -c
 
 
 def vertical_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
@@ -364,12 +319,12 @@ def _chevalley_terms(space: FunctorSpace, letter, labels):
             continue
         labels2, c = hit
         if j is None:
-            yield labels2, mono, c * extra
+            yield labels2, None, (), c * extra
         elif variant == "horizontal":
-            yield labels2, ("X", j + 1, shift), c * extra
+            yield labels2, None, (("X", j + 1, shift),), c * extra
         else:
             c = c * space.R.dpow(-shift) if variant == "vertical" else c
-            yield labels2, mono[:j] + (-shift,) + mono[j + 1 :], c * extra
+            yield labels2, mono[:j] + (-shift,) + mono[j + 1 :], (), c * extra
 
 
 def functor_chevalley_apply(
@@ -393,38 +348,27 @@ def functor_chevalley_apply(
 # label rotation
 
 
-def _rotation_formula(space: FunctorSpace, step: int, labels, w: DahaElement):
-    """(sorted key, factor) of the rotation by step = +1 or -1 of w tensor labels.
+def _rotation_terms(space: FunctorSpace, letter, labels):
+    """The rotation by step = +1 or -1 of one key, as a letter term.
 
     Wrapped slots (top label for +1, label 1 for -1) multiply the factor
-    by X^{-step}, all labels shift by step cyclically, and the result is
-    re-sorted in the rotated space.  Keys may be arbitrary tuples.  This
-    builds the rotation kernels; _rotate applies them.
+    by X^{-step}, and all labels shift by step cyclically; _letter_apply
+    sorts the key in the rotated space.  Keys may be arbitrary tuples.
     """
+    _, step = letter
     kappa = space.kappa
     wrap = kappa if step == 1 else 1
-    for a, j in enumerate(labels, 1):
-        if j == wrap:
-            w = right_mul_X(w, a, -step)
-    labels2 = tuple((j + step - 1) % kappa + 1 for j in labels)
-    word, coeff, target = space.rotated(step).sort_schedule(labels2)
-    for a in word:
-        w = right_mul_T(w, a)
-    return target, w.scale(coeff)
-
-
-def _rotate(space: FunctorSpace, items, step: int) -> FunctorVector:
-    """Rotation by step of the (key, factor) pairs in items, through kernels."""
-    return _collect(space.rotated(step), _kernel_sum(space, step, items))
+    word = tuple(("X", a, -step) for a, j in enumerate(labels, 1) if j == wrap)
+    yield tuple((j + step - 1) % kappa + 1 for j in labels), None, word, space.R.one
 
 
 def psi_apply(fv: FunctorVector) -> FunctorVector:
-    return _rotate(fv.space, fv.support.items(), 1)
+    return _letter_apply(fv, ("psi", 1), _rotation_terms, fv.space.rotated(1))
 
 
 def psi_inverse(fv: FunctorVector) -> FunctorVector:
     """Inverse rotation: shift labels down, restore X letters on wraps."""
-    return _rotate(fv.space, fv.support.items(), -1)
+    return _letter_apply(fv, ("psi", -1), _rotation_terms, fv.space.rotated(-1))
 
 
 def factor_T_apply(i: int, fv: FunctorVector) -> FunctorVector:

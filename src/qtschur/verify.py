@@ -367,25 +367,21 @@ def _shift_sides(fx, i, r, fy, j, s, m, a, sign=1):
 
 
 def _ef_sides(pd, x, y, diagonal=()):
-    """(q - q^{-1})(x y - sign y x) = k - k^{-1}, diagonal = (k, k^{-1}) or ().
-
-    All terms sit on lhs; the flat difference does not depend on the side.
-    """
+    """(q - q^{-1})(x y - sign y x) = k - k^{-1}, diagonal = (k, k^{-1}) or ()."""
     sgn = _super_sign(pd, x[1], y[1])
     lhs = [
         (((1, 1, 0, 0), (-1, -1, 0, 0)), (x, y)),
         (((-sgn, 1, 0, 0), (sgn, -1, 0, 0)), (y, x)),
     ]
-    if diagonal:
-        k, kinv = diagonal
-        lhs += [(((-1, 0, 0, 0),), (k,)), (_ONE, (kinv,))]
-    return lhs, []
+    if not diagonal:
+        return lhs, []
+    k, kinv = diagonal
+    return lhs, [(_ONE, (k,)), (((-1, 0, 0, 0),), (kinv,))]
 
 
 def _serre_sides(pd: ParityData, tree, r1: int, r2: int):
-    """tree(r1, r2) + tree(r2, r1) = 0, as tree(r1, r2) = -tree(r2, r1)."""
-    swapped = _expr_terms(pd, tree(r2, r1))[0]
-    return _expr_terms(pd, tree(r1, r2))[0], _product(_constant(-1), swapped)
+    """tree(r1, r2) + tree(r2, r1) = 0."""
+    return _expr_terms(pd, tree(r1, r2))[0] + _expr_terms(pd, tree(r2, r1))[0], []
 
 
 def toroidal_instances(pd: ParityData, bound: int) -> list[tuple]:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtschur import hecke
 from qtschur.hecke import (
     AffinePermutation,
     DahaContext,
@@ -28,6 +29,7 @@ from qtschur.hecke import (
     right_mul_T,
     right_mul_X,
     right_mul_Y,
+    word_terms,
     x_letter_word,
 )
 from qtschur.scalar import NumericContext, SymbolicContext, specialize
@@ -314,6 +316,61 @@ def test_word_concatenation_and_inverses():
         v = [LETTERS[rng.randrange(len(LETTERS))] for _ in range(rng.randrange(1, 5))]
         assert apply_word(apply_word(ctx.one(), u), v) == apply_word(ctx.one(), u + v)
         assert apply_word(apply_word(ctx.one(), u), inverse_word(u)) == ctx.one()
+
+
+# one context per window size and ring, its word cache kept warm across
+# examples, so that an entry stored under too coarse a key shows
+WORD_CONTEXTS = {
+    (ell, i): DahaContext(ell, R)
+    for ell in (2, 3)
+    for i, R in enumerate([
+        SymbolicContext(formal_zeta=True),
+        NumericContext(Fraction(5, 2), Fraction(7, 3), zeta0=Fraction(4, 9)),
+    ])
+}
+
+
+@st.composite
+def cached_words(draw):
+    """(context, Q exponent, window, mu, word) over T, X, Y and Q letters of both signs."""
+    ell = draw(st.sampled_from([2, 3]))
+    ctx = WORD_CONTEXTS[ell, draw(st.sampled_from([0, 1]))]
+    letter = st.one_of(
+        st.tuples(st.just("T"), st.integers(1, ell - 1), st.sampled_from([1, -1])),
+        st.tuples(st.sampled_from(["X", "Y"]), st.integers(1, ell), st.sampled_from([1, -1])),
+        st.tuples(st.just("Q"), st.just(0), st.sampled_from([1, -1])),
+    )
+    window = draw(st.sampled_from(affine_permutations_upto(ell, 2))).window
+    mu = tuple(draw(st.lists(st.integers(-2, 2), min_size=ell, max_size=ell)))
+    word = tuple(draw(st.lists(letter, max_size=5)))
+    return ctx, draw(st.integers(-1, 1)), window, mu, word
+
+
+@given(cached_words())
+@settings(max_examples=60, deadline=None)
+def test_word_terms_match_apply_word(case):
+    ctx, k, window, mu, word = case
+    calls = []
+
+    def counted(*args, orig=hecke._basis_mul_T):
+        calls.append(args)
+        return orig(*args)
+
+    saved, hecke._basis_mul_T = hecke._basis_mul_T, counted
+    try:
+        terms = word_terms(ctx, word, window, mu)
+        built = len(calls)
+        assert word_terms(ctx, word, window, mu) is terms
+        assert len(calls) == built
+    finally:
+        hecke._basis_mul_T = saved
+    shifted = {}
+    for (dk, win2, mu2), coeff in terms:
+        assert coeff and (k + dk, win2, mu2) not in shifted
+        shifted[(k + dk, win2, mu2)] = coeff
+    # the reference multiplies letter by letter in a context with a cold cache
+    cold = DahaContext(ctx.ell, ctx.R)
+    assert shifted == apply_word(cold.basis(k, window, mu), word).support
 
 
 def test_specialization_coherence():

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtschur.hecke import default_battery, right_mul_T, right_mul_X, right_mul_Y
+from qtschur.hecke import apply_word, default_battery, right_mul_T, right_mul_X, right_mul_Y
+from qtschur import hecke
 from qtschur import toroidal as tor
 from qtschur.looprep import (
     ChevalleyGen,
     _chevalley_summands,
-    hecke_exchange_terms,
     mode_terms,
     tensor_leg_apply,
 )
@@ -256,18 +256,40 @@ def test_rotation_balance_all_cases():
 
 
 # ----------------------------------------------------------------------
-# per-basis-key kernels against their formulas on whole factors
+# the rotation and the dead-key test through cached Hecke words, against
+# their formulas on whole factors
 
 
 def _whole_factor_dead(space, labels, w):
-    return tor._symmetrized(space, labels, w).is_zero()
+    """w times the symmetrizer of labels, letter by letter, is zero."""
+    acc = space.daha.zero()
+    for word, coeff in space.symmetrizer(labels):
+        acc = acc + apply_word(w, word).scale(coeff)
+    return acc.is_zero()
+
+
+def _rotation_formula(space, step, labels, w):
+    """(sorted key, factor) of the rotation by step = +1 or -1 of w tensor labels.
+
+    Wrapped slots (top label for +1, label 1 for -1) multiply the whole
+    factor by X^{-step} letter by letter, all labels shift by step
+    cyclically, and the key is re-sorted in the rotated space.
+    """
+    kappa = space.kappa
+    wrap = kappa if step == 1 else 1
+    for a, j in enumerate(labels, 1):
+        if j == wrap:
+            w = right_mul_X(w, a, -step)
+    labels2 = tuple((j + step - 1) % kappa + 1 for j in labels)
+    word, coeff, target = space.rotated(step).sort_schedule(labels2)
+    return target, apply_word(w, word).scale(coeff)
 
 
 def _whole_factor_rotate(space, items, step):
     """The rotation formula on each whole factor, pruned letter by letter."""
     acc = {}
     for labels, w in items:
-        key, image = tor._rotation_formula(space, step, labels, w)
+        key, image = _rotation_formula(space, step, labels, w)
         acc[key] = acc[key] + image if key in acc else image
     target = space.rotated(step)
     return {k: w for k, w in acc.items() if not _whole_factor_dead(target, k, w)}
@@ -289,11 +311,12 @@ def test_kernels_match_whole_factor_formulas(R):
     # unsorted keys, alone and as the balance check's exchange sums
     for labels in itertools.product(range(1, sp.kappa + 1), repeat=sp.ell):
         for w in factors:
-            for step in (1, -1):
-                got = tor._rotate(sp, [(labels, w)], step)
-                assert got.support == _whole_factor_rotate(sp, [(labels, w)], step)
-            items = [(lab, w.scale(c)) for lab, c in hecke_exchange_terms(sp, 1, labels)]
-            assert tor._rotate(sp, items, 1).support == _whole_factor_rotate(sp, items, 1)
+            raw = tor.FunctorVector(sp, {labels: w})
+            for step, op in ((1, psi_apply), (-1, psi_inverse)):
+                assert op(raw).support == _whole_factor_rotate(sp, [(labels, w)], step)
+            exchanged = tor.key_T_apply(1, raw)
+            items = list(exchanged.support.items())
+            assert psi_apply(exchanged).support == _whole_factor_rotate(sp, items, 1)
     # dead-key test: battery factors, and factors that kill a repeated key
     seen = set()
     for labels in sp.all_keys():
@@ -313,7 +336,7 @@ def test_second_rotation_reuses_kernels(monkeypatch):
         calls.append(j)
         return right_mul_X(e, j, exp)
 
-    monkeypatch.setattr(tor, "right_mul_X", counted)
+    monkeypatch.setattr(hecke, "right_mul_X", counted)
     sp = space31(2)
     u = functor_battery(sp)[-1][1]
     first = psi_apply(u)
@@ -332,9 +355,7 @@ def _sorted_add(space, acc, labels, w):
     if w.is_zero():
         return
     word, coeff, key = space.sort_schedule(tuple(labels))
-    for a in word:
-        w = right_mul_T(w, a)
-    w = w.scale(coeff)
+    w = apply_word(w, word).scale(coeff)
     acc[key] = acc[key] + w if key in acc else w
 
 
@@ -350,7 +371,10 @@ def _reference_mode(family, i, r, fv):
         loop_family = tor._LOOP_FAMILY[family]
         for labels2, sign, mult in mode_terms(space, loop_family, i, r, labels, space.R.q1pow, True):
             for vec, coeff in mult.items():
-                w2 = tor._right_mul_ymono(w, vec).scale(coeff if sign > 0 else -coeff)
+                w2 = w
+                for j, e in enumerate(vec, 1):
+                    w2 = right_mul_Y(w2, j, e) if e else w2
+                w2 = w2.scale(coeff if sign > 0 else -coeff)
                 _sorted_add(space, acc, labels2, w2)
     return _pruned(space, acc)
 

@@ -741,11 +741,11 @@ def test_context_cache_keeps_the_latest_context_only():
 
 
 def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
-    # X_j^e computed as X_j^-e; the rotation kernels are built through the
-    # patched letter, so every cached image carries the fault; counts and
-    # digest measured with the letter-by-letter rotation
-    flipped = lambda e, j, exp=1, orig=tor.right_mul_X: orig(e, j, -exp)
-    monkeypatch.setattr(tor, "right_mul_X", flipped)
+    # X_j^e computed as X_j^-e; the cached Hecke words of the rotation are
+    # built through the patched letter, so every cached image carries the
+    # fault; counts and digest measured with the letter-by-letter rotation
+    flipped = lambda e, j, exp=1, orig=hecke.right_mul_X: orig(e, j, -exp)
+    monkeypatch.setattr(hecke, "right_mul_X", flipped)
     report = run_suite("rotation", RunConfig(ell=2, modes=0))
     fails = [row for row in report.results if row["status"] == "fail"]
     assert len(fails) == 760
@@ -756,6 +756,35 @@ def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
     }
     assert _digest(report) == (
         "0ebc68dcdc5c29d4e29c5c44245c686417de5f32c4af8e91e73d10155ca843ba"
+    )
+
+
+def _flip_quadratic_term(basis_mul_T):
+    # every term of (Q^k T_w Y^mu) T_i but the first carries q^2 - 1
+    def flipped(ctx, key, i):
+        out = basis_mul_T(ctx, key, i)
+        return out[:1] + [(key2, -c) for key2, c in out[1:]]
+
+    return flipped
+
+
+def test_shared_word_cache_does_not_hide_flipped_quadratic_term(monkeypatch):
+    # q^2 - 1 computed as 1 - q^2 in the rewrite of a basis word times T_i,
+    # from which every cached Hecke word is built; counts and digest
+    # measured while each operator kept a cache of its own
+    monkeypatch.setattr(hecke, "_basis_mul_T", _flip_quadratic_term(hecke._basis_mul_T))
+    report = run_suite("rotation", RunConfig(ell=2, modes=0))
+    fails = [row for row in report.results if row["status"] == "fail"]
+    assert len(fails) == 1045
+    assert all(row["numeric"] == "fail" and row["symbolic"] == "skipped" for row in fails)
+    assert collections.Counter(row["relation"] for row in fails) == {
+        "rot-E": 38, "rot-F": 38, "rot-K+": 152, "rot-K-": 152,
+        "wrap-E": 76, "wrap-F-as-F": 76, "wrap-K+": 133, "wrap-K-": 133,
+        "psi-balance-plain-plain": 114, "psi-balance-plain-wrap": 57,
+        "psi-balance-wrap-plain": 57, "psi-balance-wrap-wrap": 19,
+    }
+    assert _digest(report) == (
+        "0820921030b8e319b5e691efa0a5fa04b89ce2f6b2fcf05a8e16d003a5407b2e"
     )
 
 
