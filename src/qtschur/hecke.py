@@ -93,20 +93,6 @@ class AffinePermutation:
     def __repr__(self) -> str:
         return f"AffinePermutation{self.window}"
 
-    def compose(self, other: "AffinePermutation") -> "AffinePermutation":
-        """(self . other)(i) = self(other(i))."""
-        return AffinePermutation([self(other(i)) for i in range(1, self.ell + 1)])
-
-    def inverse(self) -> "AffinePermutation":
-        ell = self.ell
-        out = [0] * ell
-        for p, v in enumerate(self.window, start=1):
-            # self(p + k*ell) = v + k*ell, so inverse sends v + k*ell to p + k*ell
-            res = (v - 1) % ell
-            k = (v - 1 - res) // ell
-            out[res] = p - k * ell
-        return AffinePermutation(out)
-
     def right_mul_s(self, i: int) -> "AffinePermutation":
         """Window of self * s_i (precompose with the transposition)."""
         ell = self.ell
@@ -427,10 +413,6 @@ def composite(kind: str, **params) -> list[Token]:
             word.extend(composite("Qij", i=c, j=c + r - 1))
         return word
     raise ValueError(f"unknown composite kind {kind!r}")
-
-
-def inverse_word(word: Iterable[Token]) -> list[Token]:
-    return [(kind, idx, -exp) for kind, idx, exp in reversed(list(word))]
 
 
 # ----------------------------------------------------------------------

@@ -24,16 +24,16 @@ coefficient a finite sum.
 A numeric specialization q -> q0, d -> d0 (rationals) doubles as a fast
 cross-check oracle for all symbolic identities; its values lie in Z[1/L]
 for an integer L read off the point, stored gcd-free as ZL.  Both
-coefficient contexts memoize the constants they hand out (powers,
-quantum integers, rationals); Scalar and ZL are immutable, so sharing
-them is safe.
+coefficient contexts memoize the constants they hand out (powers and
+rationals); Scalar and ZL are immutable, so sharing them is safe.  The
+references the tests hold these against (a Scalar evaluated at a point,
+the closed-form psi_c coefficients) live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -144,12 +144,6 @@ class Scalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
         if other is NotImplemented:
@@ -186,24 +180,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Scalar":
-        """Inverse of a monomial.  Raises on anything else."""
-        if len(self._terms) != 1:
-            raise ArithmeticError(f"not a unit: {self.render()}")
-        ((key, coeff),) = self._terms.items()
-        return Scalar({(-key[0], -key[1], -key[2]): Fraction(1) / coeff})
-
-    def __pow__(self, e: int) -> "Scalar":
-        if not isinstance(e, int):
-            return NotImplemented
-        if e == 0:
-            return _ONE
-        base = self if e > 0 else self.inverse()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
@@ -239,44 +215,6 @@ class Scalar:
     def __repr__(self) -> str:
         return f"Scalar({self.render()})"
 
-    @classmethod
-    def parse(cls, text: str) -> "Scalar":
-        """Inverse of render (used for test fixtures)."""
-        text = text.strip()
-        if text == "0":
-            return _ZERO
-        total = _ZERO
-        for part in text.split(" + "):
-            factors = part.split("*")
-            coeff = _exact(factors[0])
-            qhalf = dhalf = zexp = 0
-            for fac in factors[1:]:
-                match = _FACTOR_RE.fullmatch(fac)
-                if not match:
-                    raise ValueError(f"bad factor {fac!r} in {text!r}")
-                name, whole, num, den = match.groups()
-                if whole is not None:
-                    half = 2 * int(whole)
-                elif num is not None:
-                    if int(den) != 2:
-                        raise ValueError(f"bad exponent in {fac!r}")
-                    half = int(num)
-                else:
-                    half = 2
-                if name == "q":
-                    qhalf += half
-                elif name == "d":
-                    dhalf += half
-                else:
-                    if half % 2:
-                        raise ValueError("zeta exponent must be an integer")
-                    zexp += half // 2
-            total = total + cls.monomial(coeff, qhalf, dhalf, zexp)
-        return total
-
-
-_FACTOR_RE = re.compile(r"(q|d|zeta)(?:\^(?:(-?\d+)|\{(-?\d+)/(\d+)\}))?")
-
 
 def _render_exp(half: int) -> str:
     """Exponent suffix for a half-integer exponent given in halves."""
@@ -310,97 +248,6 @@ def d_pow(e: int) -> Scalar:
 def zeta_pow(e: int) -> Scalar:
     """Formal central monomial (standalone Hecke checks only)."""
     return Scalar.monomial(1, zeta=e)
-
-
-def qint(k: int) -> Scalar:
-    """Quantum integer (q^k - q^{-k}) / (q - q^{-1}), expanded exactly.
-
-    For k >= 0 this is q^{k-1} + q^{k-3} + ... + q^{1-k}; negative k
-    flips the sign.
-    """
-    if k == 0:
-        return _ZERO
-    sign = 1 if k > 0 else -1
-    k = abs(k)
-    return Scalar({(2 * e, 0, 0): sign for e in range(k - 1, -k - 1, -2)})
-
-
-# ----------------------------------------------------------------------
-# psi expansions
-
-
-def psi_coeffs(r: int, direction: str, count: int) -> list[Scalar]:
-    """First ``count`` expansion coefficients of psi_r(z).
-
-    direction '+' expands at infinity (powers z^{-k}), '-' at zero
-    (powers z^k).  Both expansions stabilize after the constant term:
-    at zero the stream is q^r, then (q^r - q^{-r}) forever; at infinity
-    swap r for -r.
-    """
-    if direction not in ("+", "-"):
-        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    lead = -r if direction == "+" else r
-    out: list[Scalar] = []
-    if count > 0:
-        out.append(q_pow(lead))
-    if count > 1:
-        jump = q_pow(lead) - q_pow(-lead)
-        out.extend([jump] * (count - 1))
-    return out
-
-
-# ----------------------------------------------------------------------
-# numeric specialization
-
-
-def _exact_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
-
-
-def specialize(x: Scalar, q0, d0, zeta0=None) -> Fraction:
-    """Evaluate at exact rational points q = q0, d = d0.
-
-    Half-integer exponents require q0 (resp. d0) to be an exact square
-    of a rational.  zeta0 is only consulted when the formal central
-    monomial actually occurs; callers working at a concrete (m, n)
-    should pass (d0/q0)^(n-m).
-    """
-    q0, d0 = Fraction(q0), Fraction(d0)
-    if q0 == 0 or d0 == 0:
-        raise ValueError("q0 and d0 must be nonzero")
-    if q0 in (1, -1):
-        raise ValueError("|q0| = 1 specializes q to a root of unity")
-    needs = {(key[0] % 2, key[1] % 2) for key in x._terms}
-    qhalf = dhalf = None
-    if any(a for a, _ in needs):
-        qhalf = _exact_sqrt(q0)
-        if qhalf is None:
-            raise ValueError(f"q0 = {q0} has no exact rational square root")
-    if any(b for _, b in needs):
-        dhalf = _exact_sqrt(d0)
-        if dhalf is None:
-            raise ValueError(f"d0 = {d0} has no exact rational square root")
-    total = Fraction(0)
-    for (a, b, c), coeff in x._terms.items():
-        val = coeff
-        if a:
-            val *= q0 ** (a // 2) if a % 2 == 0 else qhalf**a
-        if b:
-            val *= d0 ** (b // 2) if b % 2 == 0 else dhalf**b
-        if c:
-            if zeta0 is None:
-                raise ValueError("formal zeta present but no zeta0 given")
-            val *= Fraction(zeta0) ** c
-        total += val
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -458,10 +305,6 @@ class SymbolicContext:
         if self.formal_zeta:
             return zeta_pow(e)
         return self.q1pow((self.n - self.m) * e)
-
-    @_memoized
-    def qint(self, k: int) -> Scalar:
-        return qint(k)
 
     @_memoized
     def rational(self, x) -> Scalar:
@@ -578,12 +421,6 @@ class NumericContext:
         if self.zeta0 is None:
             raise ValueError("no zeta value configured")
         return self._lift(self.zeta0**e)
-
-    @_memoized
-    def qint(self, k: int) -> ZL:
-        if k == 0:
-            return self.zero
-        return self._lift((self.q0**k - self.q0**-k) / (self.q0 - 1 / self.q0))
 
     @_memoized
     def rational(self, x) -> ZL:

@@ -51,7 +51,14 @@ from __future__ import annotations
 
 import itertools
 
-from qtschur.hecke import DahaContext, DahaElement, default_battery, right_mul_T, word_terms
+from qtschur.hecke import (
+    AffinePermutation,
+    DahaContext,
+    DahaElement,
+    default_battery,
+    right_mul_T,
+    word_terms,
+)
 from qtschur.looprep import (
     ChevalleyGen,
     _chevalley_summands,
@@ -164,7 +171,11 @@ class FunctorSpace:
                 if size > 1:
                     odd = self.pd.vector_parity(label)
                     block: list[tuple[tuple, object]] = []
-                    for local_word in _symmetric_group_words(size):
+                    local_words = sorted(
+                        AffinePermutation(p).reduced_word()
+                        for p in itertools.permutations(range(1, size + 1))
+                    )
+                    for local_word in local_words:
                         word = tuple(("T", pos + a, 1) for a in local_word)
                         if odd:
                             coeff = R.qpow(-2 * len(word))
@@ -192,24 +203,6 @@ class FunctorSpace:
         for word, coeff in sym:
             _add_product(acc, w, None, word, coeff)
         return not acc
-
-
-def _symmetric_group_words(k: int) -> list[tuple[int, ...]]:
-    """One reduced word (local letters 1..k-1) per permutation of k."""
-    ident = tuple(range(k))
-    words = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for a in range(k - 1):
-                if p[a] < p[a + 1]:
-                    p2 = p[:a] + (p[a + 1], p[a]) + p[a + 2 :]
-                    if p2 not in words:
-                        words[p2] = words[p] + (a + 1,)
-                        nxt.append(p2)
-        frontier = nxt
-    return sorted(words.values())
 
 
 def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:

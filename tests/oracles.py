@@ -1,0 +1,118 @@
+"""Reference computations the tests hold the package against.
+
+Nothing in qtschur calls these: each is an independent, plainly written
+copy of a quantity the package computes another way (the numeric
+context's values, the psi streams of the mode extraction, the group
+law behind right_mul_s, the inverse of a right multiplication).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable
+
+from qtschur.hecke import AffinePermutation, Token
+from qtschur.scalar import Scalar, q_pow
+
+
+# ----------------------------------------------------------------------
+# psi expansions
+
+
+def psi_coeffs(r: int, direction: str, count: int) -> list[Scalar]:
+    """First ``count`` expansion coefficients of psi_r(z).
+
+    direction '+' expands at infinity (powers z^{-k}), '-' at zero
+    (powers z^k).  Both expansions stabilize after the constant term:
+    at zero the stream is q^r, then (q^r - q^{-r}) forever; at infinity
+    swap r for -r.
+    """
+    if direction not in ("+", "-"):
+        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    lead = -r if direction == "+" else r
+    out: list[Scalar] = []
+    if count > 0:
+        out.append(q_pow(lead))
+    if count > 1:
+        jump = q_pow(lead) - q_pow(-lead)
+        out.extend([jump] * (count - 1))
+    return out
+
+
+# ----------------------------------------------------------------------
+# numeric specialization
+
+
+def _exact_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    num, den = x.numerator, x.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return None
+    return Fraction(rn, rd)
+
+
+def specialize(x: Scalar, q0, d0, zeta0=None) -> Fraction:
+    """Evaluate at exact rational points q = q0, d = d0.
+
+    Half-integer exponents require q0 (resp. d0) to be an exact square
+    of a rational.  zeta0 is only consulted when the formal central
+    monomial actually occurs; callers working at a concrete (m, n)
+    should pass (d0/q0)^(n-m).
+    """
+    q0, d0 = Fraction(q0), Fraction(d0)
+    if q0 == 0 or d0 == 0:
+        raise ValueError("q0 and d0 must be nonzero")
+    if q0 in (1, -1):
+        raise ValueError("|q0| = 1 specializes q to a root of unity")
+    needs = {(key[0] % 2, key[1] % 2) for key in x._terms}
+    qhalf = dhalf = None
+    if any(a for a, _ in needs):
+        qhalf = _exact_sqrt(q0)
+        if qhalf is None:
+            raise ValueError(f"q0 = {q0} has no exact rational square root")
+    if any(b for _, b in needs):
+        dhalf = _exact_sqrt(d0)
+        if dhalf is None:
+            raise ValueError(f"d0 = {d0} has no exact rational square root")
+    total = Fraction(0)
+    for (a, b, c), coeff in x._terms.items():
+        val = coeff
+        if a:
+            val *= q0 ** (a // 2) if a % 2 == 0 else qhalf**a
+        if b:
+            val *= d0 ** (b // 2) if b % 2 == 0 else dhalf**b
+        if c:
+            if zeta0 is None:
+                raise ValueError("formal zeta present but no zeta0 given")
+            val *= Fraction(zeta0) ** c
+        total += val
+    return total
+
+
+# ----------------------------------------------------------------------
+# affine permutations and Hecke words
+
+
+def compose(w: AffinePermutation, other: AffinePermutation) -> AffinePermutation:
+    """(w . other)(i) = w(other(i))."""
+    return AffinePermutation([w(other(i)) for i in range(1, w.ell + 1)])
+
+
+def inverse(w: AffinePermutation) -> AffinePermutation:
+    ell = w.ell
+    out = [0] * ell
+    for p, v in enumerate(w.window, start=1):
+        # w(p + k*ell) = v + k*ell, so the inverse sends v + k*ell to p + k*ell
+        res = (v - 1) % ell
+        k = (v - 1 - res) // ell
+        out[res] = p - k * ell
+    return AffinePermutation(out)
+
+
+def inverse_word(word: Iterable[Token]) -> list[Token]:
+    return [(kind, idx, -exp) for kind, idx, exp in reversed(list(word))]

@@ -28,7 +28,7 @@ from qtschur.looprep import (
     slot_ops,
     tensor_leg_apply,
 )
-from qtschur.scalar import ZL, NumericContext, SymbolicContext, specialize
+from qtschur.scalar import ZL, NumericContext, SymbolicContext
 from qtschur.superdata import ParityData, node_parity
 from qtschur.verify import (
     SuiteContext,
@@ -38,6 +38,8 @@ from qtschur.verify import (
     dictionary_instances,
     finite_instances,
 )
+
+from oracles import specialize
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -13,13 +13,12 @@ from qtschur.scalar import (
     ZL,
     d_pow,
     delta_psi_mode,
-    psi_coeffs,
     psi_product_mode,
     q_pow,
-    qint,
-    specialize,
     zeta_pow,
 )
+
+from oracles import psi_coeffs, specialize
 
 coeffs = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=8
@@ -64,15 +63,12 @@ def _all_fraction(x):
 
 
 def test_integral_coefficients_are_ints():
-    assert Scalar.parse("3*q^2 + -1/2*d").terms == {(4, 0, 0): 3, (0, 2, 0): Fraction(-1, 2)}
     for x in (
         Scalar.one(),
         Scalar.from_rational(Fraction(6, 3)),
         Scalar.monomial(Fraction(-4, 2), qhalf=1),
         Scalar({(0, 0, 0): Fraction(5)}),
-        Scalar.monomial(Fraction(1, 3)).inverse(),
-        qint(4) * qint(-3),
-        Scalar.parse("2*q^{1/2} + -7*d^-1"),
+        Scalar.monomial(Fraction(4, 2), qhalf=1) + Scalar.monomial(-7, dhalf=-2),
     ):
         assert all(type(c) is int for c in x.terms.values()), x
     assert type(Scalar.monomial(Fraction(3, 2)).terms[(0, 0, 0)]) is Fraction
@@ -91,14 +87,13 @@ def test_mixed_coefficients_match_all_fraction_reference(x, y):
 
 
 def test_context_constants_are_memoized():
-    calls = [("qpow", -2), ("dpow", 3), ("q1pow", 1), ("zetapow", -1), ("qint", 3), ("rational", -1)]
+    calls = [("qpow", -2), ("dpow", 3), ("q1pow", 1), ("zetapow", -1), ("rational", -1)]
     for make in (lambda: SymbolicContext(3, 1), lambda: NumericContext(2, 3, 3, 1)):
         ctx, fresh = make(), make()
         for name, arg in calls:
             first = getattr(ctx, name)(arg)
             assert getattr(ctx, name)(arg) is first
             assert getattr(fresh, name)(arg) == first
-    assert SymbolicContext(3, 1).qint(3) == qint(3)
     assert NumericContext(2, 3).qpow(-2) == Fraction(1, 4)
 
 
@@ -156,7 +151,6 @@ def test_numeric_context_values_lie_in_its_ring():
     ctx = NumericContext(2, 3)
     assert ctx.L == 6
     assert ctx.rational(Fraction(5, 12)) == Fraction(5, 12)
-    assert ctx.qint(-3) == -(Fraction(4) + 1 + Fraction(1, 4))
     with pytest.raises(ValueError):
         ctx.rational(Fraction(1, 7))
     with pytest.raises(ValueError):
@@ -164,37 +158,6 @@ def test_numeric_context_values_lie_in_its_ring():
     # a numerator with a large prime factor needs no factoring
     big = NumericContext(Fraction(2**61 - 1, 3), 5)
     assert big.qpow(-2) * big.qpow(2) == 1
-
-
-def test_monomial_units():
-    u = Scalar.monomial(Fraction(3, 2), qhalf=3, dhalf=-2, zeta=1)
-    assert u * u.inverse() == Scalar.one()
-    with pytest.raises(ArithmeticError):
-        (q_pow(1) + d_pow(1)).inverse()
-    with pytest.raises(ArithmeticError):
-        Scalar.zero().inverse()
-
-
-def test_power():
-    x = q_pow(1) + 1
-    assert x**0 == Scalar.one()
-    assert x**2 == q_pow(2) + 2 * q_pow(1) + 1
-    assert q_pow(1) ** -3 == q_pow(-3)
-
-
-def test_qint_small_values():
-    assert qint(0) == Scalar.zero()
-    assert qint(1) == Scalar.one()
-    assert qint(2) == q_pow(1) + q_pow(-1)
-    assert qint(3) == q_pow(2) + 1 + q_pow(-2)
-    assert qint(-2) == -qint(2)
-
-
-def test_qint_addition_rule():
-    # [a+b] = q^b [a] + q^{-a} [b]
-    for a in range(-10, 11):
-        for b in range(-10, 11):
-            assert qint(a + b) == q_pow(b) * qint(a) + q_pow(-a) * qint(b)
 
 
 def test_derived_params():
@@ -205,7 +168,7 @@ def test_derived_params():
         assert q1 * q2 * q3 == Scalar.one()
         assert q1 == d_pow(1) * q_pow(-1)
         assert q2 == q_pow(2)
-        assert R.zetapow(1) == q1 ** (n - m)
+        assert R.zetapow(1) == d_pow(n - m) * q_pow(m - n)
     assert SymbolicContext(3, 1).zetapow(1) == d_pow(-2) * q_pow(2)
     assert SymbolicContext(2, 3).zetapow(1) == d_pow(1) * q_pow(-1)
     with pytest.raises(ValueError):
@@ -288,12 +251,6 @@ def test_render_examples():
     assert zeta_pow(-2).render() == "1*zeta^-2"
 
 
-@given(scalars)
-@settings(max_examples=80, deadline=None)
-def test_parse_render_roundtrip(x):
-    assert Scalar.parse(x.render()) == x
-
-
 def test_contexts_agree_under_specialization():
     sym = SymbolicContext(3, 1)
     num = NumericContext(2, 3, 3, 1)
@@ -302,8 +259,6 @@ def test_contexts_agree_under_specialization():
         assert specialize(sym.dpow(e), 2, 3) == num.dpow(e)
         assert specialize(sym.q1pow(e), 2, 3) == num.q1pow(e)
         assert specialize(sym.zetapow(e), 2, 3) == num.zetapow(e)
-    for k in range(-4, 5):
-        assert specialize(sym.qint(k), 2, 3) == num.qint(k)
     formal = SymbolicContext(formal_zeta=True)
     assert formal.zetapow(3) == zeta_pow(3)
     with pytest.raises(ValueError):

@@ -2,13 +2,21 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtschur.hecke import apply_word, default_battery, right_mul_T, right_mul_X, right_mul_Y
+from qtschur.hecke import (
+    AffinePermutation,
+    apply_word,
+    default_battery,
+    right_mul_T,
+    right_mul_X,
+    right_mul_Y,
+)
 from qtschur import hecke
 from qtschur import toroidal as tor
 from qtschur.looprep import (
@@ -19,7 +27,14 @@ from qtschur.looprep import (
 )
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData
-from qtschur.verify import SuiteContext, Verdicts, rotation_instances
+from qtschur.verify import (
+    SuiteContext,
+    Verdicts,
+    _image,
+    affine_instances,
+    rotation_instances,
+    toroidal_instances,
+)
 from qtschur.toroidal import (
     FunctorSpace,
     dump_mode_action,
@@ -125,6 +140,27 @@ def test_repeated_label_kernel():
     assert not sp.basis((4, 4), one).is_zero()
     # the kernel test respects the balanced identification
     assert sp.basis((1, 1), right_mul_T(one, 1)) == sp.basis((1, 1)).scale(R31.qpow(2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_symmetrizer_has_one_reduced_word_per_permutation(k):
+    # one block of k equal labels: a reduced word in the local letters
+    # 1..k-1 for each permutation of the block, alternating for an odd label
+    sp = space31(k)
+    for label, odd in ((1, False), (4, True)):
+        terms = sp.symmetrizer((label,) * k)
+        rebuilt = set()
+        for word, coeff in terms:
+            assert all(kind == "T" and 1 <= i < k and e == 1 for kind, i, e in word)
+            w = AffinePermutation.identity(k)
+            for _, i, _ in word:
+                w = w.right_mul_s(i)
+            assert len(word) == w.length()
+            rebuilt.add(w.window)
+            sign = -1 if odd and len(word) % 2 else 1
+            assert coeff == (R31.qpow(-2 * len(word)) if odd else R31.one) * sign
+        assert len(terms) == math.factorial(k)
+        assert rebuilt == set(itertools.permutations(range(1, k + 1)))
 
 
 # ----------------------------------------------------------------------
@@ -587,6 +623,101 @@ def test_rotation_identities_two_slots_sampled():
     battery = functor_battery(sp)
     rows = evaluated(sp, battery[::9], bound=1)
     assert rows and all(r["status"] == "pass" for r in rows)
+
+
+# ----------------------------------------------------------------------
+# left-linearity: every balanced letter changes the key and multiplies
+# the factor on the right, so L(w (x) k) = w . L(1 (x) k)
+
+
+def _table_letters(table):
+    """The distinct letters of a relation table's sides, in first-use order."""
+    return list(dict.fromkeys(
+        letter for *_, lhs, rhs, _ in table for _, word in lhs + rhs for letter in word
+    ))
+
+
+LETTERS = {
+    "toroidal": (R31, _table_letters(toroidal_instances(PD31, 1))),
+    "affine": (R22, _table_letters(affine_instances(PD31))),
+}
+
+
+def _spelled(key):
+    """The basis word Q^k T_w Y^mu of a Hecke basis key as generator letters.
+
+    T_w is the product over w.reduced_word(), with T_0 spelled Q^-1 T_1 Q.
+    """
+    k, window, mu = key
+    word = [("Q", 0, 1 if k > 0 else -1)] * abs(k)
+    for i in AffinePermutation(window).reduced_word():
+        word += [("Q", 0, -1), ("T", 1, 1), ("Q", 0, 1)] if i == 0 else [("T", i, 1)]
+    for j, e in enumerate(mu, 1):
+        word += [("Y", j, 1 if e > 0 else -1)] * abs(e)
+    return word
+
+
+def _left_times(w, fv, space):
+    """w times every factor of fv, as a vector of space: w by each spelled basis word."""
+    parts = {}
+    for labels, f in fv.support.items():
+        parts[labels] = w.ctx.zero()
+        for key, c in f.support.items():
+            parts[labels] = parts[labels] + apply_word(w, _spelled(key)).scale(c)
+    return tor.FunctorVector(space, parts)
+
+
+def _left_linearity_failures(suite, ell):
+    """Counts of (letter, battery vector) pairs, over one suite's letters and
+    psi^{+-1}: those where L(v) differs from the sum over v's keys k of
+    w_k . L(1 (x) k), and those where that sum is nonzero.
+    """
+    R, letters = LETTERS[suite]
+    sp = FunctorSpace(PD31, ell, R)
+    battery = functor_battery(sp)
+    failures = nonzero = 0
+    for letter in letters + [("psi", 0, 1), ("psi", 0, -1)]:
+        out = sp.rotated(letter[2]) if letter[0] == "psi" else sp
+        for _, v in battery:
+            want = out.zero()
+            for labels, w in v.support.items():
+                unit = _image({}, *letter, tor.FunctorVector(sp, {labels: sp.daha.one()}))
+                want = want + _left_times(w, unit, out)
+            failures += _image({}, *letter, v) != want
+            nonzero += not want.is_zero()
+    return failures, nonzero
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_spelled_basis_words_rebuild_the_basis(ell):
+    ctx = space31(ell).daha
+    for w in hecke.affine_permutations_upto(ell, 3):
+        for k in (-1, 0, 2):
+            for mu in hecke.bounded_tuples(ell, 2):
+                key = (k, w.window, mu)
+                assert apply_word(ctx.one(), _spelled(key)) == ctx.basis(*key)
+
+
+@pytest.mark.parametrize("suite", ["toroidal", "affine"])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_letters_are_left_linear(suite, ell):
+    failures, nonzero = _left_linearity_failures(suite, ell)
+    assert failures == 0 and nonzero
+
+
+def test_left_linearity_catches_a_flipped_exchange_correction(monkeypatch):
+    # the sign of the Bernstein-Lusztig correction flipped: right
+    # multiplication stops being associative, and w . L(1 (x) k) parts
+    # from L(w (x) k)
+    exchange = hecke._bl_exchange
+
+    def flipped(ctx, mu, i):
+        swapped, corrections = exchange(ctx, mu, i)
+        return swapped, [(-sign, vec) for sign, vec in corrections]
+
+    monkeypatch.setattr(hecke, "_bl_exchange", flipped)
+    for suite in LETTERS:
+        assert _left_linearity_failures(suite, 2)[0] > 0, suite
 
 
 # ----------------------------------------------------------------------
