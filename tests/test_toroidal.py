@@ -637,9 +637,10 @@ def _table_letters(table):
     ))
 
 
+# each suite's letters in its own ring: zeta folded (toroidal) or formal (affine)
 LETTERS = {
     "toroidal": (R31, _table_letters(toroidal_instances(PD31, 1))),
-    "affine": (R22, _table_letters(affine_instances(PD31))),
+    "affine": (SymbolicContext(formal_zeta=True), _table_letters(affine_instances(PD31))),
 }
 
 
