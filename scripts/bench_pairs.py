@@ -16,7 +16,9 @@ records each side's median and quartiles over the pairs, and in how many
 pairs the change read better than the parent and in how many the two
 tied.  Every run is kept with its metrics.  With ``--trace``, one traced
 run per side and workload (seed first-seed, a one-second untraced part)
-adds the per-layer tables.  The exit code is 1 when any run failed its
+adds the per-layer tables.  Each run's ``untraced`` list holds the
+tracing targets that perfbench/run.py reported missing from the package
+(empty on untraced runs and when the tracer found every target).  The exit code is 1 when any run failed its
 correctness gate, else 0.
 """
 
@@ -33,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+# perfbench/run.py prints this before each traced name it could not find
+UNTRACED = "not traced, no longer in the package: "
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -68,11 +72,14 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool)
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
+    untraced = [line.split(UNTRACED, 1)[1] for line in lines if UNTRACED in line]
     if not lines or not lines[-1].startswith("{"):
         sys.stderr.write(proc.stderr)
-        return {"correct": False, "metrics": {}, "exit_code": proc.returncode}
+        return {"correct": False, "metrics": {}, "exit_code": proc.returncode,
+                "untraced": untraced}
     result = json.loads(lines[-1])
     result["exit_code"] = proc.returncode
+    result["untraced"] = untraced
     return result
 
 

@@ -33,9 +33,10 @@ Coefficients are whatever the supplied context produces (exact Laurent
 polynomials or plain rationals); the central constant is either formal
 or a concrete power of d q^{-1}, again decided by the context.
 
-The presentation and the conjugation identities are stated here as
-data, with ring-free coefficients, next to the test-element battery;
-verify evaluates them.  This module checks nothing itself.
+This module states only the algebra, its test-element battery and the
+composite words (Q_ij, P_r) as products; every relation table,
+including the presentation and the conjugation identities, lives in
+verify, which checks them.  This module checks nothing itself.
 """
 
 from __future__ import annotations
@@ -392,16 +393,15 @@ def apply_word(e: DahaElement, word: Iterable[Token]) -> DahaElement:
 def composite(kind: str, **params) -> list[Token]:
     """Generator words for the named composite elements.
 
-    T_range_up(i, j) is T_i T_{i+1} ... T_j; T_range_down(j, i) the
-    reverse product; Qij(i, j) is X_i T_{i,j}; Pr(r, ell) the telescope
-    of Qij factors whose c-th factor from the right is Q_{c, c+r-1}.
+    T_range_up(i, j) is T_i T_{i+1} ... T_j; Qij(i, j) is X_i T_{i,j};
+    Pr(r, ell) the telescope of Qij factors whose c-th factor from the
+    right is Q_{c, c+r-1}.  Each word is a product read left to right,
+    as apply_word reads it.
     """
-    if kind in ("T_range_up", "T_range_down", "Qij"):
+    if kind in ("T_range_up", "Qij"):
         i, j = params["i"], params["j"]
         if not 1 <= i <= j:
             raise ValueError(f"{kind} needs 1 <= i <= j, got i={i}, j={j}")
-        if kind == "T_range_down":
-            return [("T", a, 1) for a in range(j, i - 1, -1)]
         word: list[Token] = [("T", a, 1) for a in range(i, j + 1)]
         return [("X", i, 1)] + word if kind == "Qij" else word
     if kind == "Pr":
@@ -416,11 +416,7 @@ def composite(kind: str, **params) -> list[Token]:
 
 
 # ----------------------------------------------------------------------
-# test elements and relations
-
-# ring-free coefficients, as verify resolves them in each stage's ring:
-# tuples of (rational, q-exponent, d-exponent, zeta-exponent) monomials
-_UNIT, _ZETA = ((1, 0, 0, 0),), ((1, 0, 0, 1),)
+# test elements
 
 
 def default_battery(ctx: DahaContext) -> list[tuple[str, DahaElement]]:
@@ -450,191 +446,3 @@ def bounded_tuples(k: int, bound: int) -> list[tuple[int, ...]]:
             yield from rec(prefix + [v], left - abs(v))
 
     return list(rec([], bound))
-
-
-def presentation_relations(ell: int):
-    """All checkable defining relations, as (name, lhs side, rhs side).
-
-    A side is a list of (coefficient, word) pairs: on a test element w it
-    is the sum of coefficient * (w . word), the word read left to right.
-    Coefficients are ring-free (see _UNIT).
-    """
-    one, zeta = _UNIT, _ZETA
-    q2, qm2 = ((1, 2, 0, 0),), ((1, -2, 0, 0),)
-    rels: list[tuple[str, list, list]] = []
-
-    def rel(name, lhs, rhs):
-        rels.append((name, lhs, rhs))
-
-    for i in range(1, ell):
-        rel(f"T{i} inverse", [(one, [("T", i, 1), ("T", i, -1)])], [(one, [])])
-        rel(f"T{i} inverse'", [(one, [("T", i, -1), ("T", i, 1)])], [(one, [])])
-        rel(
-            f"T{i} quadratic",
-            [(one, [("T", i, 1), ("T", i, 1)])],
-            [(((1, 2, 0, 0), (-1, 0, 0, 0)), [("T", i, 1)]), (q2, [])],
-        )
-    for i in range(1, ell - 1):
-        rel(
-            f"braid T{i} T{i + 1}",
-            [(one, [("T", i, 1), ("T", i + 1, 1), ("T", i, 1)])],
-            [(one, [("T", i + 1, 1), ("T", i, 1), ("T", i + 1, 1)])],
-        )
-    for i in range(1, ell):
-        for j in range(i + 2, ell):
-            rel(
-                f"T{i} T{j} commute",
-                [(one, [("T", i, 1), ("T", j, 1)])],
-                [(one, [("T", j, 1), ("T", i, 1)])],
-            )
-    for j in range(1, ell + 1):
-        rel(f"X{j} inverse", [(one, [("X", j, 1), ("X", j, -1)])], [(one, [])])
-        rel(f"Y{j} inverse", [(one, [("Y", j, 1), ("Y", j, -1)])], [(one, [])])
-    for a in range(1, ell + 1):
-        for b in range(a + 1, ell + 1):
-            rel(
-                f"X{a} X{b} commute",
-                [(one, [("X", a, 1), ("X", b, 1)])],
-                [(one, [("X", b, 1), ("X", a, 1)])],
-            )
-            rel(
-                f"Y{a} Y{b} commute",
-                [(one, [("Y", a, 1), ("Y", b, 1)])],
-                [(one, [("Y", b, 1), ("Y", a, 1)])],
-            )
-    # X_0 Y_1 = zeta Y_1 X_0 with X_0 = X_1 ... X_l
-    x0 = [("X", j, 1) for j in range(1, ell + 1)]
-    rel(
-        "X0 Y1 twist",
-        [(one, x0 + [("Y", 1, 1)])],
-        [(zeta, [("Y", 1, 1)] + x0)],
-    )
-    for i in range(1, ell):
-        rel(
-            f"T{i} X{i} T{i} = q^2 X{i + 1}",
-            [(one, [("T", i, 1), ("X", i, 1), ("T", i, 1)])],
-            [(q2, [("X", i + 1, 1)])],
-        )
-        rel(
-            f"T{i}^-1 Y{i} T{i}^-1 = q^-2 Y{i + 1}",
-            [(one, [("T", i, -1), ("Y", i, 1), ("T", i, -1)])],
-            [(qm2, [("Y", i + 1, 1)])],
-        )
-        for j in range(1, ell + 1):
-            if j in (i, i + 1):
-                continue
-            rel(
-                f"T{i} X{j} commute",
-                [(one, [("T", i, 1), ("X", j, 1)])],
-                [(one, [("X", j, 1), ("T", i, 1)])],
-            )
-            rel(
-                f"T{i} Y{j} commute",
-                [(one, [("T", i, 1), ("Y", j, 1)])],
-                [(one, [("Y", j, 1), ("T", i, 1)])],
-            )
-    if ell >= 2:
-        rel(
-            "X2 Y1^-1 X2^-1 Y1 = q^-2 T1^2",
-            [(one, [("X", 2, 1), ("Y", 1, -1), ("X", 2, -1), ("Y", 1, 1)])],
-            [(qm2, [("T", 1, 1), ("T", 1, 1)])],
-        )
-    # rotation presentation
-    rel("Q inverse", [(one, [("Q", 0, 1), ("Q", 0, -1)])], [(one, [])])
-    rel("Q inverse'", [(one, [("Q", 0, -1), ("Q", 0, 1)])], [(one, [])])
-    for i in range(2, ell - 1):
-        rel(
-            f"Q T{i - 1} Q^-1 = T{i}",
-            [(one, [("Q", 0, 1), ("T", i - 1, 1), ("Q", 0, -1)])],
-            [(one, [("T", i, 1)])],
-        )
-    if ell >= 2:
-        rel(
-            "Q^2 T_{l-1} Q^-2 = T1",
-            [
-                (
-                    one,
-                    [("Q", 0, 1), ("Q", 0, 1), ("T", ell - 1, 1), ("Q", 0, -1), ("Q", 0, -1)],
-                )
-            ],
-            [(one, [("T", 1, 1)])],
-        )
-    for i in range(1, ell):
-        rel(
-            f"Q Y{i} Q^-1 = Y{i + 1}",
-            [(one, [("Q", 0, 1), ("Y", i, 1), ("Q", 0, -1)])],
-            [(one, [("Y", i + 1, 1)])],
-        )
-    rel(
-        "Q Y_l Q^-1 = zeta Y1",
-        [(one, [("Q", 0, 1), ("Y", ell, 1), ("Q", 0, -1)])],
-        [(zeta, [("Y", 1, 1)])],
-    )
-    if ell >= 2:
-        rel(
-            "Q = X1 T_{1,l-1}",
-            [(one, [("Q", 0, 1)])],
-            [(one, [("X", 1, 1)] + composite("T_range_up", i=1, j=ell - 1))],
-        )
-    else:
-        rel("Q = X1", [(one, [("Q", 0, 1)])], [(one, [("X", 1, 1)])])
-    if ell >= 3:
-        t0 = [("Q", 0, -1), ("T", 1, 1), ("Q", 0, 1)]
-        for i in (1, ell - 1):
-            rel(
-                f"braid T0 T{i}",
-                [(one, t0 + [("T", i, 1)] + t0)],
-                [(one, [("T", i, 1)] + t0 + [("T", i, 1)])],
-            )
-        for i in range(2, ell - 1):
-            rel(
-                f"T0 T{i} commute",
-                [(one, t0 + [("T", i, 1)])],
-                [(one, [("T", i, 1)] + t0)],
-            )
-    # conjugation lemmas, in multiplied-out form (A Y_a = Y_{a+1} A etc.)
-    for i in range(1, ell):
-        for j in range(i, ell):
-            qij = composite("Qij", i=i, j=j)
-            for a in range(i, j + 1):
-                rel(
-                    f"Q_{i}{j} Y{a} = Y{a + 1} Q_{i}{j}",
-                    [(one, qij + [("Y", a, 1)])],
-                    [(one, [("Y", a + 1, 1)] + qij)],
-                )
-            for b in range(i + 1, j + 1):
-                rel(
-                    f"Q_{i}{j} T{b - 1} = T{b} Q_{i}{j}",
-                    [(one, qij + [("T", b - 1, 1)])],
-                    [(one, [("T", b, 1)] + qij)],
-                )
-    for r in range(1, ell):
-        pr = composite("Pr", r=r, ell=ell)
-        for a in range(r, ell):
-            # a >= r and a + 1 <= l: P_r Y_{a+1} = zeta Y_{a-r+1} P_r
-            rel(
-                f"P{r} Y{a + 1} = zeta Y{a - r + 1} P{r}",
-                [(one, pr + [("Y", a + 1, 1)])],
-                [(zeta, [("Y", a - r + 1, 1)] + pr)],
-            )
-        for b in range(r + 1, ell):
-            rel(
-                f"P{r} T{b} = T{b - r} P{r}",
-                [(one, pr + [("T", b, 1)])],
-                [(one, [("T", b - r, 1)] + pr)],
-            )
-    return rels
-
-
-def toshow_relations(ell: int):
-    """w Q Y_{i-1} Q^{-1} = w Y_i (1 < i <= l), shaped as presentation_relations.
-
-    At i = 1 the conjugate of Y_l wraps around to zeta w Y_1.
-    """
-    conj = lambda i: [(_UNIT, [("Q", 0, 1), ("Y", i, 1), ("Q", 0, -1)])]
-    rels = [
-        (f"w Q Y{i - 1} Q^-1 = w Y{i}", conj(i - 1), [(_UNIT, [("Y", i, 1)])])
-        for i in range(2, ell + 1)
-    ]
-    rels.append(("w Q Y_l Q^-1 = zeta w Y1", conj(ell), [(_ZETA, [("Y", 1, 1)])]))
-    return rels

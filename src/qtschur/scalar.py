@@ -70,14 +70,6 @@ class Scalar:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Scalar":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return _ONE
-
-    @classmethod
     def from_rational(cls, x) -> "Scalar":
         x = _exact(x)
         return cls({(0, 0, 0): x}) if x else _ZERO
@@ -90,13 +82,6 @@ class Scalar:
         return cls({(qhalf, dhalf, zeta): coeff})
 
     # -- inspection --------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Key, int | Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

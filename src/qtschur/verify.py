@@ -7,10 +7,12 @@ as data, and the battery vectors it runs on.  A side is a list of
 coefficient a ring-free sum of monomials; bracket trees are expanded
 into terms once, when the table is built, through one q-bracket of two
 sides.  One evaluator sums the difference of the sides on a vector,
-flat.  hecke, looprep and toroidal state relations and operators;
-only this module checks them.  The batteries are deterministic: plain
-basis tensors (finite), Hecke-algebra elements with seeded random words
-(daha), and that algebra battery crossed with all nondecreasing label
+flat.  Every relation table lives here, the Hecke-algebra presentation
+and its conjugation identities too; hecke, looprep and toroidal state
+only the algebra and the operators, and only this module checks
+relations.  The batteries are deterministic: plain basis tensors
+(finite), Hecke-algebra elements with seeded random words (daha), and
+that algebra battery crossed with all nondecreasing label
 tuples (toroidal, affine, rotation), the rotation suite first crossing
 it with every unsorted label tuple.  The zero-mode dictionary, which
 writes the wrap-node Chevalley generators through finite-node modes,
@@ -61,8 +63,6 @@ from qtschur.hecke import (
     apply_word,
     bounded_tuples,
     default_battery,
-    presentation_relations,
-    toshow_relations,
 )
 from qtschur.looprep import PlainTensor, TensorSpace
 from qtschur.scalar import NumericContext, SymbolicContext, _accumulate
@@ -568,23 +568,98 @@ def daha_instances(ell: int, words: int, total: int) -> list[tuple]:
     """The Hecke-algebra presentation, then the conjugation identities.
 
     The presentation runs relation-major on battery elements 0..words-1
-    (hecke.default_battery), the identities vector-major on each of
-    elements 0..total-1.  hecke reads its words left to right, as right
-    multiplications, so each word is reversed into evaluation order.
+    (hecke.default_battery), the identities w Q Y_{i-1} Q^-1 = w Y_i
+    vector-major on each of elements 0..total-1.  Words are in
+    evaluation order, as in every table: w X_i T_i is the word
+    (T_i, X_i).  A hecke.composite word is an algebra product, read left
+    to right, so it is reversed into a word once, here.
     """
+    T = lambda i, e=1: ("T", i, e)
+    X = lambda j, e=1: ("X", j, e)
+    Y = lambda j, e=1: ("Y", j, e)
+    Q = lambda e=1: ("Q", 0, e)
+    composite = lambda kind, **params: tuple(reversed(hecke.composite(kind, **params)))
+    zeta, q2, qm2 = ((1, 0, 0, 1),), ((1, 2, 0, 0),), ((1, -2, 0, 0),)
+    rels = []
 
-    def sides(lhs, rhs):
-        return [[(c, tuple(reversed(word))) for c, word in side] for side in (lhs, rhs)]
+    def rel(name, lhs, rhs, coeff=_ONE):
+        rels.append((name, [(_ONE, lhs)], [(coeff, rhs)]))
 
-    inst = [
-        (name, (), (), None, *sides(lhs, rhs), range(words))
-        for name, lhs, rhs in presentation_relations(ell)
-    ]
-    toshow = [(name, *sides(lhs, rhs)) for name, lhs, rhs in toshow_relations(ell)]
-    return inst + [
+    for i in range(1, ell):
+        rel(f"T{i} inverse", (T(i, -1), T(i)), ())
+        rel(f"T{i} inverse'", (T(i), T(i, -1)), ())
+        rels.append((f"T{i} quadratic", [(_ONE, (T(i), T(i)))],
+                     [(((1, 2, 0, 0), (-1, 0, 0, 0)), (T(i),)), (q2, ())]))
+    for i in range(1, ell - 1):
+        rel(f"braid T{i} T{i + 1}", (T(i), T(i + 1), T(i)), (T(i + 1), T(i), T(i + 1)))
+    for i in range(1, ell):
+        for j in range(i + 2, ell):
+            rel(f"T{i} T{j} commute", (T(j), T(i)), (T(i), T(j)))
+    for j in range(1, ell + 1):
+        rel(f"X{j} inverse", (X(j, -1), X(j)), ())
+        rel(f"Y{j} inverse", (Y(j, -1), Y(j)), ())
+    for a in range(1, ell + 1):
+        for b in range(a + 1, ell + 1):
+            rel(f"X{a} X{b} commute", (X(b), X(a)), (X(a), X(b)))
+            rel(f"Y{a} Y{b} commute", (Y(b), Y(a)), (Y(a), Y(b)))
+    # X_0 Y_1 = zeta Y_1 X_0 with X_0 = X_1 ... X_l
+    x0 = tuple(X(j) for j in range(ell, 0, -1))
+    rel("X0 Y1 twist", (Y(1),) + x0, x0 + (Y(1),), zeta)
+    for i in range(1, ell):
+        rel(f"T{i} X{i} T{i} = q^2 X{i + 1}", (T(i), X(i), T(i)), (X(i + 1),), q2)
+        rel(f"T{i}^-1 Y{i} T{i}^-1 = q^-2 Y{i + 1}", (T(i, -1), Y(i), T(i, -1)), (Y(i + 1),), qm2)
+        for j in range(1, ell + 1):
+            if j not in (i, i + 1):
+                rel(f"T{i} X{j} commute", (X(j), T(i)), (T(i), X(j)))
+                rel(f"T{i} Y{j} commute", (Y(j), T(i)), (T(i), Y(j)))
+    if ell >= 2:
+        rel("X2 Y1^-1 X2^-1 Y1 = q^-2 T1^2", (Y(1), X(2, -1), Y(1, -1), X(2)), (T(1), T(1)), qm2)
+    # rotation presentation
+    rel("Q inverse", (Q(-1), Q()), ())
+    rel("Q inverse'", (Q(), Q(-1)), ())
+    for i in range(2, ell - 1):
+        rel(f"Q T{i - 1} Q^-1 = T{i}", (Q(-1), T(i - 1), Q()), (T(i),))
+    if ell >= 2:
+        rel("Q^2 T_{l-1} Q^-2 = T1", (Q(-1), Q(-1), T(ell - 1), Q(), Q()), (T(1),))
+    for i in range(1, ell):
+        rel(f"Q Y{i} Q^-1 = Y{i + 1}", (Q(-1), Y(i), Q()), (Y(i + 1),))
+    rel("Q Y_l Q^-1 = zeta Y1", (Q(-1), Y(ell), Q()), (Y(1),), zeta)
+    if ell >= 2:
+        rel("Q = X1 T_{1,l-1}", (Q(),), composite("T_range_up", i=1, j=ell - 1) + (X(1),))
+    else:
+        rel("Q = X1", (Q(),), (X(1),))
+    if ell >= 3:
+        t0 = (Q(), T(1), Q(-1))
+        for i in (1, ell - 1):
+            rel(f"braid T0 T{i}", t0 + (T(i),) + t0, (T(i),) + t0 + (T(i),))
+        for i in range(2, ell - 1):
+            rel(f"T0 T{i} commute", (T(i),) + t0, t0 + (T(i),))
+    # conjugation lemmas, in multiplied-out form (A Y_a = Y_{a+1} A etc.)
+    for i in range(1, ell):
+        for j in range(i, ell):
+            qij = composite("Qij", i=i, j=j)
+            for a in range(i, j + 1):
+                rel(f"Q_{i}{j} Y{a} = Y{a + 1} Q_{i}{j}", (Y(a),) + qij, qij + (Y(a + 1),))
+            for b in range(i + 1, j + 1):
+                rel(f"Q_{i}{j} T{b - 1} = T{b} Q_{i}{j}", (T(b - 1),) + qij, qij + (T(b),))
+    for r in range(1, ell):
+        pr = composite("Pr", r=r, ell=ell)
+        for a in range(r, ell):
+            rel(f"P{r} Y{a + 1} = zeta Y{a - r + 1} P{r}", (Y(a + 1),) + pr,
+                pr + (Y(a - r + 1),), zeta)
+        for b in range(r + 1, ell):
+            rel(f"P{r} T{b} = T{b - r} P{r}", (T(b),) + pr, pr + (T(b - r),))
+    presentation = len(rels)
+    for i in range(2, ell + 1):
+        rel(f"w Q Y{i - 1} Q^-1 = w Y{i}", (Q(-1), Y(i - 1), Q()), (Y(i),))
+    rel("w Q Y_l Q^-1 = zeta w Y1", (Q(-1), Y(ell), Q()), (Y(1),), zeta)
+    return [
+        (name, (), (), None, lhs, rhs, range(words))
+        for name, lhs, rhs in rels[:presentation]
+    ] + [
         (name, (), (), None, lhs, rhs, range(k, k + 1))
         for k in range(total)
-        for name, lhs, rhs in toshow
+        for name, lhs, rhs in rels[presentation:]
     ]
 
 

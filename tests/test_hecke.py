@@ -237,7 +237,6 @@ def test_x_roundtrip():
 
 def test_composite_frozen():
     assert composite("T_range_up", i=1, j=3) == [("T", 1, 1), ("T", 2, 1), ("T", 3, 1)]
-    assert composite("T_range_down", i=1, j=3) == [("T", 3, 1), ("T", 2, 1), ("T", 1, 1)]
     assert composite("Qij", i=2, j=3) == [("X", 2, 1), ("T", 2, 1), ("T", 3, 1)]
     assert composite("Pr", r=1, ell=3) == [
         ("X", 2, 1),

@@ -589,7 +589,7 @@ def test_symbolic_images_keep_int_coefficients():
         for image in (u, toroidal_mode_apply("E", 1, 1, u), toroidal_mode_apply("K-", 0, -2, u)):
             for w in image.support.values():
                 for coeff in w.support.values():
-                    assert all(type(c) is int for c in coeff.terms.values()), coeff
+                    assert all(type(c) is int for c in coeff._terms.values()), coeff
                     seen += len(coeff)
     assert seen  # not vacuous
 

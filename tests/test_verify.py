@@ -310,6 +310,12 @@ PINNED_REPORTS = [
         RunConfig(ell=1, modes=1),
         "2b45b41cd8dedc303fac1fe016b1afca13ebeab9f89bc21f3a9507b40a343436",
     ),
+    # the first length with braid, T0 and Q_12 / P_2 relations
+    (
+        "daha",
+        RunConfig(ell=3),
+        "88fc04173002946915d484a252fd223f54972750f2029ee94ab1269fe48ba960",
+    ),
 ]
 
 
@@ -588,11 +594,18 @@ GATED_FAULTS = [
     ("daha", RunConfig(ell=2), hecke, "_bl_exchange", _flip_correction, 175),
     ("rotation", RunConfig(ell=2, modes=0), tor, "hecke_exchange_terms",
      _flip_swapped_term, 228),
+    ("daha", RunConfig(ell=3), hecke, "_bl_exchange", _flip_correction, 862),
 ]
 
 
+def _longer(cfg):
+    """An id suffix naming the length of a configuration longer than ell 2."""
+    return f"-ell{cfg.ell}" if cfg.ell > 2 else ""
+
+
 @pytest.mark.parametrize(
-    "suite, cfg, module, name, fault, count", GATED_FAULTS, ids=[f[0] for f in GATED_FAULTS]
+    "suite, cfg, module, name, fault, count", GATED_FAULTS,
+    ids=[suite + _longer(cfg) for suite, cfg, *_ in GATED_FAULTS],
 )
 def test_numeric_failure_gates_symbolic_in_checked_suites(
     monkeypatch, suite, cfg, module, name, fault, count
@@ -704,7 +717,7 @@ ORDER_CASES = [case[:5] for case in GATED_FAULTS] + [
 
 @pytest.mark.parametrize(
     "suite, cfg, module, name, fault", ORDER_CASES,
-    ids=[f"{suite}-{cfg.mode}-{cfg.q0},{cfg.d0}" for suite, cfg, *_ in ORDER_CASES],
+    ids=[f"{suite}-{cfg.mode}-{cfg.q0},{cfg.d0}{_longer(cfg)}" for suite, cfg, *_ in ORDER_CASES],
 )
 def test_report_bytes_independent_of_term_order(monkeypatch, suite, cfg, module, name, fault):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
