@@ -18,8 +18,8 @@ tied.  Every run is kept with its metrics.  With ``--trace``, one traced
 run per side and workload (seed first-seed, a one-second untraced part)
 adds the per-layer tables.  Each run's ``untraced`` list holds the
 tracing targets that perfbench/run.py reported missing from the package
-(empty on untraced runs and when the tracer found every target).  The exit code is 1 when any run failed its
-correctness gate, else 0.
+(empty on untraced runs and when the tracer found every target).  The
+exit code is 1 when any run failed its correctness gate, else 0.
 """
 
 import argparse

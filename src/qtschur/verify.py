@@ -629,7 +629,7 @@ def daha_instances(ell: int, words: int, total: int) -> list[tuple]:
     else:
         rel("Q = X1", (Q(),), (X(1),))
     if ell >= 3:
-        t0 = (Q(), T(1), Q(-1))
+        t0 = (Q(), T(1), Q(-1))  # T_0 = Q^-1 T_1 Q
         for i in (1, ell - 1):
             rel(f"braid T0 T{i}", t0 + (T(i),) + t0, (T(i),) + t0 + (T(i),))
         for i in range(2, ell - 1):
