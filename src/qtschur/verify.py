@@ -211,8 +211,8 @@ class Report:
         head = json.dumps({"params": self.params}, sort_keys=True, indent=2)
         yield head[:-2] + ',\n  "results": ['
         sep = "\n"
-        for row in self.results:
-            yield sep + _row_json(row)
+        for text in self.results.rows(_row_json, _row_template):
+            yield sep + text
             sep = ",\n"
         yield "\n  ]" if sep != "\n" else "]"
         tail = json.dumps({"suite": self.suite, "summary": self.summary()},
@@ -220,7 +220,7 @@ class Report:
         yield "," + tail[1:] + "\n"
 
     def write(self, fh) -> None:
-        """Write the JSON report to the text file fh, one row at a time."""
+        """Write the JSON report to the text file fh, passing rows from instance templates."""
         fh.writelines(self._chunks())
 
     def to_json(self) -> str:
@@ -262,6 +262,12 @@ def _row_json(row: dict) -> str:
     return "    {\n" + ",\n".join(fields) + "\n    }"
 
 
+def _row_template(row: dict):
+    """The JSON of row as a function of its vector name: "vector", the last key, is ""."""
+    head, tail = _row_json(row).rsplit('""', 1)
+    return lambda name: head + _encode_str(name) + tail
+
+
 def _row(relation, nodes, modes, form, vector, verdict: dict) -> dict:
     """One report row; verdict holds its status and per-stage fields."""
     row = {"relation": relation, "nodes": list(nodes), "modes": list(modes), "vector": vector}
@@ -299,19 +305,26 @@ class Verdicts:
         return sum(1 if block is None else len(block[0]) for block in self.blocks)
 
     def __iter__(self):
+        return self.rows(lambda row: row, lambda row: lambda name: dict(row, vector=name))
+
+    def rows(self, whole, template):
+        """The rows in order: whole(row) for a failing or excluded row, template(row)(name)
+        for a passing one, template called once per instance, with the vector name ""."""
         verdicts = [_verdict(self.stages, code) for code in range(len(self.stages) + 1)]
+        excluded = {"status": "excluded", "note": "mn = 2 incompatible with kappa >= 4"}
         for (relation, nodes, modes, form, *_, vectors), block in zip(self.instances, self.blocks):
             if block is None:
-                note = "mn = 2 incompatible with kappa >= 4"
-                yield _row(relation, nodes, modes, None, "-", {"status": "excluded", "note": note})
+                yield whole(_row(relation, nodes, modes, None, "-", excluded))
                 continue
             codes, residuals = block
             names = self.names if vectors is None else self.names[vectors.start : vectors.stop]
+            passing = template(_row(relation, nodes, modes, form, "", verdicts[0]))
             for pos, code in enumerate(codes):
-                row = _row(relation, nodes, modes, form, names[pos], verdicts[code])
                 if code:
-                    row["residual"] = residuals[pos]
-                yield row
+                    verdict = dict(verdicts[code], residual=residuals[pos])
+                    yield whole(_row(relation, nodes, modes, form, names[pos], verdict))
+                else:
+                    yield passing(names[pos])
 
     def tally(self):
         """(relation, status, count) triples that add up to the rows' statuses."""

@@ -32,7 +32,7 @@ from qtschur.hecke import (
     x_letter_word,
 )
 from qtschur.scalar import NumericContext, SymbolicContext
-from qtschur.verify import SuiteContext, Verdicts, daha_instances
+from qtschur.verify import RunConfig, SuiteContext, Verdicts, daha_instances
 
 from oracles import compose, inverse, inverse_word, specialize
 
@@ -291,6 +291,25 @@ def test_presentation_numeric_ell3():
 
 def test_toshow_battery():
     _assert_all_pass(sym_ctx(2), presented=False)
+
+
+@pytest.mark.parametrize("ell, relation, side", [(3, "braid T0 T1", 0), (4, "T0 T2 commute", 1)])
+def test_daha_table_spells_t0_as_q_t_last_q_inverse(ell, relation, side):
+    # below ell 5 every T0 row of the table also holds for T2 = Q T1 Q^-1,
+    # so the T0 word the rows use is pinned here: T0 = Q T_{l-1} Q^-1.  At
+    # ell 2 the two words coincide.  Table words run in evaluation order
+    # (the algebra product reversed), apply_word reads products left to right.
+    ctx = SuiteContext.for_suite("daha", RunConfig(ell=ell))
+    (sides,) = [(lhs, rhs) for name, *_, lhs, rhs, _ in ctx.instances if name == relation]
+    (_, word), = sides[side]
+    t0 = list(reversed(word[:3]))
+    want = [("Q", 0, 1), ("T", ell - 1, 1), ("Q", 0, -1)]
+    for _, battery, _ in ctx.stages:
+        for _, w in battery:
+            assert apply_word(w, t0) == apply_word(w, want), (relation, w)
+    # the test tells T0 from T2 at this length
+    one = battery[0][1].ctx.one()
+    assert apply_word(one, want) != apply_word(one, [("Q", 0, 1), ("T", 1, 1), ("Q", 0, -1)])
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qtschur.hecke import (
     AffinePermutation,
+    DahaElement,
     apply_word,
     default_battery,
     right_mul_T,
@@ -28,6 +29,7 @@ from qtschur.looprep import (
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData
 from qtschur.verify import (
+    RunConfig,
     SuiteContext,
     Verdicts,
     _image,
@@ -363,6 +365,58 @@ def test_kernels_match_whole_factor_formulas(R):
                 assert dead == _whole_factor_dead(sp, labels, v), (labels, v)
                 seen.add(dead)
     assert seen == {True, False}
+
+
+def _ell2_suite(suite):
+    """A suite's context at m3 n1 ell 2 (R0 for toroidal), both stages."""
+    return SuiteContext.for_suite(suite, RunConfig(m=3, n=1, ell=2, modes=0))
+
+
+@pytest.mark.parametrize("suite", ["toroidal", "affine"])
+def test_one_term_factors_never_kill_a_repeated_key(suite):
+    # _collect keeps a one-term part without the product; the full
+    # product must agree on every repeated-label key of the battery
+    checked = 0
+    for _, battery, _ in _ell2_suite(suite).stages:
+        sp = battery[0][1].space
+        R = sp.R
+        for _, u in battery:
+            for labels, w in u.support.items():
+                if len(set(labels)) == len(labels):
+                    continue
+                assert len(sp.symmetrizer(labels)) > 1
+                for key, c in w.support.items():
+                    for coeff in (c, R.one, -R.qpow(3), R.one + R.qpow(2)):
+                        one_term = DahaElement(sp.daha, {key: coeff})
+                        assert not sp.key_is_dead(labels, one_term), (labels, key, coeff)
+                        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("suite", ["toroidal", "affine"])
+def test_collect_matches_the_full_product_on_every_part(monkeypatch, suite):
+    # a whole run of the suite's table on its ell-2 batteries, each
+    # normalize (letter images and relation differences) checked against
+    # one that tests every part by the product
+    seen = {"one-term repeated": 0, "dead": 0}
+
+    def checked(space, acc, orig=tor._collect):
+        out = orig(space, acc)
+        want = {}
+        for labels, part in acc.items():
+            w = DahaElement(space.daha, part)
+            if part and not space.key_is_dead(labels, w):
+                want[labels] = w
+            seen["one-term repeated"] += len(part) == 1 and len(set(labels)) < len(labels)
+            seen["dead"] += bool(part) and labels not in want
+        assert out.support == want
+        return out
+
+    monkeypatch.setattr(tor, "_collect", checked)
+    ctx = _ell2_suite(suite)
+    blocks = ctx.verdicts(0, len(ctx.instances))
+    assert not any(any(block[0]) for block in blocks if block is not None)
+    assert seen["one-term repeated"] and seen["dead"]
 
 
 def test_second_rotation_reuses_kernels(monkeypatch):

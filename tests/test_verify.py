@@ -742,9 +742,36 @@ def test_run_suite_builds_rows_only_while_writing(monkeypatch):
     assert report.ok() and report.render_summary() and report.summary()["pass"]
     assert built == []
     written = _written(report)
-    assert len(built) == len(report.results) == sum(report.summary().values())
+    # one row per instance (its template, or its excluded row), one per failing row
+    assert len(built) == len(report.results.instances) + report.summary()["fail"]
     assert written == _dumped(report)
     assert hashlib.sha256(written.encode()).hexdigest() == PINNED_REPORTS[0][2]
+
+
+# rows the writer renders whole: failing rows, whose residual sorts
+# before the vector name, and the excluded Serre5/6 rows; in one-stage
+# (symbolic, numeric) and two-stage (both) layouts, with form fields
+WHOLE_ROWS = [
+    ("symbolic", True, 168,
+     "02f1434b6a400c21836740cc73b6313aa5532b623d2799fba2c734687d7ee77b"),
+    ("both", False, 0, PINNED_REPORTS[0][2]),
+    ("numeric", False, 0, None),
+]
+
+
+@pytest.mark.parametrize("mode, fault, fails, digest", WHOLE_ROWS, ids=["fail", "both", "numeric"])
+def test_writer_renders_failing_and_excluded_rows_whole(monkeypatch, mode, fault, fails, digest):
+    if fault:
+        monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
+    report = run_suite("toroidal", RunConfig(m=3, n=1, ell=1, modes=0, mode=mode))
+    built = []
+    monkeypatch.setattr(verify, "_row", lambda *args, orig=verify._row: built.append(args) or orig(*args))
+    written = _written(report)
+    assert report.summary()["fail"] == fails and report.summary()["excluded"] == 2
+    assert len(built) == len(report.results.instances) + fails
+    assert written == _dumped(report)
+    assert digest is None or hashlib.sha256(written.encode()).hexdigest() == digest
+    assert {"form", "note"} <= {key for row in report.results for key in row}
 
 
 def test_context_cache_keeps_the_latest_context_only():
