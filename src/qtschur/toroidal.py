@@ -34,9 +34,8 @@ repeated-label blocks: a factor w kills the key exactly when w times
 the block symmetrizer vanishes.  The test is linear in w, so sums are
 taken flat, {key: {Hecke basis key: coeff}} in any order, and pruned
 once by _collect, the one normalize; equality is emptiness of a
-difference.  A one-term factor c Q^k T_w Y^mu, a nonzero scalar times
-a unit, never kills its key, since the symmetrizer is nonzero: _collect
-forms the product for factors of two or more terms only.
+difference.  A one-term factor c Q^k T_w Y^mu, a nonzero scalar times a
+unit, never kills its key (the symmetrizer is nonzero): _collect keeps it.
 
 Current modes, Chevalley operators, the descent sort and the rotation
 act on the key and only right-multiply the factor, so each is a letter
@@ -247,13 +246,15 @@ def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVecto
 
 
 def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
-    """The vector of a flat sum {key: {Hecke basis key: coeff}}, each dead key dropped.
-
-    A one-term part never kills its key, so only longer ones go to key_is_dead.
-    """
-    parts = ((labels, DahaElement(space.daha, part)) for labels, part in acc.items() if part)
-    live = lambda k, w: len(w.support) == 1 or not space.key_is_dead(k, w)
-    return FunctorVector(space, {k: w for k, w in parts if live(k, w)})
+    """The vector of a flat sum {key: {Hecke basis key: coeff}}, each dead key dropped;
+    a one-term part never kills its key, so only longer parts go to key_is_dead."""
+    out, daha = {}, space.daha
+    for labels, part in acc.items():
+        if part:
+            w = DahaElement(daha, part)
+            if len(part) == 1 or not space.key_is_dead(labels, w):
+                out[labels] = w
+    return FunctorVector(space, out)
 
 
 class FunctorVector(SparseVector):
