@@ -765,7 +765,8 @@ def test_writer_renders_failing_and_excluded_rows_whole(monkeypatch, mode, fault
         monkeypatch.setattr(verify, "mmatrix", lambda pd, i, j: 0)
     report = run_suite("toroidal", RunConfig(m=3, n=1, ell=1, modes=0, mode=mode))
     built = []
-    monkeypatch.setattr(verify, "_row", lambda *args, orig=verify._row: built.append(args) or orig(*args))
+    counted = lambda *args, orig=verify._row: built.append(args) or orig(*args)
+    monkeypatch.setattr(verify, "_row", counted)
     written = _written(report)
     assert report.summary()["fail"] == fails and report.summary()["excluded"] == 2
     assert len(built) == len(report.results.instances) + fails
