@@ -1,9 +1,11 @@
 """Print the wrap-node current action next to its finite-node source.
 
-The node-0 operators are conjugates of node-1 operators by the spectral
-rotation; this table makes the conjugation visible on a single tensor
-factor, which is the quickest way to sanity-check sign or scaling
-changes by eye.
+Mode r of a node-0 current is the spectral rotation's conjugate of the
+node-1 mode r, rescaled by q1^{s_kappa r}; both columns go through the
+letter evaluator of qtschur.verify (apply_letter), which composes that
+conjugation.  The table makes it visible on a single tensor factor,
+which is the quickest way to sanity-check sign or scaling changes by
+eye.
 
 Usage: python3 scripts/wrap_node_table.py [--m 3] [--n 1] [--r 1]
 """
@@ -17,12 +19,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qtschur import toroidal as tor
 from qtschur.scalar import SymbolicContext
 from qtschur.superdata import ParityData
+from qtschur.verify import apply_letter
 
 
 def show(space: tor.FunctorSpace, family: str, node: int, r: int) -> None:
     print(f"  {family}[{r}] at node {node}:")
     for labels in space.all_keys():
-        image = tor.toroidal_mode_apply(family, node, r, space.basis(labels))
+        image = apply_letter(family, node, r, space.basis(labels))
         if image.is_zero():
             continue
         print(f"    v{labels} -> {image.render()}")

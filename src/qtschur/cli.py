@@ -28,7 +28,7 @@ import time
 from qtschur import toroidal as tor
 from qtschur.hecke import DahaContext, composite
 from qtschur.scalar import SymbolicContext
-from qtschur.verify import SUITES, ConfigError, RunConfig, run_suite
+from qtschur.verify import SUITES, ConfigError, RunConfig, apply_letter, run_suite
 
 _INT_KEYS = ("m", "n", "ell", "modes", "seed", "jobs")
 _STR_KEYS = ("parity", "mode", "q0", "d0")
@@ -157,6 +157,17 @@ def _dump_space(cfg: RunConfig) -> tor.FunctorSpace:
     return tor.FunctorSpace(pd, cfg.ell, coeffs)
 
 
+def _dump_rows(space: tor.FunctorSpace, head: dict, letter: tuple) -> list[dict]:
+    """One row per battery vector: head, the input's name and its rendered image."""
+    return [
+        dict(head, input=vname, output=[
+            [list(labels), w.render()]
+            for labels, w in sorted(apply_letter(*letter, u).support.items())
+        ])
+        for vname, u in tor.functor_battery(space)
+    ]
+
+
 def _cmd_dump(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     cfg.validate_common()
@@ -175,9 +186,10 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         else:
             space = _dump_space(cfg)
             if args.op == "psi":
-                payload = tor.dump_psi_action(space)
+                payload = _dump_rows(space, {"op": "psi"}, ("psi", 0, 1))
             else:
-                payload = tor.dump_mode_action(space, args.op, args.node, r)
+                head = {"op": args.op, "node": args.node, "mode": r}
+                payload = _dump_rows(space, head, (args.op, args.node, r))
             for row in payload:
                 images = ", ".join(f"{w} (x) v{tuple(labels)}" for labels, w in row["output"])
                 print(f"{row['input']}  ->  {images if images else '0'}")

@@ -18,16 +18,18 @@ Operators provided:
   * the Chevalley triple at the wrap-around node in three variants
     (which invertible letter multiplies the algebra factor: Y, Y with
     a d-shift, or X);
-  * the label-rotation map, its powers and inverse, multiplying by
-    inverse X letters on wrapped slots; the wrap-around-node currents
-    are its conjugates of the node-1 currents with a mode-wise
-    argument rescale;
+  * the label-rotation map and its inverse, multiplying by inverse X
+    letters on wrapped slots;
   * the two sides of the balancing relation on unsorted keys (a T
     letter on the factor, the exchange on the key), and the diagonal
     weight action.
 
-The rotation identities and the rotation's respect for the balancing
-relation are a relation table in verify; this module checks nothing.
+The wrap-around-node currents are not operators of this module: mode
+r at node 0 is the rotation's conjugate of the node-1 mode r, times
+q1^{s_kappa r}, and verify's evaluator composes it as a word of the
+letters here.  The rotation identities and the rotation's respect for
+the balancing relation are a relation table in verify; this module
+checks nothing.
 
 Equality is decided per key through the parabolic symmetrizer of the
 repeated-label blocks: a factor w kills the key exactly when w times
@@ -87,7 +89,6 @@ class FunctorSpace:
         self.daha = DahaContext(ell, coeffs) if daha is None else daha
         self._family = {pd.s: self} if _family is None else _family
         self._family.setdefault(pd.s, self)
-        self._sort_cache: dict = {}
         self._sym_cache: dict = {}
         self._letter_terms: dict = {}
         self._rotated: dict = {}
@@ -127,30 +128,22 @@ class FunctorSpace:
         and one factor sign * q^{-1}, where the sign is the parity
         product of the two exchanged labels.  Equal labels never move.
         """
-        hit = self._sort_cache.get(labels)
-        if hit is None:
-            pd, R = self.pd, self.R
-            lab = list(labels)
-            word: list = []
-            sign = 1
-            steps = 0
-            a = 0
-            while a < len(lab) - 1:
-                if lab[a] > lab[a + 1]:
-                    if pd.vector_parity(lab[a]) and pd.vector_parity(lab[a + 1]):
-                        sign = -sign
-                    word.append(("T", a + 1, 1))
-                    lab[a], lab[a + 1] = lab[a + 1], lab[a]
-                    steps += 1
-                    a = max(a - 1, 0)
-                else:
-                    a += 1
-            coeff = R.qpow(-steps)
-            if sign < 0:
-                coeff = -coeff
-            hit = (tuple(word), coeff, tuple(lab))
-            self._sort_cache[labels] = hit
-        return hit
+        pd = self.pd
+        lab = list(labels)
+        word: list = []
+        sign = 1
+        a = 0
+        while a < len(lab) - 1:
+            if lab[a] > lab[a + 1]:
+                if pd.vector_parity(lab[a]) and pd.vector_parity(lab[a + 1]):
+                    sign = -sign
+                word.append(("T", a + 1, 1))
+                lab[a], lab[a + 1] = lab[a + 1], lab[a]
+                a = max(a - 1, 0)
+            else:
+                a += 1
+        coeff = self.R.qpow(-len(word))
+        return tuple(word), coeff if sign > 0 else -coeff, tuple(lab)
 
     # -- repeated-label symmetrizers --------------------------------------
 
@@ -297,7 +290,7 @@ def _mode_terms(space: FunctorSpace, letter, labels):
             yield labels2, vec if any(vec) else None, (), c if sign > 0 else -c
 
 
-def vertical_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
+def toroidal_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
     """Exact z^{-r} mode of the labeled current at a finite node."""
     if family not in _LOOP_FAMILY:
         raise ValueError(f"unknown current family {family!r}")
@@ -386,30 +379,7 @@ def key_T_apply(i: int, fv: FunctorVector) -> FunctorVector:
 
 
 # ----------------------------------------------------------------------
-# wrap-around-node currents and the full node set
-
-
-def zero_current_apply(family: str, r: int, fv: FunctorVector, *, psi=None) -> FunctorVector:
-    """Mode r of the wrap-around current: rotate, act at node 1, rotate back.
-
-    The argument rescale z -> q1^{-s_kappa} z multiplies mode r by
-    q1^{+ s_kappa * r}.  psi rotates fv (psi_apply when None); callers
-    that apply several modes to one vector pass a memoized rotation, so
-    that the vector is rotated once.
-    """
-    space = fv.space
-    rotated = psi_apply(fv) if psi is None else psi(fv)
-    out = psi_inverse(vertical_mode_apply(family, 1, r, rotated))
-    return out.scale(space.R.q1pow(space.pd.sign(space.kappa) * r))
-
-
-def toroidal_mode_apply(
-    family: str, i: int, r: int, fv: FunctorVector, *, psi=None
-) -> FunctorVector:
-    """Mode r of the node-i current; psi as in zero_current_apply."""
-    if i % fv.space.kappa == 0:
-        return zero_current_apply(family, r, fv, psi=psi)
-    return vertical_mode_apply(family, i, r, fv)
+# diagonal weights
 
 
 def weight_exponent(pd: ParityData, labels, i: int) -> int:
@@ -431,7 +401,7 @@ def weight_apply(i: int, fv: FunctorVector) -> FunctorVector:
 
 
 # ----------------------------------------------------------------------
-# batteries and dumps
+# battery
 
 
 def functor_battery(space: FunctorSpace):
@@ -442,23 +412,3 @@ def functor_battery(space: FunctorSpace):
             name = f"{wname}|{','.join(map(str, labels))}"
             out.append((name, space.basis(labels, w)))
     return out
-
-
-def dump_mode_action(space: FunctorSpace, family: str, node: int, r: int) -> list[dict]:
-    """Action table of one mode on the standard battery, for reports."""
-    apply = lambda u: toroidal_mode_apply(family, node, r, u)
-    return _action_table(space, apply, {"op": family, "node": node, "mode": r})
-
-
-def dump_psi_action(space: FunctorSpace) -> list[dict]:
-    return _action_table(space, psi_apply, {"op": "psi"})
-
-
-def _action_table(space: FunctorSpace, apply, head: dict) -> list[dict]:
-    """One row per battery vector: head, the input's name and its rendered image."""
-    return [
-        dict(head, input=vname, output=[
-            [list(labels), w.render()] for labels, w in sorted(apply(u).support.items())
-        ])
-        for vname, u in functor_battery(space)
-    ]

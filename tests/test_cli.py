@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,6 @@ import sys
 import pytest
 
 from qtschur import cli
-from qtschur import toroidal as tor
 from qtschur.cli import main
 from qtschur.hecke import DahaContext
 from qtschur.scalar import SymbolicContext
@@ -149,6 +149,38 @@ def test_dump_mode_table(tmp_path, capsys):
     assert images, "the raising mode must act nontrivially somewhere"
 
 
+# sha256 of the --out file and of stdout, for three dump commands: a
+# wrap-node raising mode, a wrap-node diagonal mode off zero, the rotation
+DUMP_DIGESTS = [
+    (
+        ("--op", "E", "--node", "0", "--mode", "1"),
+        "c63b2f0aefb60df1c0fe109d58bf4d06b429c9c7fcd99cd7e68f6afb5a6a0d56",
+        "2835e5474588580f8e5d454e5a1316f1f27532bc76dc4811397f67be4d38300d",
+    ),
+    (
+        ("--op", "K-", "--node", "0", "--r", "-2", "--ell", "2"),
+        "83e4ffa6ca8afc7469e08752b8a52d0ab84e92e30407dc7acc67192da377a947",
+        "4cbadc4772ddf90f00b5ab6b1df16f808a78e5eebae8af8805eff216db8ef500",
+    ),
+    (
+        ("--op", "psi", "--ell", "2"),
+        "4e001493a8ff4493721f76c072d82cd85a5d6d385d66499c85876faf3668a5c2",
+        "d6d3422384154bf35cb47c9bc5546c7a8d09e167d70255834c71c58a5f3ca2d0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,out_digest,stdout_digest", DUMP_DIGESTS, ids=["E-node0", "K--node0-ell2", "psi-ell2"]
+)
+def test_dump_bytes_pinned(tmp_path, capsys, args, out_digest, stdout_digest):
+    out = tmp_path / "dump.json"
+    assert run_cli("dump", *args, "--out", str(out)) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+
+
 def test_dump_psi(capsys):
     assert run_cli("dump", "--op", "psi", "--ell", "2") == 0
     assert "->" in capsys.readouterr().out
@@ -198,7 +230,7 @@ def test_bench_unwritable_out_exits_two_before_timing(tmp_path, monkeypatch, cap
 
 
 def test_dump_unwritable_out_exits_two_before_the_table(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(tor, "dump_psi_action", no_run)
+    monkeypatch.setattr(cli, "apply_letter", no_run)
     out = tmp_path / "missing" / "psi.json"
     assert run_cli("dump", "--op", "psi", "--out", str(out)) == 2
     captured = capsys.readouterr()

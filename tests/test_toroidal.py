@@ -28,27 +28,25 @@ from qtschur.looprep import (
 )
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData
+from qtschur.cli import _dump_rows
 from qtschur.verify import (
     RunConfig,
     SuiteContext,
     Verdicts,
     _image,
     affine_instances,
+    apply_letter,
     rotation_instances,
     toroidal_instances,
 )
 from qtschur.toroidal import (
     FunctorSpace,
-    dump_mode_action,
-    dump_psi_action,
     functor_battery,
     functor_chevalley_apply,
     psi_apply,
     psi_inverse,
     toroidal_mode_apply,
-    vertical_mode_apply,
     weight_exponent,
-    zero_current_apply,
 )
 
 R31 = SymbolicContext(m=3, n=1)
@@ -174,7 +172,7 @@ def test_raising_mode_single_slot(r):
     # one slot carrying the upper label: every mode is the Laurent
     # monomial (q1^{mu} Y_1)^{-r} with the label lowered
     sp = space31(1)
-    got = vertical_mode_apply("E", 1, r, sp.basis((2,)))
+    got = toroidal_mode_apply("E", 1, r, sp.basis((2,)))
     w = right_mul_Y(sp.daha.one(), 1, -r).scale(R31.q1pow(-r))
     assert got == sp.basis((1,), w)
 
@@ -182,32 +180,32 @@ def test_raising_mode_single_slot(r):
 @pytest.mark.parametrize("r", [-1, 0, 2])
 def test_lowering_mode_single_slot(r):
     sp = space31(1)
-    got = vertical_mode_apply("F", 1, r, sp.basis((1,)))
+    got = toroidal_mode_apply("F", 1, r, sp.basis((1,)))
     w = right_mul_Y(sp.daha.one(), 1, -r).scale(R31.q1pow(-r))
     assert got == sp.basis((2,), w)
 
 
 def test_modes_vanish_without_matching_label():
     sp = space31(1)
-    assert vertical_mode_apply("E", 1, 1, sp.basis((3,))).is_zero()
-    assert vertical_mode_apply("E", 2, 0, sp.basis((1,))).is_zero()
-    assert vertical_mode_apply("F", 1, -1, sp.basis((2,))).is_zero()
+    assert toroidal_mode_apply("E", 1, 1, sp.basis((3,))).is_zero()
+    assert toroidal_mode_apply("E", 2, 0, sp.basis((1,))).is_zero()
+    assert toroidal_mode_apply("F", 1, -1, sp.basis((2,))).is_zero()
 
 
 def test_diagonal_mode_tail():
     # first tail coefficient of the diagonal current on a single slot
     sp = space31(1)
     one = sp.daha.one()
-    got = vertical_mode_apply("K+", 1, 1, sp.basis((1,)))
+    got = toroidal_mode_apply("K+", 1, 1, sp.basis((1,)))
     jump = R31.qpow(1) - R31.qpow(-1)
     w = right_mul_Y(one, 1, -1).scale(jump * R31.q1pow(-1))
     assert got == sp.basis((1,), w)
-    got = vertical_mode_apply("K-", 1, -1, sp.basis((1,)))
+    got = toroidal_mode_apply("K-", 1, -1, sp.basis((1,)))
     w = right_mul_Y(one, 1, 1).scale((R31.qpow(-1) - R31.qpow(1)) * R31.q1pow(1))
     assert got == sp.basis((1,), w)
     # out-of-range modes vanish
-    assert vertical_mode_apply("K+", 1, -1, sp.basis((1,))).is_zero()
-    assert vertical_mode_apply("K-", 1, 1, sp.basis((1,))).is_zero()
+    assert toroidal_mode_apply("K+", 1, -1, sp.basis((1,))).is_zero()
+    assert toroidal_mode_apply("K-", 1, 1, sp.basis((1,))).is_zero()
 
 
 @pytest.mark.parametrize("pd,R", [(PD31, R31), (PD22, R22)])
@@ -216,10 +214,10 @@ def test_zero_modes_match_chevalley(pd, R):
     for labels in sp.all_keys():
         u = sp.basis(labels)
         for i in range(1, pd.kappa):
-            assert vertical_mode_apply("E", i, 0, u) == functor_chevalley_apply("e", i, u)
-            assert vertical_mode_apply("F", i, 0, u) == functor_chevalley_apply("f", i, u)
-            assert vertical_mode_apply("K+", i, 0, u) == functor_chevalley_apply("t", i, u)
-            assert vertical_mode_apply("K-", i, 0, u) == functor_chevalley_apply("tinv", i, u)
+            assert toroidal_mode_apply("E", i, 0, u) == functor_chevalley_apply("e", i, u)
+            assert toroidal_mode_apply("F", i, 0, u) == functor_chevalley_apply("f", i, u)
+            assert toroidal_mode_apply("K+", i, 0, u) == functor_chevalley_apply("t", i, u)
+            assert toroidal_mode_apply("K-", i, 0, u) == functor_chevalley_apply("tinv", i, u)
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -229,9 +227,9 @@ def test_diagonal_weights(ell):
         u = sp.basis(labels)
         for i in range(pd_kappa := sp.kappa):
             if i == 0:
-                got = zero_current_apply("K+", 0, u)
+                got = apply_letter("K+", 0, 0, u)
             else:
-                got = vertical_mode_apply("K+", i, 0, u)
+                got = toroidal_mode_apply("K+", i, 0, u)
             assert got == u.scale(R31.qpow(weight_exponent(sp.pd, labels, i)))
 
 
@@ -242,7 +240,7 @@ def test_k_chain_is_identity():
         for _, u in battery[:: max(1, len(battery) // 25)]:
             out = u
             for i in range(sp.kappa - 1, -1, -1):
-                out = toroidal_mode_apply("K+", i, 0, out)
+                out = apply_letter("K+", i, 0, out)
             assert out == u
 
 
@@ -508,7 +506,7 @@ def _letters(kappa):
             for r in (-1, 0, 1):
                 args = (family, i, r)
                 out.append((
-                    lambda u, a=args: vertical_mode_apply(*a, u),
+                    lambda u, a=args: toroidal_mode_apply(*a, u),
                     lambda u, a=args: _reference_mode(*a, u),
                 ))
     return out
@@ -579,9 +577,9 @@ def test_bad_letters_raise_before_the_cache():
         lambda: functor_chevalley_apply("x", 1, u),
         lambda: functor_chevalley_apply("f", sp.kappa, u),
         lambda: functor_chevalley_apply("t", -1, u),
-        lambda: vertical_mode_apply("E", 0, 0, u),
-        lambda: vertical_mode_apply("F", sp.kappa, 1, u),
-        lambda: vertical_mode_apply("G", 1, 0, u),
+        lambda: toroidal_mode_apply("E", 0, 0, u),
+        lambda: toroidal_mode_apply("F", sp.kappa, 1, u),
+        lambda: toroidal_mode_apply("G", 1, 0, u),
     ]
     for call in bad:
         with pytest.raises(ValueError):
@@ -598,13 +596,13 @@ def test_wrap_node_mode_zero_matches_chevalley(ell):
     sp = space31(ell)
     for labels in sp.all_keys():
         u = sp.basis(labels)
-        got = zero_current_apply("E", 0, u)
+        got = apply_letter("E", 0, 0, u)
         assert got == functor_chevalley_apply("e", 0, u, variant="horizontal")
-        got = zero_current_apply("F", 0, u)
+        got = apply_letter("F", 0, 0, u)
         assert got == functor_chevalley_apply("f", 0, u, variant="horizontal")
-        got = zero_current_apply("K+", 0, u)
+        got = apply_letter("K+", 0, 0, u)
         assert got == functor_chevalley_apply("t", 0, u)
-        got = zero_current_apply("K-", 0, u)
+        got = apply_letter("K-", 0, 0, u)
         assert got == functor_chevalley_apply("tinv", 0, u)
 
 
@@ -614,7 +612,7 @@ def test_wrap_node_higher_modes_single_slot(r):
     # Y_1^{-r} X_1 on the single-slot vector with top label target
     sp = space31(1)
     one = sp.daha.one()
-    got = zero_current_apply("E", r, sp.basis((1,)))
+    got = apply_letter("E", 0, r, sp.basis((1,)))
     w = right_mul_X(right_mul_Y(one, 1, -r), 1, 1)
     assert got == sp.basis((4,), w)
 
@@ -640,7 +638,7 @@ def test_symbolic_images_keep_int_coefficients():
     sp = space31(1)
     seen = 0
     for _, u in functor_battery(sp):
-        for image in (u, toroidal_mode_apply("E", 1, 1, u), toroidal_mode_apply("K-", 0, -2, u)):
+        for image in (u, toroidal_mode_apply("E", 1, 1, u), apply_letter("K-", 0, -2, u)):
             for w in image.support.values():
                 for coeff in w.support.values():
                     assert all(type(c) is int for c in coeff._terms.values()), coeff
@@ -781,10 +779,10 @@ def test_left_linearity_catches_a_flipped_exchange_correction(monkeypatch):
 
 def test_dump_tables_serialize():
     sp = space31(1)
-    rows = dump_mode_action(sp, "E", 1, 1)
+    rows = _dump_rows(sp, {"op": "E", "node": 1, "mode": 1}, ("E", 1, 1))
     blob = json.loads(json.dumps(rows))
     assert blob[0]["op"] == "E" and blob[0]["node"] == 1 and blob[0]["mode"] == 1
     hit = [r for r in blob if r["input"] == "1|2"]
     assert hit and hit[0]["output"]
-    rows = dump_psi_action(sp)
+    rows = _dump_rows(sp, {"op": "psi"}, ("psi", 0, 1))
     assert json.loads(json.dumps(rows))[0]["op"] == "psi"
