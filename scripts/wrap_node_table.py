@@ -1,11 +1,11 @@
 """Print the wrap-node current action next to its finite-node source.
 
 Mode r of a node-0 current is the spectral rotation's conjugate of the
-node-1 mode r, rescaled by q1^{s_kappa r}; both columns go through the
-letter evaluator of qtschur.verify (apply_letter), which composes that
-conjugation.  The table makes it visible on a single tensor factor,
-which is the quickest way to sanity-check sign or scaling changes by
-eye.
+node-1 mode r, rescaled by q1^{s_kappa r}; toroidal_mode_apply composes
+that conjugation into one letter, and both columns reach it through the
+letter evaluator of qtschur.verify (apply_letter).  The table makes it
+visible on a single tensor factor, which is the quickest way to
+sanity-check sign or scaling changes by eye.
 
 Usage: python3 scripts/wrap_node_table.py [--m 3] [--n 1] [--r 1]
 """

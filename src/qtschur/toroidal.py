@@ -14,7 +14,9 @@ Operators provided:
   * current modes at the finite nodes, as exact z^{-r} coefficients of
     delta/psi products evaluated at q1-shifted points Y_p * z, the
     algebra factor picking up a Laurent monomial in the commuting Y
-    letters;
+    letters; at the wrap-around node 0, mode r is the rotation's
+    conjugate of the node-1 mode r, times q1^{s_kappa r}, composed
+    into one letter;
   * the Chevalley triple at the wrap-around node in three variants
     (which invertible letter multiplies the algebra factor: Y, Y with
     a d-shift, or X);
@@ -24,12 +26,8 @@ Operators provided:
     letter on the factor, the exchange on the key), and the diagonal
     weight action.
 
-The wrap-around-node currents are not operators of this module: mode
-r at node 0 is the rotation's conjugate of the node-1 mode r, times
-q1^{s_kappa r}, and verify's evaluator composes it as a word of the
-letters here.  The rotation identities and the rotation's respect for
-the balancing relation are a relation table in verify; this module
-checks nothing.
+The rotation identities and the rotation's respect for the balancing
+relation are a relation table in verify; this module checks nothing.
 
 Equality is decided per key through the parabolic symmetrizer of the
 repeated-label blocks: a factor w kills the key exactly when w times
@@ -43,11 +41,14 @@ Current modes, Chevalley operators, the descent sort and the rotation
 act on the key and only right-multiply the factor, so each is a letter
 with one cached term list per (letter, key): a sorted target key, a
 Y-exponent shift or None, a Hecke word (X letters, then the sort's T
-letters) and one coefficient.  _letter_apply applies the terms through
-hecke.word_terms, the image of a unit factor T_w Y^mu under a word,
-cached once per algebra context; the dead-key test sums the
-symmetrizer's words through the same cache.  The sums are exact, so
-pruning and residuals are those of the formulas on whole factors.
+letters) and one coefficient.  A wrap-node current's terms join the
+term lists of the rotation, the node-1 mode and the inverse rotation
+into one word each, the mode's Y shift written inside it as Y letters.
+_letter_apply applies the terms through hecke.word_terms, the image of
+a unit factor T_w Y^mu under a word, cached once per algebra context;
+the dead-key test sums the symmetrizer's words through the same cache.
+The sums are exact, so pruning and residuals are those of the formulas
+on whole factors.
 """
 
 from __future__ import annotations
@@ -228,14 +229,22 @@ def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVecto
     for labels, w in fv.support.items():
         terms = cache.get((letter, labels))
         if terms is None:
-            merged: dict = {}
-            for key, vec, word, coeff in build(space, letter, labels):
-                sort_word, sort_coeff, target = out.sort_schedule(key)
-                _accumulate(merged, (target, vec, word + sort_word), coeff * sort_coeff)
-            terms = cache[letter, labels] = tuple((*h, c) for h, c in merged.items())
+            terms = _cached_terms(space, letter, build, labels, out)
         for target, vec, word, coeff in terms:
             _add_product(acc.setdefault(target, {}), w, vec, word, coeff)
     return _collect(out, acc)
+
+
+def _cached_terms(space: FunctorSpace, letter, build, labels, out: FunctorSpace) -> tuple:
+    """The cached term list of one letter on one key, built on a miss (see _letter_apply)."""
+    terms = space._letter_terms.get((letter, labels))
+    if terms is None:
+        merged: dict = {}
+        for key, vec, word, coeff in build(space, letter, labels):
+            sort_word, sort_coeff, target = out.sort_schedule(key)
+            _accumulate(merged, (target, vec, word + sort_word), coeff * sort_coeff)
+        terms = space._letter_terms[letter, labels] = tuple((*h, c) for h, c in merged.items())
+    return terms
 
 
 def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
@@ -290,13 +299,36 @@ def _mode_terms(space: FunctorSpace, letter, labels):
             yield labels2, vec if any(vec) else None, (), c if sign > 0 else -c
 
 
+def _wrap_terms(space: FunctorSpace, letter, labels):
+    """Mode r at node 0: the rotation's conjugate of the node-1 mode r, times q1^{s_kappa r}.
+
+    Each term is a path of cached terms through the rotated space: psi,
+    the node-1 mode, psi^-1.  Its word concatenates theirs, the mode's
+    Y shift written as Y letters in its place (they do not commute with
+    the T and X letters after them).  The middle keys are not pruned: a
+    dead key's image under a letter is dead, so the balanced sum is
+    unchanged.
+    """
+    family, _, r = letter
+    up = space.rotated(1)
+    scale = space.R.q1pow(space.pd.sign(space.kappa) * r)
+    for key1, _, word1, c1 in _cached_terms(space, ("psi", 1), _rotation_terms, labels, up):
+        for key2, vec, word2, c2 in _cached_terms(up, (family, 1, r), _mode_terms, key1, up):
+            shift = tuple(("Y", j, e) for j, e in enumerate(vec, 1) if e) if vec else ()
+            for key3, _, word3, c3 in _cached_terms(
+                up, ("psi", -1), _rotation_terms, key2, space
+            ):
+                coeff = c1 * c2 * c3
+                yield key3, None, word1 + shift + word2 + word3, coeff * scale if r else coeff
+
+
 def toroidal_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
-    """Exact z^{-r} mode of the labeled current at a finite node."""
+    """Exact z^{-r} mode of the labeled current at node i (node 0: see _wrap_terms)."""
     if family not in _LOOP_FAMILY:
         raise ValueError(f"unknown current family {family!r}")
-    if not 1 <= i < fv.space.kappa:
-        raise ValueError(f"node {i} not a finite node")
-    return _letter_apply(fv, (family, i, r), _mode_terms)
+    if not 0 <= i < fv.space.kappa:
+        raise ValueError(f"no node {i}")
+    return _letter_apply(fv, (family, i, r), _mode_terms if i else _wrap_terms)
 
 
 # ----------------------------------------------------------------------

@@ -882,11 +882,9 @@ def _image(memo: dict, op: str, node: int, arg, v):
     images between relations is sound because no operation changes a
     support dict in place: sums, scalings, products and _difference
     build new ones (tests/test_verify.py checks this on every letter,
-    vector operation and difference).  A balanced current at node 0 is
-    the word psi^-1 (fam, 1, r) psi, each letter looked up here, times
-    q1^{s_kappa r} when r is nonzero: the rotation's conjugate of the
-    node-1 current, so every wrap-node mode of v shares one rotation of
-    v.  A zero input is its own image and skips both the memo and the
+    vector operation and difference).  A balanced current at any node,
+    the wrap-around node 0 included, is one toroidal_mode_apply call.
+    A zero input is its own image and skips both the memo and the
     call: every operator but the rotation maps a space to itself, and
     the rotation of zero is the zero of the rotated space.
     """
@@ -899,12 +897,6 @@ def _image(memo: dict, op: str, node: int, arg, v):
     if op in _CURRENTS:
         if type(v) is PlainTensor:
             out = looprep.mode_apply_plain(tor._LOOP_FAMILY[op], node, arg, v)
-        elif node == 0:
-            rotated = _image(memo, _PSI, 0, 1, v)
-            out = _image(memo, _PSI, 0, -1, _image(memo, op, 1, arg, rotated))
-            if arg:
-                space = v.space
-                out = out.scale(space.R.q1pow(space.pd.sign(space.kappa) * arg))
         else:
             out = tor.toroidal_mode_apply(op, node, arg, v)
     elif op in _CHEVALLEY:

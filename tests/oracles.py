@@ -3,7 +3,8 @@
 Nothing in qtschur calls these: each is an independent, plainly written
 copy of a quantity the package computes another way (the numeric
 context's values, the psi streams of the mode extraction, the group
-law behind right_mul_s, the inverse of a right multiplication).
+law behind right_mul_s, the inverse of a right multiplication, the
+wrap-node current as a conjugation by the rotation).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+from qtschur import toroidal as tor
 from qtschur.hecke import AffinePermutation, Token
 from qtschur.scalar import Scalar, q_pow
 
@@ -116,3 +118,19 @@ def inverse(w: AffinePermutation) -> AffinePermutation:
 
 def inverse_word(word: Iterable[Token]) -> list[Token]:
     return [(kind, idx, -exp) for kind, idx, exp in reversed(list(word))]
+
+
+# ----------------------------------------------------------------------
+# wrap-around-node currents
+
+
+def wrap_current_by_conjugation(family: str, r: int, v: tor.FunctorVector) -> tor.FunctorVector:
+    """Mode r of a node-0 current on v, step by step.
+
+    psi^-1 (node-1 mode r (psi v)) times q1^{s_kappa r}: the rotation,
+    the finite-node current and the inverse rotation each applied to a
+    whole vector and normalized before the next.
+    """
+    space = v.space
+    image = tor.psi_inverse(tor.toroidal_mode_apply(family, 1, r, tor.psi_apply(v)))
+    return image.scale(space.R.q1pow(space.pd.sign(space.kappa) * r))

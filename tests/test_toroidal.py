@@ -49,6 +49,8 @@ from qtschur.toroidal import (
     weight_exponent,
 )
 
+from oracles import wrap_current_by_conjugation
+
 R31 = SymbolicContext(m=3, n=1)
 PD31 = ParityData.standard(3, 1)
 R22 = SymbolicContext(formal_zeta=True)
@@ -577,7 +579,7 @@ def test_bad_letters_raise_before_the_cache():
         lambda: functor_chevalley_apply("x", 1, u),
         lambda: functor_chevalley_apply("f", sp.kappa, u),
         lambda: functor_chevalley_apply("t", -1, u),
-        lambda: toroidal_mode_apply("E", 0, 0, u),
+        lambda: toroidal_mode_apply("E", -1, 0, u),
         lambda: toroidal_mode_apply("F", sp.kappa, 1, u),
         lambda: toroidal_mode_apply("G", 1, 0, u),
     ]
@@ -615,6 +617,23 @@ def test_wrap_node_higher_modes_single_slot(r):
     got = apply_letter("E", 0, r, sp.basis((1,)))
     w = right_mul_X(right_mul_Y(one, 1, -r), 1, 1)
     assert got == sp.basis((4,), w)
+
+
+WRAP_SPACES = [(PD31, 1), (PD31, 2), (ParityData.from_string("+-++"), 2)]
+
+
+@pytest.mark.parametrize("ring", ["symbolic", "numeric"])
+@pytest.mark.parametrize("pd, ell", WRAP_SPACES, ids=["m3n1-ell1", "m3n1-ell2", "+-++-ell2"])
+def test_wrap_node_letter_is_the_conjugated_node_one_current(pd, ell, ring):
+    # the composed node-0 letter against psi^-1, the node-1 mode and psi
+    # applied one whole vector at a time, on every battery vector
+    R = R31 if ring == "symbolic" else NumericContext(Fraction(2), Fraction(3), 3, 1)
+    sp = FunctorSpace(pd, ell, R)
+    for _, u in functor_battery(sp):
+        for family in ("E", "F", "K+", "K-"):
+            for r in range(-2, 4):
+                want = wrap_current_by_conjugation(family, r, u)
+                assert toroidal_mode_apply(family, 0, r, u) == want, (family, r)
 
 
 def test_chevalley_variants_differ_by_letter():

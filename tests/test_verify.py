@@ -496,20 +496,15 @@ def test_one_term_difference_drops_dead_keys():
     assert u.support == {(1, 1): w}
 
 
-def test_wrap_currents_rotate_each_vector_once(monkeypatch):
-    # the wrap-node currents of one battery vector share its memo, so no
-    # vector is rotated twice; the inputs are kept so that ids stay unique
-    inputs = []
-
-    def counted(fv, orig=tor.psi_apply):
-        inputs.append(fv)
-        return orig(fv)
-
-    monkeypatch.setattr(tor, "psi_apply", counted)
+def test_toroidal_suite_makes_no_rotation_call(monkeypatch):
+    # a wrap-node current is one composed letter; the rotation is not
+    # applied to whole vectors on the way
+    calls = []
+    for name in ("psi_apply", "psi_inverse"):
+        monkeypatch.setattr(tor, name, lambda fv, name=name: calls.append(name))
     cfg = RunConfig(m=3, n=1, ell=1, modes=0, mode="symbolic")
     assert run_suite("toroidal", cfg).ok()
-    assert inputs
-    assert len(inputs) == len({id(fv) for fv in inputs})
+    assert not calls
 
 
 def test_operators_never_see_zero_inputs(monkeypatch):
