@@ -360,15 +360,8 @@ def right_mul_Q(e: DahaElement, exp: int = 1) -> DahaElement:
 
 def right_mul_X(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
     ctx = e.ctx
-    word = x_letter_word(ctx.ell, j, exp)
-    out = e
-    for kind, idx, sub in word:
-        if kind == "T":
-            out = right_mul_T(out, idx, sub)
-        else:
-            out = right_mul_Q(out, sub)
-    prefactor = ctx.R.qpow(-2 * (j - 1) * exp)
-    return out if j == 1 else out.scale(prefactor)
+    out = apply_word(e, x_letter_word(ctx.ell, j, exp))
+    return out if j == 1 else out.scale(ctx.R.qpow(-2 * (j - 1) * exp))
 
 
 def apply_word(e: DahaElement, word: Iterable[Token]) -> DahaElement:

@@ -1,12 +1,11 @@
 """Exact coefficient arithmetic for everything downstream.
 
 All computations in this package happen over the Laurent-polynomial ring in
-q^{1/2} and d^{1/2} with rational coefficients, extended by one formal
+q^{1/2} and d^{1/2} with integer coefficients, extended by one formal
 central monomial ``zeta`` that is only used by the standalone Hecke-algebra
-checks (everywhere else zeta is a concrete power of q1 = d*q^{-1}).
-Integral coefficients are stored as Python ints and other rationals as
-Fractions; every coefficient the verification suites produce is integral,
-so their arithmetic never leaves int.
+checks (everywhere else zeta is a concrete power of q1 = d*q^{-1}).  Every
+coefficient the verification suites produce is integral, so a Scalar holds
+Python ints only and refuses any other coefficient.
 
 Besides the ring type this module holds the sparse-vector base that
 Hecke-algebra elements, plain tensors and balanced tensors share (one
@@ -25,9 +24,9 @@ A numeric specialization q -> q0, d -> d0 (rationals) doubles as a fast
 cross-check oracle for all symbolic identities; its values lie in Z[1/L]
 for an integer L read off the point, stored gcd-free as ZL.  Both
 coefficient contexts memoize the constants they hand out (powers and
-rationals); Scalar and ZL are immutable, so sharing them is safe.  The
-references the tests hold these against (a Scalar evaluated at a point,
-the closed-form psi_c coefficients) live in tests/oracles.py.
+integer constants); Scalar and ZL are immutable, so sharing them is safe.
+The references the tests hold these against (a Scalar evaluated at a
+point, the closed-form psi_c coefficients) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -41,44 +40,30 @@ from typing import Mapping
 Key = tuple[int, int, int]
 
 
-def _exact(x) -> int | Fraction:
-    """x as an exact rational: an int when integral, else a Fraction."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class Scalar:
     """Immutable Laurent polynomial in q^{1/2}, d^{1/2} (and formal zeta).
 
-    Terms map exponent keys to nonzero rationals, stored as int when
-    integral and as Fraction otherwise (the two compare and hash alike);
-    zero coefficients are dropped eagerly so that equality and zero tests
-    are dictionary comparisons.
+    Terms map exponent keys to nonzero ints; zero coefficients are dropped
+    eagerly so that equality and zero tests are dictionary comparisons.
+    The operands of +, - and * are Scalars.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Key, int | Fraction] | None = None):
-        clean: dict[Key, int | Fraction] = {}
+    def __init__(self, terms: Mapping[Key, int] | None = None):
+        clean: dict[Key, int] = {}
         if terms:
             for key, coeff in terms.items():
+                if type(coeff) is not int:
+                    raise ValueError(f"Scalar coefficients are ints, got {coeff!r}")
                 if coeff:
-                    clean[key] = _exact(coeff)
+                    clean[key] = coeff
         self._terms = clean
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_rational(cls, x) -> "Scalar":
-        x = _exact(x)
-        return cls({(0, 0, 0): x}) if x else _ZERO
-
-    @classmethod
-    def monomial(cls, coeff=1, qhalf: int = 0, dhalf: int = 0, zeta: int = 0) -> "Scalar":
-        coeff = _exact(coeff)
-        if not coeff:
-            return _ZERO
+    def monomial(cls, coeff: int = 1, qhalf: int = 0, dhalf: int = 0, zeta: int = 0) -> "Scalar":
         return cls({(qhalf, dhalf, zeta): coeff})
 
     # -- inspection --------------------------------------------------
@@ -86,15 +71,9 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     # -- ring structure ----------------------------------------------
 
-    def __add__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other: "Scalar") -> "Scalar":
         if not other._terms:
             return self
         if not self._terms:
@@ -112,7 +91,6 @@ class Scalar:
                     del terms[key]
         out = Scalar.__new__(Scalar)
         out._terms = terms
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -120,19 +98,12 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         out = Scalar.__new__(Scalar)
         out._terms = {k: -c for k, c in self._terms.items()}
-        out._hash = None
         return out
 
-    def __sub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
-    def __mul__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: "Scalar") -> "Scalar":
         if not self._terms or not other._terms:
             return _ZERO
         # fast path: monomial times anything
@@ -143,9 +114,8 @@ class Scalar:
                 (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2]): ca * cb
                 for ka, ca in self._terms.items()
             }
-            out._hash = None
             return out
-        terms: dict[Key, int | Fraction] = {}
+        terms: dict[Key, int] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
@@ -160,21 +130,17 @@ class Scalar:
                         del terms[key]
         out = Scalar.__new__(Scalar)
         out._terms = terms
-        out._hash = None
         return out
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if type(other) is not Scalar:
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- rendering ----------------------------------------------------
 
@@ -208,14 +174,6 @@ def _render_exp(half: int) -> str:
     if half % 2 == 0:
         return f"^{half // 2}"
     return f"^{{{half}/2}}"
-
-
-def _coerce(x) -> "Scalar":
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_rational(x)
-    return NotImplemented
 
 
 _ZERO = Scalar()
@@ -292,8 +250,8 @@ class SymbolicContext:
         return self.q1pow((self.n - self.m) * e)
 
     @_memoized
-    def rational(self, x) -> Scalar:
-        return Scalar.from_rational(x)
+    def rational(self, x: int) -> Scalar:
+        return Scalar.monomial(x)
 
     def render(self, coeff: Scalar) -> str:
         return coeff.render()

@@ -37,18 +37,18 @@ once by _collect, the one normalize; equality is emptiness of a
 difference.  A one-term factor c Q^k T_w Y^mu, a nonzero scalar times a
 unit, never kills its key (the symmetrizer is nonzero): _collect keeps it.
 
-Current modes, Chevalley operators, the descent sort and the rotation
-act on the key and only right-multiply the factor, so each is a letter
-with one cached term list per (letter, key): a sorted target key, a
-Y-exponent shift or None, a Hecke word (X letters, then the sort's T
-letters) and one coefficient.  A wrap-node current's terms join the
-term lists of the rotation, the node-1 mode and the inverse rotation
-into one word each, the mode's Y shift written inside it as Y letters.
-_letter_apply applies the terms through hecke.word_terms, the image of
-a unit factor T_w Y^mu under a word, cached once per algebra context;
-the dead-key test sums the symmetrizer's words through the same cache.
-The sums are exact, so pruning and residuals are those of the formulas
-on whole factors.
+Current modes, Chevalley operators, diagonal weights, the descent sort
+and the rotation act on the key and only right-multiply the factor, so
+each is a letter with one cached term list per (letter, key): a sorted
+target key, a Y-exponent shift or None, a Hecke word (X letters, then
+the sort's T letters) and one coefficient.  A wrap-node current's
+terms join the term lists of the rotation, the node-1 mode and the
+inverse rotation into one word each, the mode's Y shift written inside
+it as Y letters.  _letter_apply applies the terms through
+hecke.word_terms, the image of a unit factor T_w Y^mu under a word,
+cached once per algebra context; the dead-key test sums the
+symmetrizer's words through the same cache.  The sums are exact, so
+pruning and residuals are those of the formulas on whole factors.
 """
 
 from __future__ import annotations
@@ -425,11 +425,13 @@ def weight_exponent(pd: ParityData, labels, i: int) -> int:
     return pd.sign(lo) * li - pd.sign(hi) * li1
 
 
+def _weight_terms(space: FunctorSpace, letter, labels):
+    yield labels, None, (), space.R.qpow(weight_exponent(space.pd, labels, letter[1]))
+
+
 def weight_apply(i: int, fv: FunctorVector) -> FunctorVector:
     """Diagonal action of q to the node-i weight exponent, key by key."""
-    space = fv.space
-    qpow = lambda labels: space.R.qpow(weight_exponent(space.pd, labels, i))
-    return FunctorVector(space, {k: w.scale(qpow(k)) for k, w in fv.support.items()})
+    return _letter_apply(fv, ("wt", i), _weight_terms)
 
 
 # ----------------------------------------------------------------------
