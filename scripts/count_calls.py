@@ -1,0 +1,60 @@
+"""Deterministic call counts of one suite's relation evaluation.
+
+Usage: python3 scripts/count_calls.py [--suite toroidal] [--m 3] [--n 1]
+                                       [--ell 1] [--modes 1]
+
+Builds the suite's context in both stages (numeric, then symbolic),
+outside the measurement, and runs SuiteContext.verdicts over every
+instance under cProfile.  Prints cProfile's total call count, which
+does not depend on the host's load, and the call counts of the
+operators and normalize steps that a change to the evaluator must keep
+or cut: toroidal_mode_apply, functor_chevalley_apply, _collect and
+key_is_dead.  Wall time under the profiler is printed last, for
+orientation only.
+"""
+
+import argparse
+import cProfile
+import pstats
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qtschur.verify import SUITES, RunConfig, SuiteContext
+
+COUNTED = ("toroidal_mode_apply", "functor_chevalley_apply", "_collect", "key_is_dead")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--suite", choices=SUITES, default="toroidal")
+    ap.add_argument("--m", type=int, default=3)
+    ap.add_argument("--n", type=int, default=1)
+    ap.add_argument("--ell", type=int, default=1)
+    ap.add_argument("--modes", type=int, default=1)
+    args = ap.parse_args()
+
+    cfg = RunConfig(m=args.m, n=args.n, ell=args.ell, modes=args.modes, mode="both")
+    cfg.validate(args.suite)
+    ctx = SuiteContext.for_suite(args.suite, cfg)
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.runcall(ctx.verdicts, 0, len(ctx.instances))
+    took = time.perf_counter() - start
+    stats = pstats.Stats(profiler)
+    calls = dict.fromkeys(COUNTED, 0)
+    for (_, _, name), (_, total, *_) in stats.stats.items():
+        if name in calls:
+            calls[name] += total
+    print(f"{args.suite} m{args.m} n{args.n} ell{args.ell} R{args.modes}, both stages")
+    print(f"{'total calls':<26} {stats.total_calls:>12,}")
+    for name in COUNTED:
+        print(f"{name:<26} {calls[name]:>12,}")
+    print(f"{'profiled wall':<26} {took:>11.2f}s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -200,7 +200,8 @@ def zeta_pow(e: int) -> Scalar:
 # ring: symbolically they work with Scalar, numerically with ZL.
 # A context supplies the constants they need; the elements themselves
 # only ever go through +, -, *, == and truthiness.  Each context memoizes
-# the constants it hands out, keyed by (method, argument).
+# the constants it hands out, keyed by (method, argument type, argument):
+# 2, 2.0 and Fraction(2) are equal keys, but not every method takes all three.
 
 
 def _memoized(method):
@@ -208,7 +209,7 @@ def _memoized(method):
 
     @functools.wraps(method)
     def cached(self, x):
-        key = (name, x)
+        key = (name, type(x), x)
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = method(self, x)

@@ -35,7 +35,8 @@ the block symmetrizer vanishes.  The test is linear in w, so sums are
 taken flat, {key: {Hecke basis key: coeff}} in any order, and pruned
 once by _collect, the one normalize; equality is emptiness of a
 difference.  A one-term factor c Q^k T_w Y^mu, a nonzero scalar times a
-unit, never kills its key (the symmetrizer is nonzero): _collect keeps it.
+unit, never kills its key (the symmetrizer is nonzero), nor does any
+factor at a key without a repeated label: _collect keeps both.
 
 Current modes, Chevalley operators, diagonal weights, the descent sort
 and the rotation act on the key and only right-multiply the factor, so
@@ -249,12 +250,14 @@ def _cached_terms(space: FunctorSpace, letter, build, labels, out: FunctorSpace)
 
 def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
     """The vector of a flat sum {key: {Hecke basis key: coeff}}, each dead key dropped;
-    a one-term part never kills its key, so only longer parts go to key_is_dead."""
+    a one-term part never kills its key, nor does any part at a key with no
+    repeated label (its symmetrizer is 1), so only the rest go to key_is_dead."""
     out, daha = {}, space.daha
     for labels, part in acc.items():
         if part:
             w = DahaElement(daha, part)
-            if len(part) == 1 or not space.key_is_dead(labels, w):
+            if (len(part) == 1 or len(set(labels)) == len(labels)
+                    or not space.key_is_dead(labels, w)):
                 out[labels] = w
     return FunctorVector(space, out)
 

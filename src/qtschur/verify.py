@@ -30,12 +30,13 @@ Suites can run symbolically (exact Laurent coefficients), numerically
 rows, and every suite is gated alike: in combined mode the numeric
 pass runs first, a row that fails it is not evaluated symbolically
 (its symbolic verdict stays skipped), and both verdicts are recorded
-per row.  Each stage resolves the table's coefficients in its ring
-once; instances are evaluated in chunks (one per worker task),
-vector-major within a chunk: each battery vector goes through every
-instance with one memo of operator images, dropped before the next
-vector.  A chunk keeps verdict codes and the failures' residual text,
-not rows.  Reports are deterministic: same configuration and seed give
+per row.  A table is planned once, each term a word-suffix node and a
+coefficient slot resolved once per stage; instances are evaluated in
+chunks (one per worker task), vector-major within a chunk: each battery
+vector goes through every instance with one list of node images, each
+filled in once when first needed and dropped before the next vector.  A
+chunk keeps verdict codes and the failures' residual text, not rows.
+Reports are deterministic: same configuration and seed give
 byte-identical JSON, independent of the worker count.  Report.write
 builds the rows from the codes and streams that JSON to a file one row
 at a time, in the layout of json.dumps(..., sort_keys=True, indent=2).
@@ -860,98 +861,88 @@ def _super_sign(pd: ParityData, i: int, j: int) -> int:
 # instance evaluation (difference of the two sides)
 
 
-def _resolve(R, coeff: tuple):
-    """A ring-free coefficient in ring R; the unit resolves to R.one."""
+def _resolve(R, coeff: tuple, sign: int = 1):
+    """sign times a ring-free coefficient, in ring R; None for the positive unit."""
     if coeff == _ONE:
-        return R.one
+        return None if sign > 0 else -R.one
     out = None
     for c, qe, de, ze in coeff:
         term = R.rational(c) * R.qpow(qe) * R.dpow(de)
         if ze:
             term = term * R.zetapow(ze)
         out = term if out is None else out + term
-    return out
-
-
-def _image(memo: dict, op: str, node: int, arg, v):
-    """Image of v under one letter, looked up in or added to memo.
-
-    The memo is keyed on id(v) and keeps v next to its image, so the id
-    stays v's while the memo lives; a word of several letters hits it
-    because an inner image comes back as the same object.  Sharing
-    images between relations is sound because no operation changes a
-    support dict in place: sums, scalings, products and _difference
-    build new ones (tests/test_verify.py checks this on every letter,
-    vector operation and difference).  A balanced current at any node,
-    the wrap-around node 0 included, is one toroidal_mode_apply call.
-    A zero input is its own image and skips both the memo and the
-    call: every operator but the rotation maps a space to itself, and
-    the rotation of zero is the zero of the rotated space.
-    """
-    if not v.support and op != _PSI:
-        return v
-    key = (op, node, arg, id(v))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if op in _CURRENTS:
-        if type(v) is PlainTensor:
-            out = looprep.mode_apply_plain(tor._LOOP_FAMILY[op], node, arg, v)
-        else:
-            out = tor.toroidal_mode_apply(op, node, arg, v)
-    elif op in _CHEVALLEY:
-        if type(v) is PlainTensor:
-            out = looprep.chevalley_apply(looprep.ChevalleyGen(op, node), v)
-        else:
-            out = tor.functor_chevalley_apply(op, node, v, variant=arg)
-    elif op == _WEIGHT:
-        out = tor.weight_apply(node, v)
-    elif op == _PSI:
-        out = tor.psi_apply(v) if arg == 1 else tor.psi_inverse(v)
-    elif op == _SLOT:
-        if type(v) is PlainTensor:
-            out = looprep.hecke_T_apply(node, v)
-        else:
-            out = tor.key_T_apply(node, v)
-    elif op in _HECKE and type(v) is DahaElement:
-        out = hecke.apply_word(v, [(op, node, arg)])
-    elif op == "T":
-        out = tor.factor_T_apply(node, v)
-    else:
-        raise ValueError(f"unknown operator letter {op!r}")
-    memo[key] = (v, out)
-    return out
+    return out if sign > 0 else -out
 
 
 def apply_letter(op: str, node: int, arg, v):
-    """Image of v under one letter of the tables, through a fresh memo."""
-    return _image({}, op, node, arg, v)
+    """Image of v under one letter of the tables; a balanced current at any node, node 0
+    included, is one toroidal_mode_apply call.  Operators are looked up on
+    their modules at call time, so a patched or traced one is applied."""
+    if op in _CURRENTS:
+        if type(v) is PlainTensor:
+            return looprep.mode_apply_plain(tor._LOOP_FAMILY[op], node, arg, v)
+        return tor.toroidal_mode_apply(op, node, arg, v)
+    if op in _CHEVALLEY:
+        if type(v) is PlainTensor:
+            return looprep.chevalley_apply(looprep.ChevalleyGen(op, node), v)
+        return tor.functor_chevalley_apply(op, node, v, variant=arg)
+    if op == _WEIGHT:
+        return tor.weight_apply(node, v)
+    if op == _PSI:
+        return tor.psi_apply(v) if arg == 1 else tor.psi_inverse(v)
+    if op == _SLOT:
+        if type(v) is PlainTensor:
+            return looprep.hecke_T_apply(node, v)
+        return tor.key_T_apply(node, v)
+    if op in _HECKE and type(v) is DahaElement:
+        return hecke.apply_word(v, [(op, node, arg)])
+    if op == "T":
+        return tor.factor_T_apply(node, v)
+    raise ValueError(f"unknown operator letter {op!r}")
 
 
-def _difference(memo: dict, values: dict, lhs: list, rhs: list, u):
-    """lhs(u) - rhs(u), summed flat.
+def _node_image(images: list, letters: list, parents: list, node: int):
+    """images[node] (None while not computed), filled in from its nearest computed
+    ancestor, so each node's letter is applied at most once per images list.
+    A zero input is its own image and skips the operator: every operator but
+    the rotation maps a space to itself, and psi(0) is the rotated space's zero."""
+    chain = []
+    while images[node] is None:
+        chain.append(node)
+        node = parents[node]
+    v = images[node]
+    for node in reversed(chain):
+        op, at, arg = letters[node]
+        if v.support or op == _PSI:
+            v = apply_letter(op, at, arg, v)
+        images[node] = v
+    return v
 
-    Every image times its coefficient, negated on rhs, goes into one
-    support: {basis key: coeff}, or {key: {Hecke basis key: coeff}} on
-    balanced vectors, whose dead keys toroidal._collect drops once.  Key
-    death is linear in the factor, so neither verdict nor residual
-    depends on the order of the terms or on the side they sit on.
+
+def _difference(images: list, letters: list, parents: list, values: list, slots, nodes):
+    """lhs(u) - rhs(u) of one planned instance (see SuiteContext), summed flat.
+
+    Every term goes into one support: {basis key: coeff}, or {key:
+    {Hecke basis key: coeff}} on balanced vectors, whose dead keys
+    toroidal._collect drops once.  Key death is linear in the factor, so
+    neither verdict nor residual depends on the order of the terms or on
+    the side they sit on.  Sharing the images of u = images[0] is sound as
+    no operation changes a support in place (checked in tests/test_verify.py).
     """
-    one, acc, owner = values[_ONE], {}, None
-    for negate, side in ((False, lhs), (True, rhs)):
-        for coeff, word in side:
-            v = u
-            for letter in reversed(word):
-                v = _image(memo, *letter, v)
-            if owner is None:
-                owner, kind = v.owner, type(v)
-            elif v.owner is not owner:
-                raise ValueError("vectors live in different spaces")
-            c = -values[coeff] if negate else values[coeff]
-            for key, part in v.support.items() if kind is tor.FunctorVector else [(None, v)]:
-                into = acc.setdefault(key, {})
-                for k, x in part.support.items():
-                    _accumulate(into, k, x if c is one else x * c)
+    acc, owner = {}, None
+    for slot, node in zip(slots, nodes):
+        v = images[node]
+        if v is None:
+            v = _node_image(images, letters, parents, node)
+        if owner is None:
+            owner, kind = v.owner, type(v)
+        elif v.owner is not owner:
+            raise ValueError("vectors live in different spaces")
+        c = values[slot]
+        for key, part in v.support.items() if kind is tor.FunctorVector else [(None, v)]:
+            into = acc.setdefault(key, {})
+            for k, x in part.support.items():
+                _accumulate(into, k, x if c is None else x * c)
     if kind is tor.FunctorVector:
         return tor._collect(owner, acc)
     return kind(owner, acc.get(None, {}))
@@ -1014,20 +1005,49 @@ def _battery(suite: str, cfg: RunConfig, pd: ParityData, R) -> list[tuple]:
 
 
 class SuiteContext:
-    """A relation table and, per stage, the battery and coefficients it runs on.
+    """A relation table, its evaluation plan and, per stage, the battery and coefficients.
 
     SuiteContext.for_suite(suite, cfg) builds a suite's own; any table
     can also be paired with any battery and ring, as long as the
     table's vector ranges index that battery.  verdicts() evaluates it
     to verdict blocks, not rows (see Verdicts).
+
+    The plan: each distinct word suffix is a node, letters[node] applied
+    to the image of parents[node]; node 0 is the battery vector.  Per
+    instance, slots and nodes are None (excluded: no left side) or
+    tuples, term t (left side first) the image at nodes[t] times
+    values[slots[t]].  Each stage is (name, battery, values), values[slot]
+    the _resolve of the slot's (coefficient, sign), -1 on the right side.
     """
 
     def __init__(self, instances: list, stages: list):
         """stages: (stage name, ring, battery) triples, numeric first."""
         self.instances = instances
-        coeffs = {c for *_, lhs, rhs, _ in instances for c, _ in lhs + rhs} | {_ONE}
+        self.letters, self.parents, self.slots, self.nodes = [None], [0], [], []
+        node_of, slot_of, shared = {}, {}, {}
+        for *_, lhs, rhs, _ in instances:
+            if not lhs:
+                self.slots.append(None)
+                self.nodes.append(None)
+                continue
+            term_slots, term_nodes = [], []
+            for sign, side in ((1, lhs), (-1, rhs)):
+                for coeff, word in side:
+                    node = 0
+                    for letter in reversed(word):
+                        child = node_of.get((letter, node))
+                        if child is None:
+                            child = node_of[letter, node] = len(self.letters)
+                            self.letters.append(letter)
+                            self.parents.append(node)
+                        node = child
+                    term_slots.append(slot_of.setdefault((coeff, sign), len(slot_of)))
+                    term_nodes.append(node)
+            term_slots = tuple(term_slots)
+            self.slots.append(shared.setdefault(term_slots, term_slots))
+            self.nodes.append(tuple(term_nodes))
         self.stages = [
-            (stage, battery, {c: _resolve(R, c) for c in coeffs})
+            (stage, battery, [_resolve(R, coeff, sign) for coeff, sign in slot_of])
             for stage, R, battery in stages
         ]
 
@@ -1044,25 +1064,29 @@ class SuiteContext:
 
         Evaluation is vector-major: each battery vector is taken through
         the stages (numeric first) and, per stage, through every
-        instance of the chunk that runs on it, with one fresh memo of
-        operator images, dropped when the vector is done.  A vector that
-        failed a stage is not evaluated in the later ones.
+        instance of the chunk that runs on it.  The images of the plan's
+        nodes live in one list per vector and stage, each computed when
+        a term first needs it and dropped when the stage is done.  A
+        vector that failed a stage is not evaluated in the later ones.
         """
         size = len(self.stages[-1][1])
         blocks, live = [], []
-        for *_, lhs, rhs, vectors in self.instances[lo:hi]:
-            if not lhs:
+        for i in range(lo, hi):
+            vectors, slots, nodes = self.instances[i][-1], self.slots[i], self.nodes[i]
+            if slots is None:
                 blocks.append(None)
                 continue
             vectors = range(size) if vectors is None else vectors
             blocks.append((bytearray(len(vectors)), {}))
-            live.append((vectors.start, vectors.stop, lhs, rhs, *blocks[-1]))
+            live.append((vectors.start, vectors.stop, slots, nodes, *blocks[-1]))
+        letters, parents = self.letters, self.parents
         for k in range(size):
             for code, (_, battery, values) in enumerate(self.stages, 1):
-                u, memo = battery[k][1], {}
-                for start, stop, lhs, rhs, codes, residuals in live:
+                images = [None] * len(letters)
+                images[0] = battery[k][1]
+                for start, stop, slots, nodes, codes, residuals in live:
                     if start <= k < stop and not codes[k - start]:
-                        diff = _difference(memo, values, lhs, rhs, u)
+                        diff = _difference(images, letters, parents, values, slots, nodes)
                         if not diff.is_zero():
                             codes[k - start] = code
                             limit = 5 if isinstance(diff, tor.FunctorVector) else None

@@ -332,14 +332,20 @@ def test_tree_parity():
 
 
 def test_tree_paper_values():
+    # the e_0 chain alone on v(1) and the f_0 chain alone on v(4), each
+    # evaluated through the plan of a table that holds the two chains
     sp = space_for(3, 1, 1)
-    instances = dictionary_instances(3, 1, 1)
-    values = SuiteContext(instances, [("symbolic", sp.R, [])]).stages[0][2]
-    sides = wrap_node_sides(instances)
-    got = _difference({}, values, sides["e"], [], sp.basis((1,)))
-    assert got.support == {((4,), (1,)): sp.R.one}
-    got = _difference({}, values, sides["f"], [], sp.basis((4,)))
-    assert got.support == {((1,), (-1,)): -sp.R.one}
+    sides = wrap_node_sides(dictionary_instances(3, 1, 1))
+    table = [("chain", (0,), (), kind, sides[kind], [], range(k, k + 1))
+             for k, kind in enumerate("ef")]
+    battery = [("v1", sp.basis((1,))), ("v4", sp.basis((4,)))]
+    ctx = SuiteContext(table, [("symbolic", sp.R, battery)])
+    _, _, values = ctx.stages[0]
+    wants = [{((4,), (1,)): sp.R.one}, {((1,), (-1,)): -sp.R.one}]
+    for k, ((_, u), want) in enumerate(zip(battery, wants)):
+        images = [u] + [None] * (len(ctx.letters) - 1)
+        got = _difference(images, ctx.letters, ctx.parents, values, ctx.slots[k], ctx.nodes[k])
+        assert got.support == want
 
 
 @pytest.mark.parametrize("ell", [1, 2])

@@ -71,6 +71,19 @@ def test_context_constants_are_memoized():
     assert NumericContext(2, 3).qpow(-2) == Fraction(1, 4)
 
 
+def test_memo_keys_on_the_argument_type():
+    # an equal argument of another type misses the memo: the symbolic
+    # context still refuses a non-int after rational(2), the numeric one
+    # takes all three
+    ctx = SymbolicContext(3, 1)
+    assert ctx.rational(2) == Scalar.monomial(2)
+    for x in (Fraction(2), 2.0):
+        with pytest.raises(ValueError):
+            ctx.rational(x)
+    num = NumericContext(2, 3, 3, 1)
+    assert num.rational(2) == num.rational(Fraction(2)) == num.rational(2.0) == 2
+
+
 # numeric contexts and the exact point values of their generators; the
 # last zeta0 brings a prime (7) that q0 and d0 lack
 NUMERIC_POINTS = [

@@ -13,6 +13,7 @@ RUNS = [
     ("profile_relations.py", "--suite", "daha", "--ell", "1"),
     ("profile_relations.py", "--suite", "daha", "--ell", "1", "--mode", "numeric"),
     ("wrap_node_table.py",),
+    ("count_calls.py", "--ell", "1", "--modes", "0"),
     ("bench_pairs.py", "--help"),
     ("sweep_suites.py", "--help"),
 ]

@@ -33,7 +33,6 @@ from qtschur.verify import (
     RunConfig,
     SuiteContext,
     Verdicts,
-    _image,
     affine_instances,
     apply_letter,
     rotation_instances,
@@ -753,9 +752,9 @@ def _left_linearity_failures(suite, ell):
         for _, v in battery:
             want = out.zero()
             for labels, w in v.support.items():
-                unit = _image({}, *letter, tor.FunctorVector(sp, {labels: sp.daha.one()}))
+                unit = apply_letter(*letter, tor.FunctorVector(sp, {labels: sp.daha.one()}))
                 want = want + _left_times(w, unit, out)
-            failures += _image({}, *letter, v) != want
+            failures += apply_letter(*letter, v) != want
             nonzero += not want.is_zero()
     return failures, nonzero
 
@@ -826,7 +825,7 @@ def test_letters_map_dead_vectors_to_zero(suite, ring):
     assert all(v.support and _normalized(v).is_zero() for v in vectors)
     live = [
         (letter, v) for letter in letters for v in vectors
-        if not _normalized(_image({}, *letter, v)).is_zero()
+        if not _normalized(apply_letter(*letter, v)).is_zero()
     ]
     assert not live, live[:3]
     assert len(letters) * len(vectors) == {"toroidal": 4864, "affine": 2432}[suite]

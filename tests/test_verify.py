@@ -361,10 +361,10 @@ def _frozen(v):
 
 
 def _small_tables():
-    """(instances, battery, values, extra letters) of every suite and the dictionary.
+    """(context, extra letters) of every suite and the dictionary, all symbolic.
 
-    All symbolic; values are the resolved coefficients.  The extra
-    letters are the horizontal Chevalley variant, which no table uses.
+    The extra letters are the horizontal Chevalley variant, which no
+    table uses.
     """
     out = []
     for suite, cfg in [
@@ -376,24 +376,42 @@ def _small_tables():
     ]:
         ctx = SuiteContext.for_suite(suite, dataclasses.replace(cfg, mode="symbolic"))
         extra = [(kind, 0, "horizontal") for kind in ("e", "f", "t", "tinv")]
-        _, battery, values = ctx.stages[0]
-        out.append((ctx.instances, battery, values, extra if suite == "affine" else []))
+        out.append((ctx, extra if suite == "affine" else []))
     R = SymbolicContext(formal_zeta=True)
     instances, battery = verify.dictionary_instances(3, 1, 2), verify.dictionary_battery(3, 1, 2, R)
-    values = SuiteContext(instances, [("symbolic", R, battery)]).stages[0][2]
-    out.append((instances, battery, values, []))
+    out.append((SuiteContext(instances, [("symbolic", R, battery)]), []))
     return out
 
 
-def test_no_operation_changes_an_operand():
-    # _image shares memoized images between relations, which is sound only
-    # if no letter, no vector operation and no relation difference changes
-    # a support in place: every operand is frozen when first seen and
-    # compared at the end; each difference sums images already memoized
+def _differences(ctx, k):
+    """(instance index, difference) of every instance of ctx that runs on battery
+    vector k, through the evaluator's plan, with one images list for them all."""
+    _, battery, values = ctx.stages[0]
+    images = [battery[k][1]] + [None] * (len(ctx.letters) - 1)
+    for i, (*_, vectors) in enumerate(ctx.instances):
+        if ctx.slots[i] is not None and (vectors is None or k in vectors):
+            yield i, verify._difference(images, ctx.letters, ctx.parents, values,
+                                        ctx.slots[i], ctx.nodes[i])
+
+
+def _plan_difference(R, lhs, rhs, u):
+    """lhs(u) - rhs(u) through the evaluator's plan of a one-instance table."""
+    ctx = SuiteContext([("", (), (), None, lhs, rhs, None)], [("symbolic", R, [("u", u)])])
+    return next(_differences(ctx, 0))[1]
+
+
+def test_no_operation_changes_an_operand(monkeypatch):
+    # the plan shares images between relations, which is sound only if no
+    # letter, no vector operation and no relation difference changes a
+    # support in place: every operand is frozen when first seen and
+    # compared at the end; each difference sums images of the vector's
+    # one images list
     seen = set()
-    for instances, battery, values, extra in _small_tables():
-        for k, (_, u) in enumerate(battery):
-            memo, operands = {}, {}
+    letter_image = verify.apply_letter
+
+    for ctx, extra in _small_tables():
+        for k, (_, u) in enumerate(ctx.stages[0][1]):
+            operands = {}
             R = u.owner.R
 
             def operate(v):
@@ -410,25 +428,21 @@ def test_no_operation_changes_an_operand():
                 if isinstance(v, hecke.DahaElement):
                     hash(v)
 
-            def image(letter, v):
-                seen.add((letter[0], type(v).__name__))
-                out = verify._image(memo, *letter, v)
+            def image(op, node, arg, v):
+                seen.add((op, type(v).__name__))
+                if id(v) not in operands:
+                    operate(v)
+                out = letter_image(op, node, arg, v)
                 if id(out) not in operands:
                     operate(out)
                 return out
 
+            monkeypatch.setattr(verify, "apply_letter", image)
             operate(u)
-            for *_, lhs, rhs, vectors in instances:
-                if vectors is None or k in vectors:
-                    for _, word in lhs + rhs:
-                        v = u
-                        for letter in reversed(word):
-                            v = image(letter, v)
-                    if lhs:
-                        diff = verify._difference(memo, values, lhs, rhs, u)
-                        operands.setdefault(id(diff), (diff, _frozen(diff)))
+            for _, diff in _differences(ctx, k):
+                operands.setdefault(id(diff), (diff, _frozen(diff)))
             for letter in extra:
-                image(letter, u)
+                image(*letter, u)
             assert all(_frozen(v) == frozen for v, frozen in operands.values()), k
     assert {op for op, _ in seen} == {
         "E", "F", "K+", "K-", "e", "f", "t", "tinv", "wt", "psi", "S", "T", "X", "Y", "Q"
@@ -440,46 +454,45 @@ def test_no_operation_changes_an_operand():
     }
 
 
-def _reference_difference(memo, values, lhs, rhs, u):
-    """lhs(u) - rhs(u) through +, scale and -, each side summed from its first term."""
+def _reference_difference(R, lhs, rhs, u):
+    """lhs(u) - rhs(u) through +, scale and -, each side summed from its first
+    term, every word applied letter by letter with no image shared."""
     sums = []
     for side in (lhs, rhs):
         acc = None
         for coeff, word in side:
             v = u
             for letter in reversed(word):
-                v = verify._image(memo, *letter, v)
-            v = v.scale(values[coeff])
+                v = verify.apply_letter(*letter, v)
+            c = verify._resolve(R, coeff)
+            v = v if c is None else v.scale(c)
             acc = v if acc is None else acc + v
         sums.append(acc)
     return sums[0] if sums[1] is None else sums[0] - sums[1]
 
 
 def test_flat_difference_matches_the_vector_sum():
-    # the flat sum and the sum through vector operations agree on every
-    # instance and vector: same zero test, and equal as vectors (balanced
-    # ones up to dead keys, through FunctorVector.__eq__)
-    for instances, battery, values, _ in _small_tables():
-        for k, (_, u) in enumerate(battery):
-            memo = {}
-            for relation, *_, lhs, rhs, vectors in instances:
-                if lhs and (vectors is None or k in vectors):
-                    got = verify._difference(memo, values, lhs, rhs, u)
-                    want = _reference_difference(memo, values, lhs, rhs, u)
-                    assert type(got) is type(want) and got.owner is want.owner
-                    assert got.is_zero() == want.is_zero(), (relation, k)
-                    assert got == want, (relation, k)
+    # the planned flat sum and the sum through vector operations agree on
+    # every instance and vector: same zero test, and equal as vectors
+    # (balanced ones up to dead keys, through FunctorVector.__eq__)
+    for ctx, _ in _small_tables():
+        for k, (_, u) in enumerate(ctx.stages[0][1]):
+            for i, got in _differences(ctx, k):
+                relation, *_, lhs, rhs, _ = ctx.instances[i]
+                want = _reference_difference(u.owner.R, lhs, rhs, u)
+                assert type(got) is type(want) and got.owner is want.owner
+                assert got.is_zero() == want.is_zero(), (relation, k)
+                assert got == want, (relation, k)
 
 
 def test_difference_of_images_in_two_spaces_raises():
     space = tor.FunctorSpace(PD31, 1, SymbolicContext(formal_zeta=True))
-    values = {verify._ONE: space.R.one}
     rotated = [(verify._ONE, ((verify._PSI, 0, 1),))]
     assert space.rotated(1) is not space
     with pytest.raises(ValueError):
-        verify._difference({}, values, rotated, [(verify._ONE, ())], space.basis((1,)))
+        _plan_difference(space.R, rotated, [(verify._ONE, ())], space.basis((1,)))
     with pytest.raises(ValueError):
-        verify._difference({}, values, [(verify._ONE, ())] + rotated, [], space.basis((2,)))
+        _plan_difference(space.R, [(verify._ONE, ())] + rotated, [], space.basis((2,)))
 
 
 def test_one_term_difference_drops_dead_keys():
@@ -491,9 +504,40 @@ def test_one_term_difference_drops_dead_keys():
     w = hecke.right_mul_T(one, 1) - one.scale(R.qpow(2))
     u = tor.FunctorVector(space, {(1, 1): w})
     assert u and space.key_is_dead((1, 1), w)
-    diff = verify._difference({}, {verify._ONE: R.one}, [(verify._ONE, ())], [], u)
+    diff = _plan_difference(R, [(verify._ONE, ())], [], u)
     assert diff.is_zero() and diff.space is space
     assert u.support == {(1, 1): w}
+
+
+@pytest.mark.parametrize("suite, cfg", [
+    ("toroidal", RunConfig(m=3, n=1, ell=1, modes=1)),
+    ("affine", RunConfig(m=3, n=1, ell=2)),
+])
+def test_plan_applies_each_letter_once_per_input(monkeypatch, suite, cfg):
+    # the plan keeps all sharing: within one (vector, stage), no letter is
+    # applied twice to the same input object.  The inputs are kept alive
+    # until the next battery vector comes in, so no id is reused meanwhile
+    ctx = SuiteContext.for_suite(suite, cfg)
+    starts = {id(u) for _, battery, _ in ctx.stages for _, u in battery}
+    applied, inputs, calls = set(), [None], collections.Counter()
+    letter_image = verify.apply_letter
+
+    def once(op, node, arg, v):
+        if id(v) in starts and v is not inputs[0]:
+            applied.clear()
+            inputs[:] = [v]
+        key = (op, node, arg, id(v))
+        assert key not in applied, key
+        applied.add(key)
+        inputs.append(v)
+        calls[op] += 1
+        return letter_image(op, node, arg, v)
+
+    monkeypatch.setattr(verify, "apply_letter", once)
+    blocks = ctx.verdicts(0, len(ctx.instances))
+    assert not any(any(block[0]) for block in blocks if block is not None)
+    assert set(calls) == ({"E", "F", "K+", "K-", "wt"} if suite == "toroidal"
+                          else {"e", "f", "t", "tinv"})
 
 
 def test_toroidal_suite_makes_no_rotation_call(monkeypatch):
@@ -546,16 +590,18 @@ def test_run_suite_dispatch():
 
 
 def test_numeric_failure_gates_symbolic(monkeypatch):
-    ctx = SuiteContext.for_suite("toroidal", RunConfig(ell=1, modes=0, mode="both"))
-    idx = next(
-        i for i, inst in enumerate(ctx.instances) if inst[0] == "EF"
-    )
+    # the first EF instance gets lhs = identity and an empty rhs, so its
+    # difference is the vector itself; the context plans the patched table
+    def patched(*args, table=verify._table):
+        instances = table(*args)
+        idx = next(i for i, inst in enumerate(instances) if inst[0] == "EF")
+        relation, nodes, modes, form, _, _, vectors = instances[idx]
+        instances[idx] = (relation, nodes, modes, form, [(verify._ONE, ())], [], vectors)
+        return instances
 
-    # lhs = identity, rhs empty: the difference is the vector itself
-    instances = list(ctx.instances)
-    relation, nodes, modes, form, _, _, vectors = instances[idx]
-    instances[idx] = (relation, nodes, modes, form, [(verify._ONE, ())], [], vectors)
-    monkeypatch.setattr(ctx, "instances", instances)
+    monkeypatch.setattr(verify, "_table", patched)
+    ctx = SuiteContext.for_suite("toroidal", RunConfig(ell=1, modes=0, mode="both"))
+    idx = next(i for i, inst in enumerate(ctx.instances) if inst[0] == "EF")
     rows = list(Verdicts(ctx, ctx.verdicts(idx, idx + 1), idx))
     assert rows
     for row in rows:
