@@ -193,11 +193,8 @@ class DahaContext:
     def one(self) -> "DahaElement":
         return self.basis(0, self._id_window, self._zero_mu)
 
-    def basis(self, k: int, window, mu, coeff=None) -> "DahaElement":
-        coeff = self.R.one if coeff is None else coeff
-        if not coeff:
-            return self.zero()
-        return DahaElement(self, {(k, tuple(window), tuple(mu)): coeff})
+    def basis(self, k: int, window, mu) -> "DahaElement":
+        return DahaElement(self, {(k, tuple(window), tuple(mu)): self.R.one})
 
     def element(self, word: Iterable[Token]) -> "DahaElement":
         return apply_word(self.one(), word)

@@ -8,7 +8,7 @@ operators act here:
   * Chevalley generators e_i, f_i, t_i for every affine node, via the
     iterated coproduct (tails of t's for e, heads of inverse t's for f)
     with Koszul signs when an odd operator passes odd slots; node 0
-    acts through the theta operators times xi_j^{+-1};
+    reads its labels cyclically (kappa, then 1) and times xi_j^{+-1};
   * current modes x_i^{+-}[r] and k_i^{+-}[r] for finite nodes, as the
     exact z^{-r} coefficients of delta/psi products at the q-shifted
     points q^{mu_s(i)} xi_p;
@@ -46,20 +46,14 @@ class TensorSpace:
         self.R = coeffs
         self.kappa = pd.kappa
 
-    def zero(self) -> "PlainTensor":
-        return PlainTensor(self, {})
-
-    def basis(self, labels, nu=None, coeff=None) -> "PlainTensor":
+    def basis(self, labels, nu=None) -> "PlainTensor":
         labels = tuple(labels)
         nu = (0,) * self.ell if nu is None else tuple(nu)
         if len(labels) != self.ell or len(nu) != self.ell:
             raise ValueError(f"expected {self.ell} labels and shifts, got {labels}, {nu}")
         if not all(1 <= j <= self.kappa for j in labels):
             raise ValueError(f"labels must lie in 1..{self.kappa}: {labels}")
-        coeff = self.R.one if coeff is None else coeff
-        if not coeff:
-            return self.zero()
-        return PlainTensor(self, {(labels, nu): coeff})
+        return PlainTensor(self, {(labels, nu): self.R.one})
 
     def all_labels(self):
         return itertools.product(range(1, self.kappa + 1), repeat=self.ell)
@@ -88,42 +82,40 @@ def slot_ops(space):
 
     Each operator is a pair (parity, fn) with fn(j) -> (j', coeff) or
     None; all of them are monomial maps, which keeps the tensor-leg
-    helper a single pass.  space, here and in tensor_leg_apply and
+    helper a single pass.  Node i sits between labels lo = i (kappa at
+    node 0) and hi = i mod kappa + 1: e(i) lowers hi to lo, f(i) raises
+    lo to hi with coefficient s_i, and t(i, exp) is q^(exp s_j) on lo,
+    its inverse on hi.  space, here and in tensor_leg_apply and
     _chevalley_summands, is any bundle with parity data pd, coefficient
     context R, length ell and label count kappa: a TensorSpace or a
     balanced space.
     """
     pd, R, kappa = space.pd, space.R, space.kappa
 
+    def ends(i):
+        return i or kappa, i % kappa + 1
+
     def ident():
         return (0, lambda j: (j, R.one))
 
     def e(i):
-        return (node_parity(pd, i), lambda j: (j - 1, R.one) if j == i + 1 else None)
+        lo, hi = ends(i)
+        return (node_parity(pd, i), lambda j: (lo, R.one) if j == hi else None)
 
     def f(i):
+        lo, hi = ends(i)
         ci = R.rational(pd.sign(i))
-        return (node_parity(pd, i), lambda j: (j + 1, ci) if j == i else None)
+        return (node_parity(pd, i), lambda j: (hi, ci) if j == lo else None)
 
     def t(i, exp):
+        lo, hi = ends(i)
+
         def fn(j):
-            return (j, R.qpow(exp * pd.sign(j) * ((j == i) - (j == i + 1))))
+            return (j, R.qpow(exp * pd.sign(j) * ((j == lo) - (j == hi))))
 
         return (0, fn)
 
-    def etheta():
-        return (node_parity(pd, 0), lambda j: (1, R.one) if j == kappa else None)
-
-    def ftheta():
-        return (node_parity(pd, 0), lambda j: (kappa, R.one) if j == 1 else None)
-
-    def ktheta(exp):
-        def fn(j):
-            return (j, R.qpow(exp * pd.sign(j) * ((j == 1) - (j == kappa))))
-
-        return (0, fn)
-
-    return ident, e, f, t, etheta, ftheta, ktheta
+    return ident, e, f, t
 
 
 def tensor_leg_apply(space, legs, labels):
@@ -167,37 +159,22 @@ class ChevalleyGen:
 
 
 def _chevalley_summands(space, g: ChevalleyGen):
-    """Yield (legs, nu-shift slot or None, nu-shift amount, extra coeff)."""
-    ident, e, f, t, etheta, ftheta, ktheta = slot_ops(space)
-    ell, R = space.ell, space.R
-    i = g.node
-    if i == 0:
-        if g.kind == "e":
-            for j in range(1, ell + 1):
-                legs = [ident()] * (j - 1) + [ftheta()] + [ktheta(-1)] * (ell - j)
-                yield legs, j - 1, 1, R.one
-        elif g.kind == "f":
-            sk = R.rational(space.pd.sign(space.kappa))
-            for j in range(1, ell + 1):
-                legs = [ktheta(1)] * (j - 1) + [etheta()] + [ident()] * (ell - j)
-                yield legs, j - 1, -1, sk
-        elif g.kind == "t":
-            yield [ktheta(-1)] * ell, None, 0, R.one
-        else:
-            yield [ktheta(1)] * ell, None, 0, R.one
-        return
-    if not 1 <= i < space.kappa:
+    """Yield (legs, xi-shift slot or None, shift) per summand of g; only node 0
+    shifts, the xi-exponent of the slot it acts on, by +1 for e and -1 for f."""
+    ident, e, f, t = slot_ops(space)
+    ell, i = space.ell, g.node
+    if not 0 <= i < space.kappa:
         raise ValueError(f"node {i} out of range")
     if g.kind == "e":
         for r in range(1, ell + 1):
-            yield [ident()] * (r - 1) + [e(i)] + [t(i, 1)] * (ell - r), None, 0, R.one
+            legs = [ident()] * (r - 1) + [e(i)] + [t(i, 1)] * (ell - r)
+            yield legs, None if i else r - 1, 1
     elif g.kind == "f":
         for r in range(1, ell + 1):
-            yield [t(i, -1)] * (r - 1) + [f(i)] + [ident()] * (ell - r), None, 0, R.one
-    elif g.kind == "t":
-        yield [t(i, 1)] * ell, None, 0, R.one
+            legs = [t(i, -1)] * (r - 1) + [f(i)] + [ident()] * (ell - r)
+            yield legs, None if i else r - 1, -1
     else:
-        yield [t(i, -1)] * ell, None, 0, R.one
+        yield [t(i, 1 if g.kind == "t" else -1)] * ell, None, 0
 
 
 def chevalley_apply(g: ChevalleyGen, v: PlainTensor) -> PlainTensor:
@@ -206,7 +183,7 @@ def chevalley_apply(g: ChevalleyGen, v: PlainTensor) -> PlainTensor:
 
     def terms(key):
         labels, nu = key
-        for legs, shift_slot, shift, extra in summands:
+        for legs, shift_slot, shift in summands:
             hit = tensor_leg_apply(space, legs, labels)
             if hit is None:
                 continue
@@ -215,7 +192,7 @@ def chevalley_apply(g: ChevalleyGen, v: PlainTensor) -> PlainTensor:
                 nu2 = nu
             else:
                 nu2 = nu[:shift_slot] + (nu[shift_slot] + shift,) + nu[shift_slot + 1 :]
-            yield (labels2, nu2), c if extra is space.R.one else c * extra
+            yield (labels2, nu2), c
 
     return v.linear(terms)
 
@@ -260,12 +237,12 @@ def hecke_T_apply(i: int, v: PlainTensor) -> PlainTensor:
 
 
 def mode_terms(space, family: str, i: int, r: int, labels, power, inverted: bool):
-    """Summands of one current mode on one label tuple.
+    """Summands of one current mode (family E, F, K+ or K-) on one label tuple.
 
     Yields (labels', sign, multiplier) with multiplier a map from
     per-slot exponent vectors to coefficients.  psi factors occupy every
     slot carrying label i or i+1 on the relevant side of the delta
-    slot: after it for x^+, before it for x^-.  power is the context
+    slot: after it for E, before it for F.  power is the context
     power whose mu_i-th powers scale the arguments (qpow on the loop
     legs, q1pow on the algebra side); inverted selects arguments of
     shape scale*var*z, which negates each psi coefficient.  space is any
@@ -279,7 +256,7 @@ def mode_terms(space, family: str, i: int, r: int, labels, power, inverted: bool
     def psi_c(label: int) -> int:
         return flip * (pd.sign(i) if label == i else -pd.sign(i + 1))
 
-    if family == "x+":
+    if family == "E":
         for ridx, lab in enumerate(labels):
             if lab != i + 1:
                 continue
@@ -291,7 +268,7 @@ def mode_terms(space, family: str, i: int, r: int, labels, power, inverted: bool
             mult = delta_psi_mode(R, ell, r, "+", ridx, slots, scale, inverted)
             out = labels[:ridx] + (i,) + labels[ridx + 1 :]
             yield out, koszul_sign(pd, i, ridx + 1, labels), mult
-    elif family == "x-":
+    elif family == "F":
         si = pd.sign(i)
         for ridx, lab in enumerate(labels):
             if lab != i:
@@ -302,7 +279,7 @@ def mode_terms(space, family: str, i: int, r: int, labels, power, inverted: bool
             mult = delta_psi_mode(R, ell, r, "-", ridx, slots, scale, inverted)
             out = labels[:ridx] + (i + 1,) + labels[ridx + 1 :]
             yield out, si * koszul_sign(pd, i, ridx + 1, labels), mult
-    elif family in ("k+", "k-"):
+    elif family in ("K+", "K-"):
         slots = [(p, psi_c(lab)) for p, lab in enumerate(labels) if lab in (i, i + 1)]
         mult = psi_product_mode(R, ell, r, family[1], slots, scale, inverted)
         yield labels, 1, mult

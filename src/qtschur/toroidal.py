@@ -17,14 +17,15 @@ Operators provided:
     letters; at the wrap-around node 0, mode r is the rotation's
     conjugate of the node-1 mode r, times q1^{s_kappa r}, composed
     into one letter;
-  * the Chevalley triple at the wrap-around node in three variants
-    (which invertible letter multiplies the algebra factor: Y, Y with
-    a d-shift, or X);
+  * the Chevalley triple at every node through looprep's one copy of
+    the slot rules, node 0 reading its labels cyclically; at node 0 in
+    three variants (which invertible letter multiplies the algebra
+    factor: Y, Y with a d-shift, or X);
   * the label-rotation map and its inverse, multiplying by inverse X
     letters on wrapped slots;
   * the two sides of the balancing relation on unsorted keys (a T
     letter on the factor, the exchange on the key), and the diagonal
-    weight action.
+    weight action, which is the Chevalley letter t_i.
 
 The rotation identities and the rotation's respect for the balancing
 relation are a relation table in verify; this module checks nothing.
@@ -289,14 +290,11 @@ class FunctorVector(SparseVector):
 # current modes at finite nodes
 
 
-# current families under their loop-representation names; on the
-# algebra side the arguments are q1-scaled and inverted (Y_p * z)
-_LOOP_FAMILY = {"E": "x+", "F": "x-", "K+": "k+", "K-": "k-"}
-
-
 def _mode_terms(space: FunctorSpace, letter, labels):
+    """A finite-node current's terms: the loop-leg slot rules, the arguments
+    q1-scaled and inverted (Y_p * z)."""
     family, i, r = letter
-    terms = mode_terms(space, _LOOP_FAMILY[family], i, r, labels, space.R.q1pow, True)
+    terms = mode_terms(space, family, i, r, labels, space.R.q1pow, True)
     for labels2, sign, mult in terms:
         for vec, c in mult.items():
             yield labels2, vec if any(vec) else None, (), c if sign > 0 else -c
@@ -327,7 +325,7 @@ def _wrap_terms(space: FunctorSpace, letter, labels):
 
 def toroidal_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> FunctorVector:
     """Exact z^{-r} mode of the labeled current at node i (node 0: see _wrap_terms)."""
-    if family not in _LOOP_FAMILY:
+    if family not in ("E", "F", "K+", "K-"):
         raise ValueError(f"unknown current family {family!r}")
     if not 0 <= i < fv.space.kappa:
         raise ValueError(f"no node {i}")
@@ -341,18 +339,18 @@ def toroidal_mode_apply(family: str, i: int, r: int, fv: FunctorVector) -> Funct
 def _chevalley_terms(space: FunctorSpace, letter, labels):
     kind, node, variant = letter
     mono = (0,) * space.ell
-    for legs, j, shift, extra in _chevalley_summands(space, ChevalleyGen(kind, node)):
+    for legs, j, shift in _chevalley_summands(space, ChevalleyGen(kind, node)):
         hit = tensor_leg_apply(space, legs, labels)
         if hit is None:
             continue
         labels2, c = hit
         if j is None:
-            yield labels2, None, (), c * extra
+            yield labels2, None, (), c
         elif variant == "horizontal":
-            yield labels2, None, (("X", j + 1, shift),), c * extra
+            yield labels2, None, (("X", j + 1, shift),), c
         else:
             c = c * space.R.dpow(-shift) if variant == "vertical" else c
-            yield labels2, mono[:j] + (-shift,) + mono[j + 1 :], (), c * extra
+            yield labels2, mono[:j] + (-shift,) + mono[j + 1 :], (), c
 
 
 def functor_chevalley_apply(
@@ -417,24 +415,9 @@ def key_T_apply(i: int, fv: FunctorVector) -> FunctorVector:
 # diagonal weights
 
 
-def weight_exponent(pd: ParityData, labels, i: int) -> int:
-    """Diagonal eigenvalue exponent s_i l_i - s_{i+1} l_{i+1} on one key."""
-    kappa = pd.kappa
-    node = i % kappa
-    lo = kappa if node == 0 else node
-    hi = node + 1
-    li = sum(1 for j in labels if j == lo)
-    li1 = sum(1 for j in labels if j == hi)
-    return pd.sign(lo) * li - pd.sign(hi) * li1
-
-
-def _weight_terms(space: FunctorSpace, letter, labels):
-    yield labels, None, (), space.R.qpow(weight_exponent(space.pd, labels, letter[1]))
-
-
 def weight_apply(i: int, fv: FunctorVector) -> FunctorVector:
-    """Diagonal action of q to the node-i weight exponent, key by key."""
-    return _letter_apply(fv, ("wt", i), _weight_terms)
+    """Diagonal action t_i, q^(s_i l_i - s_{i+1} l_{i+1}) on a key with l_j labels j."""
+    return _letter_apply(fv, ("t", i, "affine"), _chevalley_terms)
 
 
 # ----------------------------------------------------------------------

@@ -243,23 +243,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _row_json(row: dict) -> str:
-    """One row as json.dumps(..., sort_keys=True, indent=2) lays it out in a report.
-
-    A row sits at depth 2 (an entry of "results"); its values are str or
-    lists of int.  Any other value, bool included, raises TypeError.
-    """
-    fields = []
-    for key in sorted(row):
-        value = row[key]
-        if type(value) is str:
-            text = _encode_str(value)
-        elif type(value) is list and all(type(x) is int for x in value):
-            items = ",\n        ".join(map(int.__repr__, value))
-            text = "[\n        " + items + "\n      ]" if value else "[]"
-        else:
-            raise TypeError(f"report row {key!r}: {value!r} is not a str or a list of int")
-        fields.append(f"      {_encode_str(key)}: {text}")
-    return "    {\n" + ",\n".join(fields) + "\n    }"
+    """One row as json.dumps(..., sort_keys=True, indent=2) lays it out in a report,
+    at depth 2 (an entry of "results")."""
+    return "    " + json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
 
 
 def _row_template(row: dict):
@@ -880,7 +866,7 @@ def apply_letter(op: str, node: int, arg, v):
     their modules at call time, so a patched or traced one is applied."""
     if op in _CURRENTS:
         if type(v) is PlainTensor:
-            return looprep.mode_apply_plain(tor._LOOP_FAMILY[op], node, arg, v)
+            return looprep.mode_apply_plain(op, node, arg, v)
         return tor.toroidal_mode_apply(op, node, arg, v)
     if op in _CHEVALLEY:
         if type(v) is PlainTensor:

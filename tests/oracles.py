@@ -4,7 +4,8 @@ Nothing in qtschur calls these: each is an independent, plainly written
 copy of a quantity the package computes another way (the numeric
 context's values, the psi streams of the mode extraction, the group
 law behind right_mul_s, the inverse of a right multiplication, the
-wrap-node current as a conjugation by the rotation).
+wrap-node current as a conjugation by the rotation, the diagonal
+weight exponent in closed form).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable
 from qtschur import toroidal as tor
 from qtschur.hecke import AffinePermutation, Token
 from qtschur.scalar import Scalar, q_pow
+from qtschur.superdata import ParityData
 
 
 # ----------------------------------------------------------------------
@@ -134,3 +136,21 @@ def wrap_current_by_conjugation(family: str, r: int, v: tor.FunctorVector) -> to
     space = v.space
     image = tor.psi_inverse(tor.toroidal_mode_apply(family, 1, r, tor.psi_apply(v)))
     return image.scale(space.R.q1pow(space.pd.sign(space.kappa) * r))
+
+
+# ----------------------------------------------------------------------
+# diagonal weights
+
+
+def weight_exponent(pd: ParityData, labels, i: int) -> int:
+    """Diagonal eigenvalue exponent s_i l_i - s_{i+1} l_{i+1} on one key.
+
+    l_j counts the labels j; node 0 pairs the labels kappa and 1.
+    """
+    kappa = pd.kappa
+    node = i % kappa
+    lo = kappa if node == 0 else node
+    hi = node + 1
+    li = sum(1 for j in labels if j == lo)
+    li1 = sum(1 for j in labels if j == hi)
+    return pd.sign(lo) * li - pd.sign(hi) * li1

@@ -165,26 +165,26 @@ def test_mode_single_slot():
     sp = space_for(3, 1, 1)
     R = sp.R
     for r in (-2, 0, 1, 3):
-        got = mode_apply_plain("x+", 1, r, sp.basis((2,)))
+        got = mode_apply_plain("E", 1, r, sp.basis((2,)))
         # mu_s(1) = 1: coefficient (q xi_1)^r
         assert got.support == {((1,), (r,)): R.qpow(r)}
-    assert mode_apply_plain("x+", 1, 0, sp.basis((4,))).is_zero()
-    assert mode_apply_plain("k+", 1, 0, sp.basis((1,))).support == {
+    assert mode_apply_plain("E", 1, 0, sp.basis((4,))).is_zero()
+    assert mode_apply_plain("K+", 1, 0, sp.basis((1,))).support == {
         ((1,), (0,)): R.qpow(1)
     }
-    assert mode_apply_plain("k+", 1, -1, sp.basis((1,))).is_zero()
-    assert mode_apply_plain("k-", 1, 1, sp.basis((1,))).is_zero()
+    assert mode_apply_plain("K+", 1, -1, sp.basis((1,))).is_zero()
+    assert mode_apply_plain("K-", 1, 1, sp.basis((1,))).is_zero()
 
 
 def test_mode_xplus_frozen():
     sp = space_for(3, 1, 2)
     R = sp.R
-    got = mode_apply_plain("x+", 1, 0, sp.basis((2, 2)))
+    got = mode_apply_plain("E", 1, 0, sp.basis((2, 2)))
     assert got.support == {
         ((1, 2), (0, 0)): R.qpow(-1),
         ((2, 1), (0, 0)): R.one,
     }
-    got = mode_apply_plain("x+", 1, 1, sp.basis((2, 2)))
+    got = mode_apply_plain("E", 1, 1, sp.basis((2, 2)))
     assert got.support == {
         ((1, 2), (1, 0)): R.one,
         ((1, 2), (0, 1)): R.one - R.qpow(2),
@@ -195,12 +195,12 @@ def test_mode_xplus_frozen():
 def test_mode_xminus_frozen():
     sp = space_for(3, 1, 2)
     R = sp.R
-    got = mode_apply_plain("x-", 1, 0, sp.basis((1, 1)))
+    got = mode_apply_plain("F", 1, 0, sp.basis((1, 1)))
     assert got.support == {
         ((2, 1), (0, 0)): R.one,
         ((1, 2), (0, 0)): R.qpow(-1),
     }
-    got = mode_apply_plain("x-", 1, -1, sp.basis((1, 1)))
+    got = mode_apply_plain("F", 1, -1, sp.basis((1, 1)))
     assert got.support == {
         ((2, 1), (-1, 0)): R.qpow(-1),
         ((1, 2), (0, -1)): R.qpow(-2),
@@ -211,7 +211,7 @@ def test_mode_xminus_frozen():
 def test_mode_k_frozen():
     sp = space_for(3, 1, 2)
     R = sp.R
-    got = mode_apply_plain("k+", 1, 1, sp.basis((1, 2)))
+    got = mode_apply_plain("K+", 1, 1, sp.basis((1, 2)))
     assert got.support == {
         ((1, 2), (1, 0)): R.qpow(1) - R.qpow(-1),
         ((1, 2), (0, 1)): R.qpow(1) - R.qpow(3),
@@ -220,8 +220,8 @@ def test_mode_k_frozen():
 
 def test_mode_xi_linearity():
     sp = space_for(3, 1, 2)
-    plain = mode_apply_plain("x+", 1, 1, sp.basis((2, 2)))
-    shifted = mode_apply_plain("x+", 1, 1, sp.basis((2, 2), nu=(3, -2)))
+    plain = mode_apply_plain("E", 1, 1, sp.basis((2, 2)))
+    shifted = mode_apply_plain("E", 1, 1, sp.basis((2, 2), nu=(3, -2)))
     assert shifted.support == {
         (labels, (n1 + 3, n2 - 2)): c
         for (labels, (n1, n2)), c in plain.support.items()
@@ -231,7 +231,7 @@ def test_mode_xi_linearity():
 def test_mode_rejects_unsorted():
     sp = space_for(3, 1, 2)
     with pytest.raises(ValueError):
-        mode_apply_plain("x+", 1, 0, sp.basis((2, 1)))
+        mode_apply_plain("E", 1, 0, sp.basis((2, 1)))
 
 
 def test_bad_letters_raise():
@@ -241,8 +241,8 @@ def test_bad_letters_raise():
         lambda: ChevalleyGen("x", 0),
         lambda: ChevalleyGen("e", -1),
         lambda: chevalley_apply(ChevalleyGen("f", sp.kappa), v),
-        lambda: mode_apply_plain("x+", 7, 0, v),
-        lambda: mode_apply_plain("k-", 0, 0, v),
+        lambda: mode_apply_plain("E", 7, 0, v),
+        lambda: mode_apply_plain("K-", 0, 0, v),
         lambda: hecke_T_apply(2, v),
         lambda: hecke_T_apply(0, v),
         lambda: TensorSpace(sp.pd, 0, sp.R),
@@ -261,7 +261,7 @@ def test_bad_letters_raise_under_optimize():
         "from qtschur.superdata import ParityData; "
         "v = TensorSpace(ParityData.standard(3, 1), 2, SymbolicContext(m=3, n=1)).basis((1, 4)); "
     )
-    for call in ('chevalley_apply(ChevalleyGen("x", 0), v)', 'mode_apply_plain("x+", 7, 0, v)'):
+    for call in ('chevalley_apply(ChevalleyGen("x", 0), v)', 'mode_apply_plain("E", 7, 0, v)'):
         proc = subprocess.run(
             [sys.executable, "-O", "-c", setup + call],
             capture_output=True,
@@ -280,16 +280,16 @@ def test_zero_mode_agreement():
             for i in range(1, sp.kappa):
                 for labels in keys:
                     b = sp.basis(labels)
-                    assert mode_apply_plain("x+", i, 0, b) == chevalley_apply(
+                    assert mode_apply_plain("E", i, 0, b) == chevalley_apply(
                         ChevalleyGen("e", i), b
                     ), (m, n, i, labels)
-                    assert mode_apply_plain("x-", i, 0, b) == chevalley_apply(
+                    assert mode_apply_plain("F", i, 0, b) == chevalley_apply(
                         ChevalleyGen("f", i), b
                     ), (m, n, i, labels)
-                    assert mode_apply_plain("k+", i, 0, b) == chevalley_apply(
+                    assert mode_apply_plain("K+", i, 0, b) == chevalley_apply(
                         ChevalleyGen("t", i), b
                     )
-                    assert mode_apply_plain("k-", i, 0, b) == chevalley_apply(
+                    assert mode_apply_plain("K-", i, 0, b) == chevalley_apply(
                         ChevalleyGen("tinv", i), b
                     )
 
@@ -419,11 +419,11 @@ def test_dictionary_catches_bracket_faults(monkeypatch, fault, m, n, counts):
 def test_super_sign_rule():
     """Disjoint-slot operators in both orders differ by the Koszul sign."""
     sp = TensorSpace(ParityData.standard(2, 2), 3, SymbolicContext(formal_zeta=True))
-    ident, e, f, t, etheta, ftheta, ktheta = slot_ops(sp)
+    ident, e, f, t = slot_ops(sp)
     candidates = [
         (f(2), 1, 2),  # odd op, fires on label 2
-        (ftheta(), 1, 1),  # odd, fires on 1
-        (etheta(), 1, 4),  # odd, fires on 4
+        (e(0), 1, 1),  # odd, fires on 1
+        (f(0), 1, 4),  # odd, fires on 4
         (t(2, 1), 0, None),  # even, fires everywhere
     ]
     rng = random.Random(99)
@@ -468,10 +468,10 @@ def test_mode_specialization_agrees():
     ssp = TensorSpace(pd, 2, SymbolicContext(formal_zeta=True))
     nsp = TensorSpace(pd, 2, NumericContext(q0, d0, m=3, n=1))
     jobs = [
-        ("x+", 1, 1, (2, 2)),
-        ("x-", 2, -2, (2, 3)),
-        ("k+", 3, 2, (3, 4)),
-        ("k-", 1, -1, (1, 2)),
+        ("E", 1, 1, (2, 2)),
+        ("F", 2, -2, (2, 3)),
+        ("K+", 3, 2, (3, 4)),
+        ("K-", 1, -1, (1, 2)),
     ]
     for family, i, r, labels in jobs:
         se = mode_apply_plain(family, i, r, ssp.basis(labels))

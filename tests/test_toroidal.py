@@ -45,10 +45,10 @@ from qtschur.toroidal import (
     psi_apply,
     psi_inverse,
     toroidal_mode_apply,
-    weight_exponent,
+    weight_apply,
 )
 
-from oracles import wrap_current_by_conjugation
+from oracles import weight_exponent, wrap_current_by_conjugation
 
 R31 = SymbolicContext(m=3, n=1)
 PD31 = ParityData.standard(3, 1)
@@ -231,7 +231,9 @@ def test_diagonal_weights(ell):
                 got = apply_letter("K+", 0, 0, u)
             else:
                 got = toroidal_mode_apply("K+", i, 0, u)
-            assert got == u.scale(R31.qpow(weight_exponent(sp.pd, labels, i)))
+            want = u.scale(R31.qpow(weight_exponent(sp.pd, labels, i)))
+            assert got == want
+            assert weight_apply(i, u) == want
 
 
 def test_k_chain_is_identity():
@@ -457,8 +459,7 @@ def _reference_mode(family, i, r, fv):
     space = fv.space
     acc = {}
     for labels, w in fv.support.items():
-        loop_family = tor._LOOP_FAMILY[family]
-        for labels2, sign, mult in mode_terms(space, loop_family, i, r, labels, space.R.q1pow, True):
+        for labels2, sign, mult in mode_terms(space, family, i, r, labels, space.R.q1pow, True):
             for vec, coeff in mult.items():
                 w2 = w
                 for j, e in enumerate(vec, 1):
@@ -473,7 +474,7 @@ def _reference_chevalley(kind, node, fv, variant):
     space = fv.space
     acc = {}
     for labels, w in fv.support.items():
-        for legs, shift_slot, shift, extra in _chevalley_summands(space, ChevalleyGen(kind, node)):
+        for legs, shift_slot, shift in _chevalley_summands(space, ChevalleyGen(kind, node)):
             hit = tensor_leg_apply(space, legs, labels)
             if hit is None:
                 continue
@@ -487,7 +488,7 @@ def _reference_chevalley(kind, node, fv, variant):
                     w2 = right_mul_Y(w2, j, -shift)
                     if variant == "vertical":
                         c = c * space.R.dpow(-shift)
-            _sorted_add(space, acc, labels2, w2.scale(c * extra))
+            _sorted_add(space, acc, labels2, w2.scale(c))
     return _pruned(space, acc)
 
 
