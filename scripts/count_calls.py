@@ -9,7 +9,10 @@ instance under cProfile.  Prints cProfile's total call count, which
 does not depend on the host's load, and the call counts of the
 operators and normalize steps that a change to the evaluator must keep
 or cut: toroidal_mode_apply, functor_chevalley_apply, _collect and
-key_is_dead.  Wall time under the profiler is printed last, for
+key_is_dead.  Then the plan's shape: the number of batches each stage
+evaluates (battery vectors of one key, run as one vector), the node
+count of the plan and the peak number of node images one batch and
+stage holds at once.  Wall time under the profiler is printed last, for
 orientation only.
 """
 
@@ -52,6 +55,9 @@ def main() -> int:
     print(f"{'total calls':<26} {stats.total_calls:>12,}")
     for name in COUNTED:
         print(f"{name:<26} {calls[name]:>12,}")
+    print(f"{'batches per stage':<26} {len(ctx.batches(0, len(ctx.instances))):>12,}")
+    print(f"{'plan nodes':<26} {len(ctx.letters):>12,}")
+    print(f"{'peak live node images':<26} {ctx.peak:>12,}")
     print(f"{'profiled wall':<26} {took:>11.2f}s")
     return 0
 

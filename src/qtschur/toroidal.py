@@ -51,6 +51,15 @@ hecke.word_terms, the image of a unit factor T_w Y^mu under a word,
 cached once per algebra context; the dead-key test sums the
 symmetrizer's words through the same cache.  The sums are exact, so
 pruning and residuals are those of the formulas on whole factors.
+
+Right multiplication by a word adds to the Q-power k of a basis word
+Q^k T_w Y^mu the word's own degree (T and Y letters 0, Q and X letters
++-1) and reads k nowhere else, and key death is tested by right
+multiplication too.  So vectors w_b (x) k of one key can be evaluated
+as the one vector sum_b Q^(N b) w_b (x) k (join_batch, N = 2^32): every
+letter maps the band of Q-degrees around N b to itself, _collect tests
+death per band, and split_batch cuts any image back into the images of
+the w_b (x) k, term for term.  Only this module knows that tag.
 """
 
 from __future__ import annotations
@@ -250,17 +259,73 @@ def _cached_terms(space: FunctorSpace, letter, build, labels, out: FunctorSpace)
 
 
 def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
-    """The vector of a flat sum {key: {Hecke basis key: coeff}}, each dead key dropped;
-    a one-term part never kills its key, nor does any part at a key with no
-    repeated label (its symmetrizer is 1), so only the rest go to key_is_dead."""
+    """The vector of a flat sum {key: {Hecke basis key: coeff}}, each dead part dropped.
+
+    Death is tested per Q-degree band of a part (see join_batch), so each
+    vector of a batch is pruned as it would be alone; an unbatched vector
+    has one band.  A one-term band never kills its key, nor does any part
+    at a key with no repeated label (its symmetrizer is 1), so only the
+    rest go to key_is_dead.
+    """
     out, daha = {}, space.daha
     for labels, part in acc.items():
-        if part:
-            w = DahaElement(daha, part)
-            if (len(part) == 1 or len(set(labels)) == len(labels)
-                    or not space.key_is_dead(labels, w)):
-                out[labels] = w
+        if len(part) < 2 or len(set(labels)) == len(labels):
+            if part:
+                out[labels] = DahaElement(daha, part)
+            continue
+        bands: dict = {}
+        for hk, c in part.items():
+            bands.setdefault((hk[0] + _HALF_BAND) // _BAND, {})[hk] = c
+        kept: dict = {}
+        for band in bands.values():
+            if len(band) == 1 or not space.key_is_dead(labels, DahaElement(daha, band)):
+                kept.update(band)
+        if kept:
+            out[labels] = DahaElement(daha, kept)
     return FunctorVector(space, out)
+
+
+# ----------------------------------------------------------------------
+# batches: vectors of one key evaluated as one (see the module docstring)
+
+# the Q-degree distance N between two vectors of a batch; every Q-power
+# of a battery factor and of its images lies far inside one band
+_BAND = 1 << 32
+_HALF_BAND = _BAND >> 1
+
+
+def join_batch(vectors: list) -> "FunctorVector":
+    """The sum of Q^(_BAND * b) w_b (x) k over the one-key vectors w_b (x) k of one space."""
+    space = vectors[0].space
+    ((labels, _),) = vectors[0].support.items()
+    part: dict = {}
+    for b, fv in enumerate(vectors):
+        ((key, w),) = fv.support.items()
+        if fv.space is not space or key != labels:
+            raise ValueError("a batch holds one-key vectors of one key and space")
+        shift = _BAND * b
+        for (k, window, mu), c in w.support.items():
+            if not -_HALF_BAND <= k < _HALF_BAND:
+                raise ValueError(f"Q-power {k} is outside a batch band")
+            part[k + shift, window, mu] = c
+    return FunctorVector(space, {labels: DahaElement(space.daha, part)})
+
+
+def split_batch(fv: "FunctorVector", count: int) -> list:
+    """The count vectors of a batched one (see join_batch), each term shifted by
+    -_BAND * b into vector b; a term outside every band raises ValueError."""
+    parts: list = [{} for _ in range(count)]
+    for labels, w in fv.support.items():
+        for (k, window, mu), c in w.support.items():
+            b = (k + _HALF_BAND) // _BAND
+            if not 0 <= b < count:
+                raise ValueError(f"Q-power {k} lies outside the {count} bands of the batch")
+            parts[b].setdefault(labels, {})[k - _BAND * b, window, mu] = c
+    daha = fv.space.daha
+    return [
+        FunctorVector(fv.space, {labels: DahaElement(daha, p) for labels, p in part.items()})
+        for part in parts
+    ]
 
 
 class FunctorVector(SparseVector):

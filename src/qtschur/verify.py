@@ -28,14 +28,19 @@ commutation.
 Suites can run symbolically (exact Laurent coefficients), numerically
 (a rational sample point), or both.  Only this module builds report
 rows, and every suite is gated alike: in combined mode the numeric
-pass runs first, a row that fails it is not evaluated symbolically
-(its symbolic verdict stays skipped), and both verdicts are recorded
-per row.  A table is planned once, each term a word-suffix node and a
+pass runs first, the symbolic verdict of a row that fails it is not
+recorded (it stays skipped), and both verdicts are recorded per row.
+A table is planned once, each term a word-suffix node and a
 coefficient slot resolved once per stage; instances are evaluated in
-chunks (one per worker task), vector-major within a chunk: each battery
-vector goes through every instance with one list of node images, each
-filled in once when first needed and dropped before the next vector.  A
-chunk keeps verdict codes and the failures' residual text, not rows.
+chunks (one per worker task), batch-major within a chunk.  A batch is
+the battery vectors w (x) k of one key k that run on the same
+instances, evaluated as one vector (toroidal.join_batch): the letters
+only right-multiply factors, and that never moves a term from one
+vector's Q-degree band to another's.  Any other vector is a batch of
+its own.  Each batch goes through every instance with one list of node
+images, each filled in once when first needed and dropped after its
+last reader.  A chunk keeps verdict codes and the failures' residual
+text, not rows.
 Reports are deterministic: same configuration and seed give
 byte-identical JSON, independent of the worker count.  Report.write
 builds the rows from the codes and streams that JSON to a file one row
@@ -1002,8 +1007,12 @@ class SuiteContext:
     to the image of parents[node]; node 0 is the battery vector.  Per
     instance, slots and nodes are None (excluded: no left side) or
     tuples, term t (left side first) the image at nodes[t] times
-    values[slots[t]].  Each stage is (name, battery, values), values[slot]
-    the _resolve of the slot's (coefficient, sign), -1 on the right side.
+    values[slots[t]].  drops[i] lists the nodes whose last reader is
+    instance i, the last in table order with a term in the node's
+    subtree, and peak is the most images one batch and stage ever holds
+    (each node held from its first reader to its last).  Each stage is
+    (name, battery, values), values[slot] the _resolve of the slot's
+    (coefficient, sign), -1 on the right side.
     """
 
     def __init__(self, instances: list, stages: list):
@@ -1032,6 +1041,24 @@ class SuiteContext:
             term_slots = tuple(term_slots)
             self.slots.append(shared.setdefault(term_slots, term_slots))
             self.nodes.append(tuple(term_nodes))
+        first, last = [None] * len(self.letters), [None] * len(self.letters)
+        for i, nodes in enumerate(self.nodes):
+            for node in nodes or ():
+                while last[node] != i:
+                    if last[node] is None:
+                        first[node] = i
+                    last[node] = i
+                    if node == 0:
+                        break
+                    node = self.parents[node]
+        self.drops = [[] for _ in instances]
+        held = [0] * (len(instances) + 1)
+        for node, i in enumerate(last):
+            if i is not None:
+                self.drops[i].append(node)
+                held[first[node]] += 1
+                held[i + 1] -= 1
+        self.peak = max(itertools.accumulate(held), default=0)
         self.stages = [
             (stage, battery, [_resolve(R, coeff, sign) for coeff, sign in slot_of])
             for stage, R, battery in stages
@@ -1048,12 +1075,16 @@ class SuiteContext:
     def verdicts(self, lo: int, hi: int) -> list:
         """The verdict blocks (see Verdicts) of instances lo..hi-1, in instance order.
 
-        Evaluation is vector-major: each battery vector is taken through
-        the stages (numeric first) and, per stage, through every
-        instance of the chunk that runs on it.  The images of the plan's
-        nodes live in one list per vector and stage, each computed when
-        a term first needs it and dropped when the stage is done.  A
-        vector that failed a stage is not evaluated in the later ones.
+        Evaluation is batch-major (see batches): each batch is taken
+        through the stages (numeric first) and, per stage, through every
+        instance of the chunk that runs on it, as one vector whose
+        difference toroidal.split_batch cuts back into one per battery
+        vector.  The images of the plan's nodes live in one list per
+        batch and stage, each computed when a term first needs it and
+        dropped after its last reader's instance, evaluated or skipped.
+        An instance is skipped once every vector of the batch has failed
+        it; a vector that failed a stage is still computed inside its
+        batch in the later ones, but its verdict there is not recorded.
         """
         size = len(self.stages[-1][1])
         blocks, live = [], []
@@ -1064,20 +1095,52 @@ class SuiteContext:
                 continue
             vectors = range(size) if vectors is None else vectors
             blocks.append((bytearray(len(vectors)), {}))
-            live.append((vectors.start, vectors.stop, slots, nodes, *blocks[-1]))
+            live.append((vectors.start, vectors.stop, slots, nodes, *blocks[-1], self.drops[i]))
         letters, parents = self.letters, self.parents
-        for k in range(size):
+        for batch in self.batches(lo, hi):
+            k0, count = batch[0], len(batch)
             for code, (_, battery, values) in enumerate(self.stages, 1):
                 images = [None] * len(letters)
-                images[0] = battery[k][1]
-                for start, stop, slots, nodes, codes, residuals in live:
-                    if start <= k < stop and not codes[k - start]:
+                us = [battery[k][1] for k in batch]
+                images[0] = tor.join_batch(us) if count > 1 else us[0]
+                for start, stop, slots, nodes, codes, residuals, drops in live:
+                    if start <= k0 < stop and not all(codes[k - start] for k in batch):
                         diff = _difference(images, letters, parents, values, slots, nodes)
-                        if not diff.is_zero():
-                            codes[k - start] = code
+                        if diff:
+                            parts = tor.split_batch(diff, count) if count > 1 else (diff,)
                             limit = 5 if isinstance(diff, tor.FunctorVector) else None
-                            residuals[k - start] = diff.render(limit)
+                            for k, part in zip(batch, parts):
+                                if part and not codes[k - start]:
+                                    codes[k - start] = code
+                                    residuals[k - start] = part.render(limit)
+                    for node in drops:
+                        images[node] = None
         return blocks
+
+    def batches(self, lo: int, hi: int) -> list:
+        """The battery indices of each batch of instances lo..hi-1, by first vector.
+
+        A batch is the one-key FunctorVectors of one space with one key
+        that run on the same of these instances; every other vector is a
+        batch of its own.  Vectors that none of them runs on are left out.
+        """
+        battery = self.stages[-1][1]
+        ranges = sorted({
+            (0, len(battery)) if vectors is None else (vectors.start, vectors.stop)
+            for (*_, vectors), slots in zip(self.instances[lo:hi], self.slots[lo:hi])
+            if slots is not None
+        })
+        batches: dict = {}
+        for k, (_, u) in enumerate(battery):
+            runs = tuple(j for j, (start, stop) in enumerate(ranges) if start <= k < stop)
+            if not runs:
+                continue
+            if type(u) is tor.FunctorVector and len(u.support) == 1:
+                group = (u.space, next(iter(u.support)), runs)
+            else:
+                group = k
+            batches.setdefault(group, []).append(k)
+        return list(batches.values())
 
 
 # the most recent suite context of this process, keyed on (suite, config key)

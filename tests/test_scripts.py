@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from qtschur.verify import RunConfig, SuiteContext
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 RUNS = [
@@ -32,6 +34,20 @@ def test_script_exits_zero(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_count_calls_prints_the_plan_shape():
+    # toroidal m3 n1 ell1 R0: 4 keys, each a batch of the 7 battery factors
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "count_calls.py"), "--ell", "1", "--modes", "0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.rsplit(None, 1) for line in proc.stdout.splitlines()[1:-1])
+    ctx = SuiteContext.for_suite("toroidal", RunConfig(m=3, n=1, ell=1, modes=0))
+    assert int(lines["batches per stage"]) == len(ctx.batches(0, len(ctx.instances))) == 4
+    assert int(lines["plan nodes"].replace(",", "")) == len(ctx.letters)
+    assert int(lines["peak live node images"]) == ctx.peak < len(ctx.letters)
 
 
 def test_bench_run_keeps_untraced_names(tmp_path):

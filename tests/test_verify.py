@@ -516,18 +516,21 @@ def test_one_term_difference_drops_dead_keys():
     ("affine", RunConfig(m=3, n=1, ell=2)),
 ])
 def test_plan_applies_each_letter_once_per_input(monkeypatch, suite, cfg):
-    # the plan keeps all sharing: within one (vector, stage), no letter is
-    # applied twice to the same input object.  The inputs are kept alive
-    # until the next battery vector comes in, so no id is reused meanwhile
+    # the plan keeps all sharing: within one (batch, stage), no letter is
+    # applied twice to the same input object.  A batch starts when its
+    # vector is joined; the inputs are kept alive until the next batch
+    # comes in, so no id is reused meanwhile
     ctx = SuiteContext.for_suite(suite, cfg)
-    starts = {id(u) for _, battery, _ in ctx.stages for _, u in battery}
-    applied, inputs, calls = set(), [None], collections.Counter()
-    letter_image = verify.apply_letter
+    applied, inputs, calls = set(), [], collections.Counter()
+    letter_image, join = verify.apply_letter, tor.join_batch
+
+    def start(vectors):
+        applied.clear()
+        inputs[:] = [join(vectors)]
+        calls["batch"] += 1
+        return inputs[0]
 
     def once(op, node, arg, v):
-        if id(v) in starts and v is not inputs[0]:
-            applied.clear()
-            inputs[:] = [v]
         key = (op, node, arg, id(v))
         assert key not in applied, key
         applied.add(key)
@@ -535,9 +538,14 @@ def test_plan_applies_each_letter_once_per_input(monkeypatch, suite, cfg):
         calls[op] += 1
         return letter_image(op, node, arg, v)
 
+    monkeypatch.setattr(tor, "join_batch", start)
     monkeypatch.setattr(verify, "apply_letter", once)
     blocks = ctx.verdicts(0, len(ctx.instances))
     assert not any(any(block[0]) for block in blocks if block is not None)
+    # one batch per key, of every battery factor: 7 at ell 1, 19 at ell 2
+    batches = ctx.batches(0, len(ctx.instances))
+    assert {len(batch) for batch in batches} == {{1: 7, 2: 19}[cfg.ell]}
+    assert calls.pop("batch") == len(ctx.stages) * len(batches)
     assert set(calls) == ({"E", "F", "K+", "K-", "wt"} if suite == "toroidal"
                           else {"e", "f", "t", "tinv"})
 
@@ -890,8 +898,8 @@ def test_shared_word_cache_does_not_hide_flipped_quadratic_term(monkeypatch):
 
 
 def test_rotation_suite_rotates_each_vector_once(monkeypatch):
-    # the inputs are kept so that ids stay unique: each vector's memo is
-    # dropped once the vector is done, and freed ids are reused
+    # the inputs are kept so that ids stay unique: each batch's images are
+    # dropped once the batch is done, and freed ids are reused
     inputs = []
 
     def counted(fv, orig=tor.psi_apply):
@@ -900,8 +908,9 @@ def test_rotation_suite_rotates_each_vector_once(monkeypatch):
 
     monkeypatch.setattr(tor, "psi_apply", counted)
     assert run_suite("rotation", RunConfig(ell=1, modes=1, mode="symbolic")).ok()
-    # 28 battery vectors, each rotated once and its image once more
-    assert len(inputs) == len({id(fv) for fv in inputs}) == 56
+    # 28 battery vectors in 4 batches, one per key; each batch rotated
+    # once and its image once more
+    assert len(inputs) == len({id(fv) for fv in inputs}) == 8
 
 
 # configuration validation
@@ -937,3 +946,149 @@ def test_validate_warns_outside_equivalence_regime():
 def test_parity_word_round_trip():
     cfg = RunConfig(m=2, n=2, parity="+-+-")
     assert cfg.parity_data().to_string() == "+-+-"
+
+
+# batches: the battery vectors w (x) k of one key, evaluated as one vector
+# tagged by Q-degree, must give each vector's verdicts as if it ran alone
+
+
+def _batched_rows(ctx):
+    """{(instance, position): (code, residual)} of every row of ctx."""
+    out = {}
+    for i, block in enumerate(ctx.verdicts(0, len(ctx.instances))):
+        if block is not None:
+            codes, residuals = block
+            out.update(((i, pos), (code, residuals.get(pos))) for pos, code in enumerate(codes))
+    return out
+
+
+def _one_vector_rows(ctx):
+    """_batched_rows of ctx, evaluated with one SuiteContext per battery vector,
+    so that every vector is a batch of its own."""
+    out = {}
+    for k in range(len(ctx.stages[-1][1])):
+        rows = [
+            (i, k - (0 if vectors is None else vectors.start))
+            for i, (*_, vectors) in enumerate(ctx.instances)
+            if ctx.slots[i] is not None and (vectors is None or k in vectors)
+        ]
+        table = [ctx.instances[i][:-1] + (None,) for i, _ in rows]
+        stages = [(stage, battery[k][1].space.R, [battery[k]]) for stage, battery, _ in ctx.stages]
+        alone = SuiteContext(table, stages)
+        assert [len(batch) for batch in alone.batches(0, len(table))] == [1]
+        for (i, pos), (codes, residuals) in zip(rows, alone.verdicts(0, len(table))):
+            out[i, pos] = (codes[0], residuals.get(0))
+    return out
+
+
+BATCHED = [
+    ("toroidal", RunConfig(m=3, n=1, ell=1, modes=1)),
+    ("affine", RunConfig(m=3, n=1, ell=2)),
+    ("rotation", RunConfig(ell=2, modes=0)),
+]
+# fault: (patched module, name, fault) or None, and the suite it fails
+BATCH_FAULTS = {
+    "none": (None, None),
+    "mmatrix": ((verify, "mmatrix", lambda _: lambda pd, i, j: 0), "toroidal"),
+    "exchange": ((tor, "hecke_exchange_terms", _flip_swapped_term), "rotation"),
+    "lowering": ((looprep, "slot_ops", _negate_node0_lowering), "affine"),
+}
+
+
+@pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+@pytest.mark.parametrize("fault", list(BATCH_FAULTS))
+@pytest.mark.parametrize("suite, cfg", BATCHED, ids=[suite for suite, _ in BATCHED])
+def test_batches_give_each_vector_its_own_verdicts(monkeypatch, suite, cfg, fault, mode):
+    patch, fails = BATCH_FAULTS[fault]
+    if patch:
+        module, name, faulty = patch
+        monkeypatch.setattr(module, name, faulty(getattr(module, name)))
+    ctx = SuiteContext.for_suite(suite, dataclasses.replace(cfg, mode=mode))
+    assert max(len(batch) for batch in ctx.batches(0, len(ctx.instances))) > 1
+    got = _batched_rows(ctx)
+    assert got == _one_vector_rows(ctx)
+    assert any(code for code, _ in got.values()) == (suite == fails)
+
+
+def test_batch_prunes_a_dead_vector_on_its_own():
+    # x (T_1 - q^2) (x) (1, 1) is zero in the balanced product, (T_1 + 1) (x)
+    # (1, 1) is not; in one batch each is pruned as it would be alone, so
+    # the dead one passes and the live one fails with its own residual
+    R = SymbolicContext(formal_zeta=True)
+    space = tor.FunctorSpace(PD31, 2, R)
+    one = space.daha.one()
+    x = hecke.right_mul_Y(one, 1)
+    dead = hecke.right_mul_T(x, 1) - x.scale(R.qpow(2))
+    live = hecke.right_mul_T(one, 1) + one
+    u_dead, u_live = (tor.FunctorVector(space, {(1, 1): w}) for w in (dead, live))
+    assert space.key_is_dead((1, 1), dead) and not space.key_is_dead((1, 1), live)
+    identity = [(verify._ONE, ())]
+    ctx = SuiteContext([("id", (), (), None, identity, [], None)],
+                       [("symbolic", R, [("dead", u_dead), ("live", u_live)])])
+    assert ctx.batches(0, 1) == [[0, 1]]
+    [(codes, residuals)] = ctx.verdicts(0, 1)
+    assert list(codes) == [0, 1]
+    assert residuals == {1: _plan_difference(R, identity, [], u_live).render(5)}
+    joined = tor.join_batch([u_dead, u_live])
+    parts = tor.split_batch(tor._collect(space, {(1, 1): joined.support[1, 1].support}), 2)
+    assert parts[0].is_zero() and parts[1].support == {(1, 1): live}
+
+
+def test_split_batch_rejects_a_term_outside_its_bands():
+    R = SymbolicContext(formal_zeta=True)
+    space = tor.FunctorSpace(PD31, 1, R)
+    u, v = space.basis((1,)), space.basis((1,), space.daha.element([("Q", 0, 1)]))
+    joined = tor.join_batch([u, v])
+    assert [part.support for part in tor.split_batch(joined, 2)] == [u.support, v.support]
+    (labels, w), = joined.support.items()
+    (_, window, mu), = u.support[labels].support
+    band = tor._BAND
+    for k in (2 * band, band + band // 2, -band, -band // 2 - 1):
+        stray = hecke.DahaElement(space.daha, {**w.support, (k, window, mu): R.one})
+        with pytest.raises(ValueError):
+            tor.split_batch(tor.FunctorVector(space, {labels: stray}), 2)
+    # a term at the edge of band 1 still belongs to vector 1
+    edge = hecke.DahaElement(space.daha, {(band + band // 2 - 1, window, mu): R.one})
+    assert tor.split_batch(tor.FunctorVector(space, {labels: edge}), 2)[0].is_zero()
+    far = space.basis((1,), space.daha.basis(band // 2, window, mu))
+    with pytest.raises(ValueError):
+        tor.join_batch([u, far])
+
+
+@pytest.mark.parametrize("suite, cfg, peak", [
+    ("toroidal", RunConfig(m=3, n=1, ell=2, modes=0), 44),
+    ("affine", RunConfig(m=3, n=1, ell=2), 41),
+])
+def test_images_are_dropped_after_their_last_reader(monkeypatch, suite, cfg, peak):
+    # a node's image is held from its first reader to its last: the last
+    # instance in table order with a term in the node's subtree
+    ctx = SuiteContext.for_suite(suite, cfg)
+    last = [None] * len(ctx.letters)
+    for i, nodes in enumerate(ctx.nodes):
+        for node in nodes or ():
+            while True:
+                last[node] = i
+                if node == 0:
+                    break
+                node = ctx.parents[node]
+    order = [i for i, slots in enumerate(ctx.slots) if slots is not None]
+    seen, difference = {}, verify._difference
+
+    def watched(images, *args):
+        # one entry per (batch, stage): its images list, calls, peak held
+        entry = seen.setdefault(id(images), [images, 0, 0])
+        i = order[entry[1]]
+        assert all(last[node] >= i for node, v in enumerate(images) if v is not None), i
+        out = difference(images, *args)
+        entry[1] += 1
+        entry[2] = max(entry[2], sum(v is not None for v in images))
+        return out
+
+    monkeypatch.setattr(verify, "_difference", watched)
+    blocks = ctx.verdicts(0, len(ctx.instances))
+    assert not any(any(block[0]) for block in blocks if block is not None)
+    assert len(seen) == len(ctx.stages) * len(ctx.batches(0, len(ctx.instances)))
+    for images, calls, held in seen.values():
+        assert calls == len(order)
+        assert not any(images)  # the last instance dropped the rest
+        assert held == ctx.peak == peak
