@@ -12,8 +12,9 @@ or cut: toroidal_mode_apply, functor_chevalley_apply, _collect and
 key_is_dead.  Then the plan's shape: the number of batches each stage
 evaluates (battery vectors of one key, run as one vector), the node
 count of the plan and the peak number of node images one batch and
-stage holds at once.  Wall time under the profiler is printed last, for
-orientation only.
+stage holds at once, and the size of the Scalar intern table after the
+run: the interned values and their memoized products and sums.  Wall
+time under the profiler is printed last, for orientation only.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from qtschur.scalar import table_sizes
 from qtschur.verify import SUITES, RunConfig, SuiteContext
 
 COUNTED = ("toroidal_mode_apply", "functor_chevalley_apply", "_collect", "key_is_dead")
@@ -58,6 +60,9 @@ def main() -> int:
     print(f"{'batches per stage':<26} {len(ctx.batches(0, len(ctx.instances))):>12,}")
     print(f"{'plan nodes':<26} {len(ctx.letters):>12,}")
     print(f"{'peak live node images':<26} {ctx.peak:>12,}")
+    values, entries = table_sizes()
+    print(f"{'interned Scalars':<26} {values:>12,}")
+    print(f"{'Scalar memo entries':<26} {entries:>12,}")
     print(f"{'profiled wall':<26} {took:>11.2f}s")
     return 0
 

@@ -20,11 +20,25 @@ products of a formal delta function against a product of psi factors.
 Both expansions of psi_c are eventually constant, which keeps every mode
 coefficient a finite sum.
 
+Scalar is hash-consed.  One intern table, keyed on the sorted term
+tuple, holds every Scalar built, so equal values are one object and
+equality is identity.  Each value memoizes its products and its sums by
+the right operand.  A suite builds few distinct values and combines the
+same pairs over and over, so nearly every product and sum is one dict
+lookup.  The table is the type's own identity map, not caller state,
+and it is never cleared: it holds only immutable values, and clearing
+it would split equal live values into distinct objects.  No zero test
+reads identity; zero is an empty term dict.
+
 A numeric specialization q -> q0, d -> d0 (rationals) doubles as a fast
 cross-check oracle for all symbolic identities; its values lie in Z[1/L]
-for an integer L read off the point, stored gcd-free as ZL.  Both
-coefficient contexts memoize the constants they hand out (powers and
-integer constants); Scalar and ZL are immutable, so sharing them is safe.
+for an integer L read off the point, stored gcd-free as ZL.  ZL is not
+interned: its product is one int product, so a memo saves little, while
+a numeric run meets many more distinct values than a symbolic one, and
+their table and memos would cost megabytes of peak memory on the largest
+runs.  Both coefficient contexts memoize the constants they hand out
+(powers and integer constants); Scalar and ZL are immutable, so sharing
+them is safe.
 The references the tests hold these against (a Scalar evaluated at a
 point, the closed-form psi_c coefficients) live in tests/oracles.py.
 """
@@ -41,24 +55,30 @@ Key = tuple[int, int, int]
 
 
 class Scalar:
-    """Immutable Laurent polynomial in q^{1/2}, d^{1/2} (and formal zeta).
+    """Immutable, hash-consed Laurent polynomial in q^{1/2}, d^{1/2} (and formal zeta).
 
     Terms map exponent keys to nonzero ints; zero coefficients are dropped
-    eagerly so that equality and zero tests are dictionary comparisons.
-    The operands of +, - and * are Scalars.
+    eagerly, so zero is the empty term dict.  Every Scalar is built
+    through one process-wide intern table keyed on the sorted term
+    tuple, so equal values are one object: == and hash are the object
+    defaults (identity), and a Scalar is never equal to an int.  Each
+    value memoizes its products and sums in two dicts keyed by the right
+    operand, which a hit reads with one lookup.  The operands of +, -
+    and * are Scalars.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_products", "_sums")
 
-    def __init__(self, terms: Mapping[Key, int] | None = None):
-        clean: dict[Key, int] = {}
+    def __new__(cls, terms: Mapping[Key, int] | None = None) -> "Scalar":
         if terms:
-            for key, coeff in terms.items():
+            for coeff in terms.values():
                 if type(coeff) is not int:
                     raise ValueError(f"Scalar coefficients are ints, got {coeff!r}")
-                if coeff:
-                    clean[key] = coeff
-        self._terms = clean
+        return _intern(terms or {})
+
+    def __reduce__(self):
+        # unpickling and copying go through the table, so they keep identity
+        return Scalar, (self._terms,)
 
     # -- constructors ------------------------------------------------
 
@@ -74,73 +94,38 @@ class Scalar:
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
+        try:
+            return self._sums[other]
+        except KeyError:
+            pass
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
+            terms[key] = terms.get(key, 0) + coeff
+        out = self._sums[other] = _intern(terms)
         return out
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        out = Scalar.__new__(Scalar)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return _intern({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if not self._terms or not other._terms:
-            return _ZERO
-        # fast path: monomial times anything
-        if len(other._terms) == 1:
-            ((kb, cb),) = other._terms.items()
-            out = Scalar.__new__(Scalar)
-            out._terms = {
-                (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2]): ca * cb
-                for ka, ca in self._terms.items()
-            }
-            return out
+        try:
+            return self._products[other]
+        except KeyError:
+            pass
         terms: dict[Key, int] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = ca * cb
-                else:
-                    acc = acc + ca * cb
-                    if acc:
-                        terms[key] = acc
-                    else:
-                        del terms[key]
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
+        for (a, b, c), ca in self._terms.items():
+            for (x, y, z), cb in other._terms.items():
+                key = (a + x, b + y, c + z)
+                terms[key] = terms.get(key, 0) + ca * cb
+        out = self._products[other] = _intern(terms)
         return out
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Scalar:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     # -- rendering ----------------------------------------------------
 
@@ -174,6 +159,26 @@ def _render_exp(half: int) -> str:
     if half % 2 == 0:
         return f"^{half // 2}"
     return f"^{{{half}/2}}"
+
+
+# canonical term tuple -> its one Scalar; never cleared (see the module docstring)
+_TABLE: dict[tuple, Scalar] = {}
+
+
+def _intern(terms: Mapping[Key, int]) -> Scalar:
+    """The one Scalar with the nonzero terms of terms."""
+    canon = tuple(sorted((k, c) for k, c in terms.items() if c))
+    out = _TABLE.get(canon)
+    if out is None:
+        out = _TABLE[canon] = object.__new__(Scalar)
+        out._terms = dict(canon)
+        out._products, out._sums = {}, {}
+    return out
+
+
+def table_sizes() -> tuple[int, int]:
+    """(interned Scalars, memoized products and sums) in this process."""
+    return len(_TABLE), sum(len(x._products) + len(x._sums) for x in _TABLE.values())
 
 
 _ZERO = Scalar()

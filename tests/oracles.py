@@ -1,8 +1,9 @@
 """Reference computations the tests hold the package against.
 
 Nothing in qtschur calls these: each is an independent, plainly written
-copy of a quantity the package computes another way (the numeric
-context's values, the psi streams of the mode extraction, the group
+copy of a quantity the package computes another way (sums and products
+of Laurent polynomials as term dicts, the numeric context's values, the
+psi streams of the mode extraction, the group
 law behind right_mul_s, the inverse of a right multiplication, the
 wrap-node current as a conjugation by the rotation, the diagonal
 weight exponent in closed form).
@@ -18,6 +19,28 @@ from qtschur import toroidal as tor
 from qtschur.hecke import AffinePermutation, Token
 from qtschur.scalar import Scalar, q_pow
 from qtschur.superdata import ParityData
+
+
+# ----------------------------------------------------------------------
+# Laurent polynomials as term dicts
+
+
+def terms_sum(x: dict, y: dict, sign: int = 1) -> dict:
+    """Terms of x + sign * y, with no zero coefficient."""
+    out = dict(x)
+    for key, coeff in y.items():
+        out[key] = out.get(key, 0) + sign * coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def terms_product(x: dict, y: dict) -> dict:
+    """Terms of x * y, with no zero coefficient."""
+    out: dict = {}
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            key = tuple(a + b for a, b in zip(kx, ky))
+            out[key] = out.get(key, 0) + cx * cy
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
-"""Ring axioms, psi expansions, and the numeric oracle."""
+"""Ring axioms, interning and memos, psi expansions, and the numeric oracle."""
 
+import copy
+import itertools
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,10 +21,12 @@ from qtschur.scalar import (
     delta_psi_mode,
     psi_product_mode,
     q_pow,
+    table_sizes,
     zeta_pow,
 )
+from qtschur.verify import RunConfig, SuiteContext
 
-from oracles import psi_coeffs, specialize
+from oracles import psi_coeffs, specialize, terms_product, terms_sum
 
 coeffs = st.integers(min_value=-20, max_value=20)
 keys = st.tuples(
@@ -28,7 +34,8 @@ keys = st.tuples(
     st.integers(min_value=-4, max_value=4),
     st.integers(min_value=-2, max_value=2),
 )
-scalars = st.dictionaries(keys, coeffs, max_size=4).map(Scalar)
+term_dicts = st.dictionaries(keys, coeffs, max_size=4)
+scalars = term_dicts.map(Scalar)
 
 
 @given(scalars, scalars, scalars)
@@ -52,12 +59,94 @@ def test_canonical_form_has_no_zero_terms(x):
 
 
 def test_non_integral_coefficients_raise():
+    sizes = table_sizes()
     with pytest.raises(ValueError):
         Scalar({(0, 0, 0): Fraction(3, 2)})
+    with pytest.raises(ValueError):
+        Scalar({(0, 0, 0): 2, (1, 0, 0): 2.0})
+    assert table_sizes() == sizes
     with pytest.raises(ValueError):
         Scalar.monomial(1.5)
     with pytest.raises(ValueError):
         SymbolicContext(3, 1).rational(Fraction(1, 2))
+
+
+def test_equal_values_from_every_constructor_are_one_object():
+    a, b, c = (1, 0, 0), (0, -2, 1), (3, 3, 0)
+    x = Scalar({a: 2, b: -1, c: 0})
+    assert Scalar({c: 0, b: -1, a: 2}) is x
+    assert Scalar({b: -1, a: 2}) is x
+    assert Scalar.monomial(2, *a) + Scalar.monomial(-1, *b) is x
+    assert Scalar.monomial(5, qhalf=4) is Scalar({(4, 0, 0): 5})
+    assert q_pow(2) is Scalar.monomial(1, qhalf=4)
+    assert d_pow(-1) is Scalar({(0, -2, 0): 1})
+    assert zeta_pow(3) is Scalar.monomial(zeta=3)
+    assert Scalar() is Scalar({}) is Scalar({a: 0}) is _ZERO
+    assert Scalar.monomial() is _ONE
+    for ctx in (SymbolicContext(3, 1), SymbolicContext(2, 3), SymbolicContext(formal_zeta=True)):
+        assert ctx.qpow(-2) is q_pow(-2)
+        assert ctx.dpow(1) is d_pow(1)
+        assert ctx.rational(-7) is Scalar.monomial(-7)
+        assert ctx.one is _ONE and ctx.zero is _ZERO
+
+
+@given(scalars, scalars)
+@settings(max_examples=120, deadline=None)
+def test_ring_results_are_interned(a, b):
+    assert a * b is b * a
+    assert a + b is b + a
+    assert (a + b) - b is a
+    assert -(-a) is a
+    assert a - a is _ZERO
+    assert Scalar(dict(reversed(list(a._terms.items())))) is a
+
+
+@given(scalars)
+@settings(max_examples=40, deadline=None)
+def test_pickle_and_copy_keep_identity(a):
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.deepcopy(a) is a
+    assert copy.copy(a) is a
+    assert copy.deepcopy({"x": [a]})["x"][0] is a
+
+
+def test_a_scalar_is_never_equal_to_an_int():
+    assert (Scalar.monomial(1) == 1) is False
+    assert (_ZERO == 0) is False
+    assert Scalar.monomial(3) != 3
+
+
+# a term with a zeta exponent no other example uses, so that every
+# operand built with it is a new value and its first product and sum miss
+_FRESH = itertools.count(1000)
+
+OPS = [
+    (operator.mul, terms_product),
+    (operator.add, terms_sum),
+    (operator.sub, lambda x, y: terms_sum(x, y, -1)),
+]
+
+
+@given(term_dicts, term_dicts, term_dicts)
+@settings(max_examples=120, deadline=None)
+def test_memo_misses_and_hits_match_the_reference(tx, ty, tz):
+    tx, ty, tz = ({**t, (0, 0, next(_FRESH)): 1} for t in (tx, ty, tz))
+    x, y, z = Scalar(tx), Scalar(ty), Scalar(tz)
+    for right, tr in ((y, ty), (z, tz), (x, tx)):
+        for op, reference in OPS:
+            want = reference(tx, tr)
+            first = op(x, right)
+            assert first._terms == want
+            assert op(x, right) is first
+            assert op(x, right)._terms == want
+
+
+def test_a_repeated_run_adds_no_value_and_no_memo_entry():
+    ctx = SuiteContext.for_suite("toroidal", RunConfig(m=3, n=1, ell=1, modes=0, mode="symbolic"))
+    first = ctx.verdicts(0, len(ctx.instances))
+    sizes = table_sizes()
+    assert ctx.verdicts(0, len(ctx.instances)) == first
+    assert table_sizes() == sizes
 
 
 def test_context_constants_are_memoized():

@@ -48,6 +48,11 @@ def test_count_calls_prints_the_plan_shape():
     assert int(lines["batches per stage"]) == len(ctx.batches(0, len(ctx.instances))) == 4
     assert int(lines["plan nodes"].replace(",", "")) == len(ctx.letters)
     assert int(lines["peak live node images"]) == ctx.peak < len(ctx.letters)
+    # the child's table holds the run's values, and a product or a sum
+    # of them is memoized at most once per operand pair
+    values = int(lines["interned Scalars"].replace(",", ""))
+    entries = int(lines["Scalar memo entries"].replace(",", ""))
+    assert 0 < values and 0 < entries <= 2 * values**2
 
 
 def test_bench_run_keeps_untraced_names(tmp_path):
