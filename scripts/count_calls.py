@@ -12,9 +12,11 @@ or cut: toroidal_mode_apply, functor_chevalley_apply, _collect and
 key_is_dead.  Then the plan's shape: the number of batches each stage
 evaluates (battery vectors of one key, run as one vector), the node
 count of the plan and the peak number of node images one batch and
-stage holds at once, and the size of the Scalar intern table after the
-run: the interned values and their memoized products and sums.  Wall
-time under the profiler is printed last, for orientation only.
+stage holds at once, the Hecke word-cache entries of each stage's
+algebra context (none for the finite suite, which has no algebra
+factor), and the size of the Scalar intern table after the run: the
+interned values and their memoized products and sums.  Wall time under
+the profiler is printed last, for orientation only.
 """
 
 import argparse
@@ -26,10 +28,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from qtschur.hecke import DahaElement
 from qtschur.scalar import table_sizes
+from qtschur.toroidal import FunctorVector
 from qtschur.verify import SUITES, RunConfig, SuiteContext
 
 COUNTED = ("toroidal_mode_apply", "functor_chevalley_apply", "_collect", "key_is_dead")
+
+
+def word_cache(vector) -> dict:
+    """The Hecke word cache of a battery vector's algebra context, {} with none."""
+    if isinstance(vector, FunctorVector):
+        return vector.space.daha._word_cache
+    return vector.ctx._word_cache if isinstance(vector, DahaElement) else {}
 
 
 def main() -> int:
@@ -60,6 +71,8 @@ def main() -> int:
     print(f"{'batches per stage':<26} {len(ctx.batches(0, len(ctx.instances))):>12,}")
     print(f"{'plan nodes':<26} {len(ctx.letters):>12,}")
     print(f"{'peak live node images':<26} {ctx.peak:>12,}")
+    for stage, battery, _ in ctx.stages:
+        print(f"{'word-cache entries, ' + stage:<26} {len(word_cache(battery[0][1])):>12,}")
     values, entries = table_sizes()
     print(f"{'interned Scalars':<26} {values:>12,}")
     print(f"{'Scalar memo entries':<26} {entries:>12,}")

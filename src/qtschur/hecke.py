@@ -20,11 +20,12 @@ rewrite:
     wrapped Y-exponent;
   * X letters expand into a fixed word in T's and one Q.
 
-Right multiplication by a word is linear and commutes with a left
-factor Q^k, so the image of one unit basis word T_w Y^mu under a word
-serves every coefficient and every Q power: word_terms caches it per
-context and (word, window, mu), and right_mul_T reads its one-letter
-entries.
+One fold, _fold, multiplies a flat support {(k, window, mu): coeff} by
+a word letter by letter; apply_word and right_mul_T/Y/Q/X are that fold
+on an element.  As right multiplication is linear and commutes with
+Q^k, word_terms caches the image of a unit T_w Y^mu per context and
+(word, window, mu): for the balanced operators' words and for each
+T_i, which every T_i^{+-1} reads.  Y, Q and X act term by term.
 
 The quadratic relation is normalized as (T_i + 1)(T_i - q^2) = 0, so
 T_i^{-1} = q^{-2} T_i + (q^{-2} - 1).
@@ -181,8 +182,6 @@ class DahaContext:
             raise ValueError(f"window size must be >= 1, got {ell}")
         self.ell = ell
         self.R = coeffs
-        self._id_window = tuple(range(1, ell + 1))
-        self._zero_mu = (0,) * ell
         # word cache: (word, window, mu) -> word_terms of the unit
         # Q^0 T_window Y^mu; filled on demand, values deterministic
         self._word_cache: dict = {}
@@ -191,7 +190,7 @@ class DahaContext:
         return DahaElement(self, {})
 
     def one(self) -> "DahaElement":
-        return self.basis(0, self._id_window, self._zero_mu)
+        return self.basis(0, range(1, self.ell + 1), (0,) * self.ell)
 
     def basis(self, k: int, window, mu) -> "DahaElement":
         return DahaElement(self, {(k, tuple(window), tuple(mu)): self.R.one})
@@ -232,51 +231,33 @@ def _bl_exchange(ctx: DahaContext, mu: tuple[int, ...], i: int):
     exactly the geometric-series expansion of the usual rational form.
     """
     a, b = mu[i - 1], mu[i]
-    swapped = list(mu)
-    swapped[i - 1], swapped[i] = b, a
-    corrections: list[tuple[int, tuple[int, ...]]] = []
-    if a > b:
-        rng, sign = range(b, a), 1
-    elif a < b:
-        rng, sign = range(a, b), -1
-    else:
-        rng, sign = range(0), 1
-    for t in rng:
-        vec = list(mu)
-        vec[i - 1], vec[i] = a + b - t, t
-        corrections.append((sign, tuple(vec)))
-    return tuple(swapped), corrections
+    rng, sign = (range(b, a), 1) if a >= b else (range(a, b), -1)
+    corrections = [(sign, mu[: i - 1] + (a + b - t, t) + mu[i + 1 :]) for t in rng]
+    return mu[: i - 1] + (b, a) + mu[i + 1 :], corrections
 
 
 def _basis_mul_T(ctx: DahaContext, key: BasisKey, i: int) -> list:
-    """(Q^k T_w Y^mu) T_i as a list of (key, coeff)."""
+    """(Q^k T_w Y^mu) T_i as (key, coeff) pairs, the T_w T_i part first."""
     k, window, mu = key
-    w = AffinePermutation(window)
+    w, R = AffinePermutation(window), ctx.R
     swapped, corrections = _bl_exchange(ctx, mu, i)
-    out = []
-    # T_w T_i part
+    factor, ws = R.qpow(2) - R.one, w.right_mul_s(i).window
     if w.has_right_descent(i):
-        out.append(((k, w.right_mul_s(i).window, swapped), ctx.R.qpow(2)))
-        out.append(((k, window, swapped), ctx.R.qpow(2) - ctx.R.one))
+        out = [((k, ws, swapped), R.qpow(2)), ((k, window, swapped), factor)]
     else:
-        out.append(((k, w.right_mul_s(i).window, swapped), ctx.R.one))
+        out = [((k, ws, swapped), R.one)]
     # correction part, pure Y words behind T_w
-    factor = ctx.R.qpow(2) - ctx.R.one
-    for sign, vec in corrections:
-        out.append(((k, window, vec), factor if sign > 0 else -factor))
+    out.extend(((k, window, vec), factor if sign > 0 else -factor) for sign, vec in corrections)
     return out
 
 
-def _basis_mul_Q(ctx: DahaContext, key: BasisKey, exp: int) -> tuple[BasisKey, object]:
+def _basis_mul_Q(ctx: DahaContext, key: BasisKey, coeff, exp: int) -> tuple[BasisKey, object]:
+    """(coeff Q^k T_w Y^mu) Q^exp as one (key, coeff)."""
     k, window, mu = key
     w = AffinePermutation(window)
     if exp == 1:
-        zeta = ctx.R.zetapow(-mu[0])
-        new = (k + 1, w.rotate_down().window, mu[1:] + mu[:1])
-    else:
-        zeta = ctx.R.zetapow(mu[-1])
-        new = (k - 1, w.rotate_up().window, mu[-1:] + mu[:-1])
-    return new, zeta
+        return (k + 1, w.rotate_down().window, mu[1:] + mu[:1]), coeff * ctx.R.zetapow(-mu[0])
+    return (k - 1, w.rotate_up().window, mu[-1:] + mu[:-1]), coeff * ctx.R.zetapow(mu[-1])
 
 
 def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:
@@ -286,14 +267,10 @@ def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:
     if exp not in (1, -1):
         raise ValueError(f"X exponent must be +-1, got {exp}")
     if exp == 1:
-        word = [("T", a, 1) for a in range(j - 1, 0, -1)]
-        word.append(("Q", 0, 1))
-        word.extend(("T", a, -1) for a in range(ell - 1, j - 1, -1))
+        up, down = range(j - 1, 0, -1), range(ell - 1, j - 1, -1)
     else:
-        word = [("T", a, 1) for a in range(j, ell)]
-        word.append(("Q", 0, -1))
-        word.extend(("T", a, -1) for a in range(1, j))
-    return word
+        up, down = range(j, ell), range(1, j)
+    return [("T", a, 1) for a in up] + [("Q", 0, exp)] + [("T", a, -1) for a in down]
 
 
 def word_terms(ctx: DahaContext, word: tuple, window, mu) -> tuple:
@@ -301,79 +278,85 @@ def word_terms(ctx: DahaContext, word: tuple, window, mu) -> tuple:
 
     dk is the Q exponent, so Q^k T_window Y^mu times word is the sum of
     coeff * Q^(k + dk) T_window2 Y^mu2.  word is a tuple of tokens; the
-    entry of the one-token word T_i is read off _basis_mul_T, and any
-    other word is built by apply_word, whose T letters read this cache.
+    entry of the one-token word T_i is _basis_mul_T's, and any other
+    word's is _fold's image of the unit, whose T letters read this cache.
     """
     key = (word, window, mu)
     hit = ctx._word_cache.get(key)
     if hit is None:
         if len(word) == 1 and word[0][0] == "T" and word[0][2] == 1:
-            terms = _basis_mul_T(ctx, (0, window, mu), word[0][1])
+            terms: dict = {}
+            for key2, coeff in _basis_mul_T(ctx, (0, window, mu), word[0][1]):
+                _accumulate(terms, key2, coeff)
         else:
-            terms = apply_word(ctx.basis(0, window, mu), word).support.items()
-        merged: dict = {}
-        for key2, coeff in terms:
-            _accumulate(merged, key2, coeff)
-        hit = ctx._word_cache[key] = tuple(merged.items())
+            terms = _fold(ctx, {(0, window, mu): ctx.R.one}, word)
+        hit = ctx._word_cache[key] = tuple(terms.items())
     return hit
 
 
-def right_mul_T(e: DahaElement, i: int, exp: int = 1) -> DahaElement:
-    ctx = e.ctx
-    if not 1 <= i < ctx.ell:
-        raise ValueError(f"T index {i} out of range")
-    if exp not in (1, -1):
-        raise ValueError(f"T exponent must be +-1, got {exp}")
-    word, acc = (("T", i, 1),), {}
-    for (k, window, mu), coeff in e.support.items():
-        for (dk, win2, mu2), c2 in word_terms(ctx, word, window, mu):
-            _accumulate(acc, (k + dk, win2, mu2), coeff * c2)
-    out = DahaElement(ctx, acc)
-    if exp == -1:
-        # T_i^{-1} = q^{-2} T_i + (q^{-2} - 1)
-        qm2 = ctx.R.qpow(-2)
-        return out.scale(qm2) + e.scale(qm2 - ctx.R.one)
-    return out
+def _fold(ctx: DahaContext, support: dict, word: Iterable[Token]) -> dict:
+    """A flat support {(k, window, mu): coeff} times word, one letter at a time.
+
+    T_i reads its cached one-letter entries, and so does T_i^{-1} = q^{-2}
+    T_i + (q^{-2} - 1), merging the terms that meet; Y and Q send each key
+    to one key (Q with a central-constant power), and X is _mul_X.  No
+    coefficient of the result is zero.
+    """
+    ell, R = ctx.ell, ctx.R
+    for kind, i, exp in word:
+        if kind == "X":
+            support = _mul_X(ctx, support, i, exp)
+        elif kind == "Y":
+            if not 1 <= i <= ell:
+                raise ValueError(f"Y index {i} out of range")
+            support = {(k, w, mu[: i - 1] + (mu[i - 1] + exp,) + mu[i:]): c
+                       for (k, w, mu), c in support.items()}
+        elif exp not in (1, -1):
+            raise ValueError(f"{kind} exponent must be +-1, got {exp}")
+        elif kind == "Q":
+            support = dict(_basis_mul_Q(ctx, key, c, exp) for key, c in support.items())
+        elif kind == "T":
+            if not 1 <= i < ell:
+                raise ValueError(f"T index {i} out of range")
+            letter, out = (("T", i, 1),), {}
+            qm2, rest = (R.qpow(-2), R.qpow(-2) - R.one) if exp == -1 else (None, None)
+            for (k, window, mu), c in support.items():
+                c1 = c if qm2 is None else c * qm2
+                for (_, win2, mu2), c2 in word_terms(ctx, letter, window, mu):
+                    _accumulate(out, (k, win2, mu2), c1 * c2)
+                if qm2 is not None:
+                    _accumulate(out, (k, window, mu), c * rest)
+            support = out
+        else:
+            raise ValueError(f"unknown token kind {kind!r}")
+    return support
 
 
-def right_mul_Y(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
-    ctx = e.ctx
-    if not 1 <= j <= ctx.ell:
-        raise ValueError(f"Y index {j} out of range")
-    acc: dict = {}
-    for (k, window, mu), coeff in e.support.items():
-        mu2 = list(mu)
-        mu2[j - 1] += exp
-        acc[(k, window, tuple(mu2))] = coeff
-    return DahaElement(ctx, acc)
-
-
-def right_mul_Q(e: DahaElement, exp: int = 1) -> DahaElement:
-    if exp not in (1, -1):
-        raise ValueError(f"Q exponent must be +-1, got {exp}")
-    ctx = e.ctx
-    return e.linear(lambda key: [_basis_mul_Q(ctx, key, exp)])
-
-
-def right_mul_X(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
-    ctx = e.ctx
-    out = apply_word(e, x_letter_word(ctx.ell, j, exp))
-    return out if j == 1 else out.scale(ctx.R.qpow(-2 * (j - 1) * exp))
+def _mul_X(ctx: DahaContext, support: dict, j: int, exp: int) -> dict:
+    """_fold's X_j^{+-1}: its T and Q word (x_letter_word), then the prefactor q^{-2(j-1)exp}."""
+    out = _fold(ctx, support, x_letter_word(ctx.ell, j, exp))
+    pre = ctx.R.qpow(-2 * (j - 1) * exp)
+    return {key: c * pre for key, c in out.items()} if j > 1 else out
 
 
 def apply_word(e: DahaElement, word: Iterable[Token]) -> DahaElement:
-    for kind, idx, exp in word:
-        if kind == "T":
-            e = right_mul_T(e, idx, exp)
-        elif kind == "Y":
-            e = right_mul_Y(e, idx, exp)
-        elif kind == "X":
-            e = right_mul_X(e, idx, exp)
-        elif kind == "Q":
-            e = right_mul_Q(e, exp)
-        else:
-            raise ValueError(f"unknown token kind {kind!r}")
-    return e
+    return DahaElement(e.ctx, _fold(e.ctx, e.support, word))
+
+
+def right_mul_T(e: DahaElement, i: int, exp: int = 1) -> DahaElement:
+    return apply_word(e, (("T", i, exp),))
+
+
+def right_mul_Y(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
+    return apply_word(e, (("Y", j, exp),))
+
+
+def right_mul_Q(e: DahaElement, exp: int = 1) -> DahaElement:
+    return apply_word(e, (("Q", 0, exp),))
+
+
+def right_mul_X(e: DahaElement, j: int, exp: int = 1) -> DahaElement:
+    return apply_word(e, (("X", j, exp),))
 
 
 # ----------------------------------------------------------------------

@@ -46,11 +46,12 @@ target key, a Y-exponent shift or None, a Hecke word (X letters, then
 the sort's T letters) and one coefficient.  A wrap-node current's
 terms join the term lists of the rotation, the node-1 mode and the
 inverse rotation into one word each, the mode's Y shift written inside
-it as Y letters.  _letter_apply applies the terms through
+it as Y letters.  _add_product applies a term to a factor through
 hecke.word_terms, the image of a unit factor T_w Y^mu under a word,
-cached once per algebra context; the dead-key test sums the
-symmetrizer's words through the same cache.  The sums are exact, so
-pruning and residuals are those of the formulas on whole factors.
+cached once per algebra context, or as one scaled copy when the term
+has no word and its target part is empty (the dead-key test sums the
+symmetrizer's words the same way).  The sums are exact, so pruning and
+residuals are those of the formulas on whole factors.
 
 Right multiplication by a word adds to the Q-power k of a basis word
 Q^k T_w Y^mu the word's own degree (T and Y letters 0, Q and X letters
@@ -212,15 +213,26 @@ class FunctorSpace:
 
 
 def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
-    """Add coeff * w * Y^vec * word (vec None for no Y letters) to a flat support."""
+    """Add coeff * w * Y^vec * word (vec None for no Y letters) to a flat support.
+
+    With no word and an empty acc it is one scaled copy of w, exactly:
+    both coefficient rings are integral domains, so no product of
+    nonzero coefficients is zero, and a Y shift is injective on keys,
+    so no two terms meet.
+    """
+    support = w.support
+    if vec is not None:
+        support = {(k, window, tuple([a + b for a, b in zip(mu, vec)])): c
+                   for (k, window, mu), c in support.items()}
+    if not word and not acc:
+        acc.update({key: c * coeff for key, c in support.items()})
+        return
     ctx = w.ctx
-    for (k, window, mu), c in w.support.items():
-        if vec is not None:
-            mu = tuple([a + b for a, b in zip(mu, vec)])
-        if not word:
-            _accumulate(acc, (k, window, mu), c * coeff)
-            continue
+    for (k, window, mu), c in support.items():
         c1 = c * coeff
+        if not word:
+            _accumulate(acc, (k, window, mu), c1)
+            continue
         for (dk, win2, mu2), c2 in word_terms(ctx, word, window, mu):
             _accumulate(acc, (k + dk, win2, mu2), c1 * c2)
 

@@ -930,10 +930,15 @@ def _difference(images: list, letters: list, parents: list, values: list, slots,
         elif v.owner is not owner:
             raise ValueError("vectors live in different spaces")
         c = values[slot]
+        if c is not None and not c:
+            continue  # a coefficient that is zero at the numeric point adds nothing
         for key, part in v.support.items() if kind is tor.FunctorVector else [(None, v)]:
-            into = acc.setdefault(key, {})
-            for k, x in part.support.items():
-                _accumulate(into, k, x if c is None else x * c)
+            into, terms = acc.get(key), part.support
+            if into is None:  # an empty part takes a scaled copy (see toroidal._add_product)
+                acc[key] = dict(terms) if c is None else {k: x * c for k, x in terms.items()}
+            else:
+                for k, x in terms.items():
+                    _accumulate(into, k, x if c is None else x * c)
     if kind is tor.FunctorVector:
         return tor._collect(owner, acc)
     return kind(owner, acc.get(None, {}))

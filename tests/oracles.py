@@ -5,6 +5,7 @@ copy of a quantity the package computes another way (sums and products
 of Laurent polynomials as term dicts, the numeric context's values, the
 psi streams of the mode extraction, the group
 law behind right_mul_s, the inverse of a right multiplication, the
+product of a Hecke element and a word letter by letter, the
 wrap-node current as a conjugation by the rotation, the diagonal
 weight exponent in closed form).
 """
@@ -15,8 +16,9 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+from qtschur import hecke
 from qtschur import toroidal as tor
-from qtschur.hecke import AffinePermutation, Token
+from qtschur.hecke import AffinePermutation, DahaElement, Token
 from qtschur.scalar import Scalar, q_pow
 from qtschur.superdata import ParityData
 
@@ -143,6 +145,33 @@ def inverse(w: AffinePermutation) -> AffinePermutation:
 
 def inverse_word(word: Iterable[Token]) -> list[Token]:
     return [(kind, idx, -exp) for kind, idx, exp in reversed(list(word))]
+
+
+def stepwise_word(e: DahaElement, word: Iterable[Token]) -> DahaElement:
+    """e times word, letter by letter on whole elements, with no word cache.
+
+    T_i rewrites each basis word by the exchange and quadratic rules
+    (hecke._basis_mul_T), T_i^-1 = q^-2 T_i + (q^-2 - 1), Y_j shifts
+    mu_j, Q rotates (hecke._basis_mul_Q), and X_j^+-1 is its T and Q
+    word times q^(-2 (j - 1) exp).
+    """
+    ctx, R = e.ctx, e.ctx.R
+    for kind, idx, exp in word:
+        if kind == "T":
+            image = e.linear(lambda key: hecke._basis_mul_T(ctx, key, idx))
+            qm2 = R.qpow(-2)
+            e = image if exp == 1 else image.scale(qm2) + e.scale(qm2 - R.one)
+        elif kind == "Y":
+            e = DahaElement(ctx, {
+                (k, window, mu[: idx - 1] + (mu[idx - 1] + exp,) + mu[idx:]): c
+                for (k, window, mu), c in e.support.items()
+            })
+        elif kind == "Q":
+            e = e.linear(lambda key: [hecke._basis_mul_Q(ctx, key, R.one, exp)])
+        else:
+            e = stepwise_word(e, hecke.x_letter_word(ctx.ell, idx, exp))
+            e = e.scale(R.qpow(-2 * (idx - 1) * exp))
+    return e
 
 
 # ----------------------------------------------------------------------

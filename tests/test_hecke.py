@@ -34,7 +34,7 @@ from qtschur.hecke import (
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.verify import RunConfig, SuiteContext, Verdicts, daha_instances
 
-from oracles import compose, inverse, inverse_word, specialize
+from oracles import compose, inverse, inverse_word, specialize, stepwise_word
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -387,9 +387,10 @@ def test_word_terms_match_apply_word(case):
     for (dk, win2, mu2), coeff in terms:
         assert coeff and (k + dk, win2, mu2) not in shifted
         shifted[(k + dk, win2, mu2)] = coeff
-    # the reference multiplies letter by letter in a context with a cold cache
-    cold = DahaContext(ctx.ell, ctx.R)
-    assert shifted == apply_word(cold.basis(k, window, mu), word).support
+    # the reference multiplies whole elements letter by letter, with no cache
+    want = stepwise_word(ctx.basis(k, window, mu), word).support
+    assert shifted == want
+    assert apply_word(ctx.basis(k, window, mu), word).support == want
 
 
 def test_specialization_coherence():

@@ -48,6 +48,11 @@ def test_count_calls_prints_the_plan_shape():
     assert int(lines["batches per stage"]) == len(ctx.batches(0, len(ctx.instances))) == 4
     assert int(lines["plan nodes"].replace(",", "")) == len(ctx.letters)
     assert int(lines["peak live node images"]) == ctx.peak < len(ctx.letters)
+    # the word cache of each stage's algebra context after the same run
+    ctx.verdicts(0, len(ctx.instances))
+    for stage, battery, _ in ctx.stages:
+        cached = len(battery[0][1].space.daha._word_cache)
+        assert int(lines[f"word-cache entries, {stage}"].replace(",", "")) == cached > 0
     # the child's table holds the run's values, and a product or a sum
     # of them is memoized at most once per operand pair
     values = int(lines["interned Scalars"].replace(",", ""))

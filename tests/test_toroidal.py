@@ -421,13 +421,14 @@ def test_collect_matches_the_full_product_on_every_part(monkeypatch, suite):
 
 
 def test_second_rotation_reuses_kernels(monkeypatch):
+    # the fold's one X rule, which builds every cached word with an X letter
     calls = []
 
-    def counted(e, j, exp=1):
+    def counted(ctx, support, j, exp, orig=hecke._mul_X):
         calls.append(j)
-        return right_mul_X(e, j, exp)
+        return orig(ctx, support, j, exp)
 
-    monkeypatch.setattr(hecke, "right_mul_X", counted)
+    monkeypatch.setattr(hecke, "_mul_X", counted)
     sp = space31(2)
     u = functor_battery(sp)[-1][1]
     first = psi_apply(u)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qtschur import hecke, looprep, verify
 from qtschur.hecke import bounded_tuples
 from qtschur import toroidal as tor
-from qtschur.scalar import SparseVector, SymbolicContext
+from qtschur.scalar import NumericContext, SparseVector, SymbolicContext
 from qtschur.superdata import ParityData, cartan, node_parity
 from qtschur.verify import (
     ConfigError,
@@ -316,6 +316,18 @@ PINNED_REPORTS = [
         RunConfig(ell=3),
         "88fc04173002946915d484a252fd223f54972750f2029ee94ab1269fe48ba960",
     ),
+] + [
+    # parity words other than the standard +++--, digests from the batched
+    # evaluator before the one Hecke fold
+    (suite, RunConfig(m=3, n=2, ell=1, modes=1, parity=word), digest)
+    for word, suite, digest in [
+        ("++-+-", "toroidal", "5ea890b0cab7585a3ca2b35deddf5529a2818a117655f4e164b73484cefca29b"),
+        ("++-+-", "affine", "7f837ebc057119f4019ccf8f99c13dba80ac537678e1dd8ffb81cb99c1cadc55"),
+        ("++-+-", "rotation", "e2eb85a9de08aec23aa14da19d949ec8c29a1aa01151eb243761dbc82a3202b1"),
+        ("+-+-+", "toroidal", "073fb771fe3ff6c3f3cf69ba13506ed780e003a37e8c53c78c28a61e10eec080"),
+        ("+-+-+", "affine", "b76ed0720aa47f36c901fd1675dda7104ef3626fcb1310425f08b4f244f47df1"),
+        ("+-+-+", "rotation", "62a338994e4a4b0811308e62069225a06434ef26ca624ffaefec658708359ffd"),
+    ]
 ]
 
 
@@ -511,6 +523,83 @@ def test_one_term_difference_drops_dead_keys():
     assert u.support == {(1, 1): w}
 
 
+def _falsy(v):
+    """The keys of v's support whose coefficient is falsy, a balanced
+    vector's factors searched too."""
+    out = []
+    for key, c in v.support.items():
+        if not c:
+            out.append(key)
+        elif isinstance(c, hecke.DahaElement):
+            out.extend((key, k) for k, x in c.support.items() if not x)
+    return out
+
+
+def _supports(v):
+    """v's support, each balanced factor replaced by its own support."""
+    return {key: c.support if isinstance(c, SparseVector) else c for key, c in v.support.items()}
+
+
+# a ring-free coefficient that resolves to the ring's zero in every ring
+_VANISHING = ((1, 0, 0, 0), (-1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("R", [
+    SymbolicContext(m=3, n=1), NumericContext(2, 3, 3, 1)
+], ids=["symbolic", "numeric"])
+def test_a_zero_coefficient_term_adds_nothing(R):
+    # a term whose slot value is the ring's zero gives the support of the
+    # difference without it, whether it comes first into empty parts (the
+    # scaled copy) or after other terms; on balanced vectors and on Hecke
+    # elements, its image a different vector from the other term's
+    space = tor.FunctorSpace(PD31, 2, R)
+    one = space.daha.one()
+    w = hecke.right_mul_T(one, 1) + one
+    for u, letter in [
+        (space.basis((1, 2), w) + space.basis((2, 2)), ("f", 1, "affine")),
+        (w, ("X", 2, 1)),
+    ]:
+        term = [(verify._ONE, (letter,))]
+        want = _plan_difference(R, term, [], u)
+        zero = [(_VANISHING, ())]
+        assert verify._resolve(R, _VANISHING) == R.zero and want
+        # the zero term reaches a key that the other term's image leaves empty
+        assert _supports(u).keys() - _supports(want).keys()
+        assert not _plan_difference(R, zero, [], u).support
+        for lhs in (zero + term, term + zero):
+            got = _plan_difference(R, lhs, [], u)
+            assert _supports(got) == _supports(want) and not _falsy(got)
+
+
+@pytest.mark.parametrize("suite", ["toroidal", "affine"])
+def test_no_image_or_difference_holds_a_zero_coefficient(monkeypatch, suite):
+    # the scaled copies into empty parts keep every support free of zero
+    # coefficients, in both stages of a two-slot run
+    seen = collections.Counter()
+    letter_image, difference = verify.apply_letter, verify._difference
+
+    def image(*args):
+        out = letter_image(*args)
+        assert not _falsy(out), args[:3]
+        seen["image"] += bool(out.support)
+        return out
+
+    def checked(*args):
+        out = difference(*args)
+        assert not _falsy(out)
+        seen["difference"] += bool(out.support)
+        return out
+
+    monkeypatch.setattr(verify, "apply_letter", image)
+    monkeypatch.setattr(verify, "_difference", checked)
+    ctx = SuiteContext.for_suite(suite, RunConfig(m=3, n=1, ell=2, modes=0))
+    for stage, battery, _ in ctx.stages:
+        assert not any(_falsy(u) for _, u in battery), stage
+    ctx.verdicts(0, len(ctx.instances))
+    # the run passes, so every difference is empty, with no zero-filled part
+    assert seen["image"] and seen["difference"] == 0
+
+
 @pytest.mark.parametrize("suite, cfg", [
     ("toroidal", RunConfig(m=3, n=1, ell=1, modes=1)),
     ("affine", RunConfig(m=3, n=1, ell=2)),
@@ -651,10 +740,21 @@ def _negate_node0_lowering(slot_ops):
     return negated
 
 
+def _drop_odd_swap_sign(sort_schedule):
+    # the sort's coefficient without the sign of swapping two odd labels
+    def dropped(space, labels):
+        word, _, target = sort_schedule(space, labels)
+        return word, space.R.qpow(-len(word)), target
+
+    return dropped
+
+
 # gating in the tabled suites: (suite, config, patched module and name,
 # fault, failing rows); the counts were measured with each suite's own
 # checker and row builder, before all suites shared one evaluator; the
-# node-0 lowering count is also that of node 0's former own slot operators
+# node-0 lowering count is also that of node 0's former own slot operators;
+# the sort-sign count was measured before the one Hecke fold, in the first
+# gated configuration that swaps two odd labels (n = 2)
 GATED_FAULTS = [
     ("finite", RunConfig(m=2, n=2, ell=2), looprep, "hecke_exchange_terms",
      _flip_swapped_term, 18),
@@ -663,12 +763,16 @@ GATED_FAULTS = [
      _flip_swapped_term, 228),
     ("daha", RunConfig(ell=3), hecke, "_bl_exchange", _flip_correction, 862),
     ("affine", RunConfig(m=3, n=1, ell=1), looprep, "slot_ops", _negate_node0_lowering, 28),
+    ("rotation", RunConfig(m=3, n=2, ell=2, modes=0), tor.FunctorSpace, "sort_schedule",
+     _drop_odd_swap_sign, 76),
 ]
 
 
 def _longer(cfg):
-    """An id suffix naming the length of a configuration longer than ell 2."""
-    return f"-ell{cfg.ell}" if cfg.ell > 2 else ""
+    """An id suffix naming the length of a configuration longer than ell 2
+    and the dimensions of one with kappa above 4."""
+    kappa = cfg.m + cfg.n
+    return (f"-ell{cfg.ell}" if cfg.ell > 2 else "") + (f"-m{cfg.m}n{cfg.n}" if kappa > 4 else "")
 
 
 @pytest.mark.parametrize(
@@ -850,11 +954,12 @@ def test_context_cache_keeps_the_latest_context_only():
 
 
 def test_rotation_kernels_do_not_hide_flipped_x_letter(monkeypatch):
-    # X_j^e computed as X_j^-e; the cached Hecke words of the rotation are
-    # built through the patched letter, so every cached image carries the
-    # fault; counts and digest measured with the letter-by-letter rotation
-    flipped = lambda e, j, exp=1, orig=hecke.right_mul_X: orig(e, j, -exp)
-    monkeypatch.setattr(hecke, "right_mul_X", flipped)
+    # X_j^e computed as X_j^-e in the fold's one X rule; the cached Hecke
+    # words of the rotation are built through it, so every cached image
+    # carries the fault; counts and digest measured with the
+    # letter-by-letter rotation
+    flipped = lambda ctx, support, j, exp, orig=hecke._mul_X: orig(ctx, support, j, -exp)
+    monkeypatch.setattr(hecke, "_mul_X", flipped)
     report = run_suite("rotation", RunConfig(ell=2, modes=0))
     fails = [row for row in report.results if row["status"] == "fail"]
     assert len(fails) == 760
