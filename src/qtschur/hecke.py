@@ -144,14 +144,6 @@ class AffinePermutation:
         assert len(word) == self.length()
         return word
 
-    def rotate_down(self) -> "AffinePermutation":
-        """Conjugate by the rotation: window of pi^{-1} w pi."""
-        return AffinePermutation([self(i + 1) - 1 for i in range(1, self.ell + 1)])
-
-    def rotate_up(self) -> "AffinePermutation":
-        """Conjugate the other way: window of pi w pi^{-1}."""
-        return AffinePermutation([self(i - 1) + 1 for i in range(1, self.ell + 1)])
-
 
 def affine_permutations_upto(ell: int, max_len: int) -> list[AffinePermutation]:
     """All affine permutations of length <= max_len, in BFS order."""
@@ -252,12 +244,19 @@ def _basis_mul_T(ctx: DahaContext, key: BasisKey, i: int) -> list:
 
 
 def _basis_mul_Q(ctx: DahaContext, key: BasisKey, coeff, exp: int) -> tuple[BasisKey, object]:
-    """(coeff Q^k T_w Y^mu) Q^exp as one (key, coeff)."""
+    """(coeff Q^k T_w Y^mu) Q^exp as one (key, coeff).
+
+    Q conjugates w by the rotation pi(i) = i + 1: Q^+1 gives the window
+    of pi^-1 w pi, (w(2) - 1, ..., w(l) - 1, w(1) + l - 1), and Q^-1
+    that of pi w pi^-1, (w(l) - l + 1, w(1) + 1, ..., w(l-1) + 1).
+    """
     k, window, mu = key
-    w = AffinePermutation(window)
+    ell = ctx.ell
     if exp == 1:
-        return (k + 1, w.rotate_down().window, mu[1:] + mu[:1]), coeff * ctx.R.zetapow(-mu[0])
-    return (k - 1, w.rotate_up().window, mu[-1:] + mu[:-1]), coeff * ctx.R.zetapow(mu[-1])
+        window = tuple([v - 1 for v in window[1:]]) + (window[0] + ell - 1,)
+        return (k + 1, window, mu[1:] + mu[:1]), coeff * ctx.R.zetapow(-mu[0])
+    window = (window[-1] - ell + 1,) + tuple([v + 1 for v in window[:-1]])
+    return (k - 1, window, mu[-1:] + mu[:-1]), coeff * ctx.R.zetapow(mu[-1])
 
 
 def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:

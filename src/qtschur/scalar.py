@@ -36,7 +36,10 @@ for an integer L read off the point, stored gcd-free as ZL.  ZL is not
 interned: its product is one int product, so a memo saves little, while
 a numeric run meets many more distinct values than a symbolic one, and
 their table and memos would cost megabytes of peak memory on the largest
-runs.  Both coefficient contexts memoize the constants they hand out
+runs.  Instead its product, and its sum of two values with equal k,
+fill a bare object.__new__ instance's three slots, so a numeric product
+runs one Python frame rather than two (no __init__ call).  Both
+coefficient contexts memoize the constants they hand out
 (powers and integer constants); Scalar and ZL are immutable, so sharing
 them is safe.
 The references the tests hold these against (a Scalar evaluated at a
@@ -267,7 +270,8 @@ class ZL:
     """n / L^k in Z[1/L] (int n, k >= 0), never reduced by a gcd; zero iff n is.
 
     Values that meet share one L.  == and hash agree with the Fraction of
-    the same value, and str (also repr) renders that Fraction.
+    the same value, and str (also repr) renders that Fraction.  * and +
+    at equal k build their result without __init__ (module docstring).
     """
 
     __slots__ = ("n", "k", "L")
@@ -277,7 +281,9 @@ class ZL:
 
     def __mul__(self, other) -> "ZL":
         if type(other) is ZL:
-            return ZL(self.n * other.n, self.k + other.k, self.L)
+            out = object.__new__(ZL)
+            out.n, out.k, out.L = self.n * other.n, self.k + other.k, self.L
+            return out
         if isinstance(other, int):
             return ZL(self.n * other, self.k, self.L)
         return NotImplemented
@@ -291,7 +297,9 @@ class ZL:
             other = ZL(other, 0, self.L)
         k, ko = self.k, other.k
         if k == ko:
-            return ZL(self.n + other.n, k, self.L)
+            out = object.__new__(ZL)
+            out.n, out.k, out.L = self.n + other.n, k, self.L
+            return out
         if k < ko:
             return ZL(self.n * self.L ** (ko - k) + other.n, ko, self.L)
         return ZL(self.n + other.n * self.L ** (k - ko), k, self.L)
@@ -384,7 +392,15 @@ class NumericContext:
 
 
 def _accumulate(acc: dict, key, coeff) -> None:
-    """Add coeff at key of the support dict acc, keeping no zero coefficient."""
+    """Add coeff at key of the support dict acc, keeping no zero coefficient.
+
+    The two hottest loops, the word loop of toroidal._add_product and the
+    loop of verify._difference into non-empty parts, write this step in
+    place, one Python call per term less.  They store a new entry
+    without this zero test: it is a support's coefficient or a product of
+    two such, and both coefficient rings are integral domains, so it is
+    never zero.
+    """
     cur = acc.get(key)
     if cur is None:
         if coeff:

@@ -218,23 +218,35 @@ def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
     With no word and an empty acc it is one scaled copy of w, exactly:
     both coefficient rings are integral domains, so no product of
     nonzero coefficients is zero, and a Y shift is injective on keys,
-    so no two terms meet.
+    so no two terms meet.  The word loop adds each term as
+    scalar._accumulate does, written in place, and stores a new product
+    without a zero test for the same reason.
     """
     support = w.support
     if vec is not None:
         support = {(k, window, tuple([a + b for a, b in zip(mu, vec)])): c
                    for (k, window, mu), c in support.items()}
-    if not word and not acc:
-        acc.update({key: c * coeff for key, c in support.items()})
+    if not word:
+        if not acc:
+            acc.update({key: c * coeff for key, c in support.items()})
+        else:
+            for key, c in support.items():
+                _accumulate(acc, key, c * coeff)
         return
     ctx = w.ctx
     for (k, window, mu), c in support.items():
         c1 = c * coeff
-        if not word:
-            _accumulate(acc, (k, window, mu), c1)
-            continue
         for (dk, win2, mu2), c2 in word_terms(ctx, word, window, mu):
-            _accumulate(acc, (k + dk, win2, mu2), c1 * c2)
+            key, x = (k + dk, win2, mu2), c1 * c2
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = x
+            else:
+                cur = cur + x
+                if cur:
+                    acc[key] = cur
+                else:
+                    del acc[key]
 
 
 def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVector":

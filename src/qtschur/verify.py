@@ -70,7 +70,7 @@ from qtschur.hecke import (
     default_battery,
 )
 from qtschur.looprep import PlainTensor, TensorSpace
-from qtschur.scalar import NumericContext, SymbolicContext, _accumulate
+from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.superdata import ParityData, cartan, mmatrix, node_parity
 
 SUITES = ("finite", "affine", "toroidal", "daha", "rotation")
@@ -207,16 +207,20 @@ class Report:
                 "results": list(self.results), "summary": self.summary()}
 
     def _chunks(self):
-        """The report's JSON text in pieces, one per row between head and tail.
+        """The report's JSON text in pieces between head and tail: one per
+        failing or excluded row, and one per run of consecutive passing rows
+        of an instance, which is all of its rows when none fails.
 
         Joined, the pieces are json.dumps(self.to_payload(),
         sort_keys=True, indent=2) + "\\n": sort_keys puts params first,
-        then results, suite and summary.
+        then results, suite and summary.  The vector names are encoded
+        once per report.
         """
         head = json.dumps({"params": self.params}, sort_keys=True, indent=2)
         yield head[:-2] + ',\n  "results": ['
         sep = "\n"
-        for text in self.results.rows(_row_json, _row_template):
+        names = [_encode_str(name) for name in self.results.names]
+        for text in self.results.rows(_row_json, _row_template, names):
             yield sep + text
             sep = ",\n"
         yield "\n  ]" if sep != "\n" else "]"
@@ -254,9 +258,11 @@ def _row_json(row: dict) -> str:
 
 
 def _row_template(row: dict):
-    """The JSON of row as a function of its vector name: "vector", the last key, is ""."""
+    """The JSON of a run of rows that differ from row only in their vector
+    name, as a function of the encoded names: "vector", the last key, is ""."""
     head, tail = _row_json(row).rsplit('""', 1)
-    return lambda name: head + _encode_str(name) + tail
+    sep = tail + ",\n" + head
+    return lambda names: head + sep.join(names) + tail
 
 
 def _row(relation, nodes, modes, form, vector, verdict: dict) -> dict:
@@ -296,11 +302,15 @@ class Verdicts:
         return sum(1 if block is None else len(block[0]) for block in self.blocks)
 
     def __iter__(self):
-        return self.rows(lambda row: row, lambda row: lambda name: dict(row, vector=name))
+        return itertools.chain.from_iterable(self.rows(
+            lambda row: [row], lambda row: lambda run: [dict(row, vector=n) for n in run],
+            self.names))
 
-    def rows(self, whole, template):
-        """The rows in order: whole(row) for a failing or excluded row, template(row)(name)
-        for a passing one, template called once per instance, with the vector name ""."""
+    def rows(self, whole, template, names):
+        """The rows in order: whole(row) for a failing or excluded row, and
+        template(row)(run) for each run of consecutive passing rows of an
+        instance, run their slice of names (a list parallel to self.names);
+        template is called once per instance, with the vector name ""."""
         verdicts = [_verdict(self.stages, code) for code in range(len(self.stages) + 1)]
         excluded = {"status": "excluded", "note": "mn = 2 incompatible with kappa >= 4"}
         for (relation, nodes, modes, form, *_, vectors), block in zip(self.instances, self.blocks):
@@ -308,14 +318,17 @@ class Verdicts:
                 yield whole(_row(relation, nodes, modes, None, "-", excluded))
                 continue
             codes, residuals = block
-            names = self.names if vectors is None else self.names[vectors.start : vectors.stop]
+            lo = 0 if vectors is None else vectors.start
             passing = template(_row(relation, nodes, modes, form, "", verdicts[0]))
-            for pos, code in enumerate(codes):
-                if code:
-                    verdict = dict(verdicts[code], residual=residuals[pos])
-                    yield whole(_row(relation, nodes, modes, form, names[pos], verdict))
-                else:
-                    yield passing(names[pos])
+            start = 0
+            for pos in sorted(residuals):  # the failing positions
+                if start < pos:
+                    yield passing(names[lo + start : lo + pos])
+                verdict = dict(verdicts[codes[pos]], residual=residuals[pos])
+                yield whole(_row(relation, nodes, modes, form, self.names[lo + pos], verdict))
+                start = pos + 1
+            if start < len(codes):
+                yield passing(names[lo + start : lo + len(codes)])
 
     def tally(self):
         """(relation, status, count) triples that add up to the rows' statuses."""
@@ -936,9 +949,19 @@ def _difference(images: list, letters: list, parents: list, values: list, slots,
             into, terms = acc.get(key), part.support
             if into is None:  # an empty part takes a scaled copy (see toroidal._add_product)
                 acc[key] = dict(terms) if c is None else {k: x * c for k, x in terms.items()}
-            else:
+            else:  # scalar._accumulate written in place (see its docstring)
                 for k, x in terms.items():
-                    _accumulate(into, k, x if c is None else x * c)
+                    if c is not None:
+                        x = x * c
+                    cur = into.get(k)
+                    if cur is None:
+                        into[k] = x
+                    else:
+                        cur = cur + x
+                        if cur:
+                            into[k] = cur
+                        else:
+                            del into[k]
     if kind is tor.FunctorVector:
         return tor._collect(owner, acc)
     return kind(owner, acc.get(None, {}))

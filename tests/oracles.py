@@ -4,7 +4,8 @@ Nothing in qtschur calls these: each is an independent, plainly written
 copy of a quantity the package computes another way (sums and products
 of Laurent polynomials as term dicts, the numeric context's values, the
 psi streams of the mode extraction, the group
-law behind right_mul_s, the inverse of a right multiplication, the
+law behind right_mul_s, the rotation behind a Q letter, the inverse of
+a right multiplication, the
 product of a Hecke element and a word letter by letter, the
 wrap-node current as a conjugation by the rotation, the diagonal
 weight exponent in closed form).
@@ -141,6 +142,16 @@ def inverse(w: AffinePermutation) -> AffinePermutation:
         k = (v - 1 - res) // ell
         out[res] = p - k * ell
     return AffinePermutation(out)
+
+
+def rotate_down(w: AffinePermutation) -> AffinePermutation:
+    """Conjugate by the rotation pi(i) = i + 1: window of pi^{-1} w pi."""
+    return AffinePermutation([w(i + 1) - 1 for i in range(1, w.ell + 1)])
+
+
+def rotate_up(w: AffinePermutation) -> AffinePermutation:
+    """Conjugate the other way: window of pi w pi^{-1}."""
+    return AffinePermutation([w(i - 1) + 1 for i in range(1, w.ell + 1)])
 
 
 def inverse_word(word: Iterable[Token]) -> list[Token]:

@@ -34,7 +34,15 @@ from qtschur.hecke import (
 from qtschur.scalar import NumericContext, SymbolicContext
 from qtschur.verify import RunConfig, SuiteContext, Verdicts, daha_instances
 
-from oracles import compose, inverse, inverse_word, specialize, stepwise_word
+from oracles import (
+    compose,
+    inverse,
+    inverse_word,
+    rotate_down,
+    rotate_up,
+    specialize,
+    stepwise_word,
+)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,12 +123,26 @@ def test_compose_inverse(u_word, v_word):
 def test_rotation_conjugation():
     s1 = AffinePermutation((2, 1))
     s0 = AffinePermutation((0, 3))
-    assert s1.rotate_down() == s0
-    assert s1.rotate_up() == s0
-    assert s0.rotate_down() == s1
+    assert rotate_down(s1) == s0
+    assert rotate_up(s1) == s0
+    assert rotate_down(s0) == s1
     for w in affine_permutations_upto(3, 3):
-        assert w.rotate_down().rotate_up() == w
-        assert w.rotate_down().length() == w.length()
+        assert rotate_up(rotate_down(w)) == w
+        assert rotate_down(w).length() == w.length()
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_q_letter_rotates_the_window_in_closed_form(ell):
+    # _basis_mul_Q shifts the window by one slot without building an
+    # AffinePermutation; the conjugation by the rotation is the reference,
+    # and the shifted window must itself be a valid one
+    ctx = DahaContext(ell, SymbolicContext(formal_zeta=True))
+    mu = tuple(range(ell))
+    for w in affine_permutations_upto(ell, 3):
+        for exp, rotate in ((1, rotate_down), (-1, rotate_up)):
+            (k, window, _), _ = hecke._basis_mul_Q(ctx, (0, w.window, mu), ctx.R.one, exp)
+            assert k == exp
+            assert AffinePermutation(window) == rotate(w)
 
 
 def test_enumeration_frozen():

@@ -420,6 +420,26 @@ def test_collect_matches_the_full_product_on_every_part(monkeypatch, suite):
     assert seen["one-term repeated"] and seen["dead"]
 
 
+@pytest.mark.parametrize("R", [
+    SymbolicContext(m=3, n=1), NumericContext(2, 3, 3, 1)
+], ids=["symbolic", "numeric"])
+def test_a_word_term_cancelled_by_a_later_one_leaves_no_key(R):
+    # _add_product's word loop adds in place: w T_1, added to a non-empty
+    # support at basis keys it did not hold and then taken away again,
+    # must leave no key behind, so the support is the first part's alone
+    daha = hecke.DahaContext(2, R)
+    one = daha.one()
+    first, w = right_mul_T(one, 1) + one, right_mul_X(one, 2)
+    word, coeff = (("T", 1, 1),), R.qpow(1)
+    acc = {}
+    tor._add_product(acc, first, None, (), R.one)
+    want = dict(acc)
+    tor._add_product(acc, w, None, word, coeff)
+    assert acc.keys() - want.keys()
+    tor._add_product(acc, w, None, word, -coeff)
+    assert acc == want
+
+
 def test_second_rotation_reuses_kernels(monkeypatch):
     # the fold's one X rule, which builds every cached word with an X letter
     calls = []

@@ -328,6 +328,15 @@ PINNED_REPORTS = [
         ("+-+-+", "affine", "b76ed0720aa47f36c901fd1675dda7104ef3626fcb1310425f08b4f244f47df1"),
         ("+-+-+", "rotation", "62a338994e4a4b0811308e62069225a06434ef26ca624ffaefec658708359ffd"),
     ]
+] + [
+    # the toroidal suite at ell 2 under a non-standard word (82,080 pass,
+    # 2 excluded; 190 rows fail with the sort's odd-swap sign dropped),
+    # digest from the evaluator before the in-place accumulation
+    (
+        "toroidal",
+        RunConfig(m=3, n=2, ell=2, modes=0, parity="++-+-"),
+        "0a44d199c1b42920bc0d0515ef32b9dd2d3284701a5c5fe6de9e480a374f29ba",
+    ),
 ]
 
 
@@ -571,6 +580,34 @@ def test_a_zero_coefficient_term_adds_nothing(R):
             assert _supports(got) == _supports(want) and not _falsy(got)
 
 
+@pytest.mark.parametrize("R", [
+    SymbolicContext(m=3, n=1), NumericContext(2, 3, 3, 1)
+], ids=["symbolic", "numeric"])
+def test_a_term_cancelled_by_a_later_one_leaves_no_key(R):
+    # _difference adds into a non-empty part in place: u, added after the
+    # first term's image and then taken away by the rhs, reaches basis keys
+    # inside a part of that image which the image leaves empty; those keys
+    # must be deleted, so the support is the first term's alone; on
+    # balanced vectors and on Hecke elements
+    space = tor.FunctorSpace(PD31, 2, R)
+    one = space.daha.one()
+    w = hecke.right_mul_T(one, 1) + one
+    for u, letter in [
+        (space.basis((1, 2), w) + space.basis((2, 2), hecke.right_mul_Y(one, 1)),
+         ("f", 1, "affine")),
+        (w, ("X", 2, 1)),
+    ]:
+        first, same = [(verify._ONE, (letter,))], [(verify._ONE, ())]
+        want = _plan_difference(R, first, [], u)
+        image, parts = _supports(want), _supports(u)
+        if type(u) is tor.FunctorVector:
+            assert any(parts[key].keys() - image[key].keys() for key in parts.keys() & image.keys())
+        else:
+            assert parts.keys() - image.keys() and image
+        got = _plan_difference(R, first + same, same, u)
+        assert _supports(got) == image and not _falsy(got)
+
+
 @pytest.mark.parametrize("suite", ["toroidal", "affine"])
 def test_no_image_or_difference_holds_a_zero_coefficient(monkeypatch, suite):
     # the scaled copies into empty parts keep every support free of zero
@@ -789,6 +826,24 @@ def test_numeric_failure_gates_symbolic_in_checked_suites(
         assert row["numeric"] == "fail"
         assert row["symbolic"] == "skipped"
         assert row["residual"]
+
+
+def test_report_bytes_match_json_where_failing_rows_split_an_instance(monkeypatch):
+    # the writer joins each run of an instance's consecutive passing rows
+    # into one piece; the sort-sign fault fails vectors inside instances
+    # whose first and last vectors pass, and the bytes stay json's own;
+    # the digest was taken while the writer wrote one row at a time
+    suite, cfg, module, name, fault, count = GATED_FAULTS[5]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    report = run_suite(suite, cfg)
+    split = [codes for codes, _ in filter(None, report.results.blocks)
+             if codes[0] == codes[-1] == 0 and any(codes)]
+    assert split and report.summary()["fail"] == count
+    written = _written(report)
+    assert written == _dumped(report)
+    assert hashlib.sha256(written.encode()).hexdigest() == (
+        "1fe3f867cc0d84efc1a05c5833c4cdfc3050257fc6b8ca97b60443efba44f99f"
+    )
 
 
 # fault injection: shared operator images must not hide a wrong formula
