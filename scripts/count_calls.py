@@ -13,14 +13,17 @@ key_is_dead.  Then the plan's shape: the number of batches each stage
 evaluates (battery vectors of one key, run as one vector), the node
 count of the plan and the peak number of node images one batch and
 stage holds at once, the Hecke word-cache entries of each stage's
-algebra context (none for the finite suite, which has no algebra
-factor), and the size of the Scalar intern table after the run: the
-interned values and their memoized products and sums.  Wall time under
-the profiler is printed last, for orientation only.
+algebra context (the entries of all its per-word tables; none for the
+finite suite, which has no algebra factor), and the size of the Scalar
+intern table after the run: the interned values and their memoized
+products and sums.  Wall time under the profiler is printed last, for
+orientation only.  A reader that stops early (``... | head -3``) ends
+the script quietly, with exit code 1.
 """
 
 import argparse
 import cProfile
+import os
 import pstats
 import sys
 import time
@@ -36,11 +39,13 @@ from qtschur.verify import SUITES, RunConfig, SuiteContext
 COUNTED = ("toroidal_mode_apply", "functor_chevalley_apply", "_collect", "key_is_dead")
 
 
-def word_cache(vector) -> dict:
-    """The Hecke word cache of a battery vector's algebra context, {} with none."""
+def word_cache_entries(vector) -> int:
+    """The entries of the Hecke word tables of a battery vector's algebra context, 0 with none."""
     if isinstance(vector, FunctorVector):
-        return vector.space.daha._word_cache
-    return vector.ctx._word_cache if isinstance(vector, DahaElement) else {}
+        cache = vector.space.daha._word_cache
+    else:
+        cache = vector.ctx._word_cache if isinstance(vector, DahaElement) else {}
+    return sum(map(len, cache.values()))
 
 
 def main() -> int:
@@ -72,7 +77,7 @@ def main() -> int:
     print(f"{'plan nodes':<26} {len(ctx.letters):>12,}")
     print(f"{'peak live node images':<26} {ctx.peak:>12,}")
     for stage, battery, _ in ctx.stages:
-        print(f"{'word-cache entries, ' + stage:<26} {len(word_cache(battery[0][1])):>12,}")
+        print(f"{'word-cache entries, ' + stage:<26} {word_cache_entries(battery[0][1]):>12,}")
     values, entries = table_sizes()
     print(f"{'interned Scalars':<26} {values:>12,}")
     print(f"{'Scalar memo entries':<26} {entries:>12,}")
@@ -80,5 +85,17 @@ def main() -> int:
     return 0
 
 
+def run() -> int:
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so that the
+        # flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

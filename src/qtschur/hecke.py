@@ -20,12 +20,18 @@ rewrite:
     wrapped Y-exponent;
   * X letters expand into a fixed word in T's and one Q.
 
-One fold, _fold, multiplies a flat support {(k, window, mu): coeff} by
-a word letter by letter; apply_word and right_mul_T/Y/Q/X are that fold
-on an element.  As right multiplication is linear and commutes with
-Q^k, word_terms caches the image of a unit T_w Y^mu per context and
-(word, window, mu): for the balanced operators' words and for each
-T_i, which every T_i^{+-1} reads.  Y, Q and X act term by term.
+A basis key is one int, k * 2**KEY_BITS + i, where i numbers the pair
+(window, mu) in the order its DahaContext first meets it (decode and
+key convert; past 2**KEY_BITS pairs key raises ValueError).  One fold,
+_fold, multiplies a flat support {key: coeff} by a word letter by
+letter; apply_word and right_mul_T/Y/Q/X are that fold on an element.
+As right multiplication is linear and commutes with Q^k, each word has
+one entry table per context (word_table), filled per pair number on
+first read: the image of the unit T_w Y^mu, as terms at offsets from
+the key, so a term reads table[K & KEY_MASK] and builds no tuple.  The
+balanced operators' words and each T_i, which every T_i^{+-1} reads,
+have one; Y and Q move pair numbers through cached per-letter tables,
+and X is its T and Q word.
 
 The quadratic relation is normalized as (T_i + 1)(T_i - q^2) = 0, so
 T_i^{-1} = q^{-2} T_i + (q^{-2} - 1).
@@ -47,7 +53,11 @@ from typing import Iterable, Sequence
 from qtschur.scalar import SparseVector, _accumulate
 
 Token = tuple[str, int, int]  # (kind in "TXYQ", index, exponent +-1)
-BasisKey = tuple[int, tuple[int, ...], tuple[int, ...]]  # (k, window, mu)
+BasisKey = tuple[int, tuple[int, ...], tuple[int, ...]]  # a decoded key (k, window, mu)
+
+# a key is k * 2**KEY_BITS + i for the pair number i of (window, mu)
+KEY_BITS = 20
+KEY_MASK = (1 << KEY_BITS) - 1
 
 
 class AffinePermutation:
@@ -167,16 +177,42 @@ def affine_permutations_upto(ell: int, max_len: int) -> list[AffinePermutation]:
 
 
 class DahaContext:
-    """Shared configuration: window size, coefficient context, caches."""
+    """Shared configuration: window size, coefficient context, key numbering, caches.
+
+    Pairs (window, mu) are numbered in the order key first meets them, so
+    keys of one context compare, and keys of two contexts do not.
+    """
 
     def __init__(self, ell: int, coeffs):
         if ell < 1:
             raise ValueError(f"window size must be >= 1, got {ell}")
         self.ell = ell
         self.R = coeffs
-        # word cache: (word, window, mu) -> word_terms of the unit
-        # Q^0 T_window Y^mu; filled on demand, values deterministic
+        self._pairs: list = []  # pair number -> (window, mu)
+        self._numbers: dict = {}  # (window, mu) -> pair number
+        # word -> its entry table (see word_table); filled on demand,
+        # values deterministic
         self._word_cache: dict = {}
+        # mu shift vector -> {i: key offset}; ("Q", exp) -> {i: (key offset,
+        # central-constant power)}
+        self._moves: dict = {}
+
+    def key(self, k: int, window, mu) -> int:
+        """The key of Q^k T_window Y^mu, numbering (window, mu) on first sight."""
+        pair = (tuple(window), tuple(mu))
+        i = self._numbers.get(pair)
+        if i is None:
+            i = len(self._pairs)
+            if i >> KEY_BITS:
+                raise ValueError(f"more than 2**{KEY_BITS} (window, mu) pairs in one context")
+            self._numbers[pair] = i
+            self._pairs.append(pair)
+        return (k << KEY_BITS) + i
+
+    def decode(self, key: int) -> BasisKey:
+        """(k, window, mu) of a key."""
+        window, mu = self._pairs[key & KEY_MASK]
+        return key >> KEY_BITS, window, mu
 
     def zero(self) -> "DahaElement":
         return DahaElement(self, {})
@@ -185,14 +221,18 @@ class DahaContext:
         return self.basis(0, range(1, self.ell + 1), (0,) * self.ell)
 
     def basis(self, k: int, window, mu) -> "DahaElement":
-        return DahaElement(self, {(k, tuple(window), tuple(mu)): self.R.one})
+        return DahaElement(self, {self.key(k, window, mu): self.R.one})
 
     def element(self, word: Iterable[Token]) -> "DahaElement":
         return apply_word(self.one(), word)
 
 
 class DahaElement(SparseVector):
-    """Finite coefficient combination of normal-form basis words."""
+    """Finite coefficient combination of normal-form basis words, keyed by int.
+
+    Terms render in decoded (k, window, mu) order, which does not depend
+    on the context's numbering.
+    """
 
     __slots__ = ()
     ctx = SparseVector.owner
@@ -200,13 +240,30 @@ class DahaElement(SparseVector):
     def __hash__(self) -> int:
         return hash(frozenset(self.support.items()))
 
-    def _term(self, key: BasisKey, coeff) -> str:
-        k, window, mu = key
+    def _order(self, key: int) -> BasisKey:
+        return self.ctx.decode(key)
+
+    def _term(self, key: int, coeff) -> str:
+        k, window, mu = self.ctx.decode(key)
         return (
             f"({self.ctx.R.render(coeff)}) * Q^{k}"
             f" * T[{','.join(map(str, window))}]"
             f" * Y^({','.join(map(str, mu))})"
         )
+
+
+class _Table(dict):
+    """Values by pair number, each fill(i) stored on its first read."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, i: int):
+        hit = self[i] = self.fill(i)
+        return hit
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +300,8 @@ def _basis_mul_T(ctx: DahaContext, key: BasisKey, i: int) -> list:
     return out
 
 
-def _basis_mul_Q(ctx: DahaContext, key: BasisKey, coeff, exp: int) -> tuple[BasisKey, object]:
-    """(coeff Q^k T_w Y^mu) Q^exp as one (key, coeff).
+def _basis_mul_Q(ctx: DahaContext, key: BasisKey, exp: int) -> tuple[BasisKey, object]:
+    """(Q^k T_w Y^mu) Q^exp as one (key, central-constant power).
 
     Q conjugates w by the rotation pi(i) = i + 1: Q^+1 gives the window
     of pi^-1 w pi, (w(2) - 1, ..., w(l) - 1, w(1) + l - 1), and Q^-1
@@ -254,9 +311,9 @@ def _basis_mul_Q(ctx: DahaContext, key: BasisKey, coeff, exp: int) -> tuple[Basi
     ell = ctx.ell
     if exp == 1:
         window = tuple([v - 1 for v in window[1:]]) + (window[0] + ell - 1,)
-        return (k + 1, window, mu[1:] + mu[:1]), coeff * ctx.R.zetapow(-mu[0])
+        return (k + 1, window, mu[1:] + mu[:1]), ctx.R.zetapow(-mu[0])
     window = (window[-1] - ell + 1,) + tuple([v + 1 for v in window[:-1]])
-    return (k - 1, window, mu[-1:] + mu[:-1]), coeff * ctx.R.zetapow(mu[-1])
+    return (k - 1, window, mu[-1:] + mu[:-1]), ctx.R.zetapow(mu[-1])
 
 
 def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:
@@ -272,34 +329,64 @@ def x_letter_word(ell: int, j: int, exp: int) -> list[Token]:
     return [("T", a, 1) for a in up] + [("Q", 0, exp)] + [("T", a, -1) for a in down]
 
 
-def word_terms(ctx: DahaContext, word: tuple, window, mu) -> tuple:
-    """T_window Y^mu times word as ((dk, window2, mu2), coeff) pairs, cached.
+def word_table(ctx: DahaContext, word: tuple) -> dict:
+    """word's entry table: pair number i -> ((delta, coeff), ...), cached.
 
-    dk is the Q exponent, so Q^k T_window Y^mu times word is the sum of
-    coeff * Q^(k + dk) T_window2 Y^mu2.  word is a tuple of tokens; the
-    entry of the one-token word T_i is _basis_mul_T's, and any other
-    word's is _fold's image of the unit, whose T letters read this cache.
+    The unit T_window Y^mu of pair i times word is the sum of coeff at
+    key i + delta, so any key K of pair i times word is the sum of coeff
+    at K + delta (right multiplication commutes with Q^k).  An entry is
+    filled on its first read: the one-token word T_i's from _basis_mul_T,
+    any other word's from _fold's image of the unit, whose T letters read
+    T_i's table.
     """
-    key = (word, window, mu)
-    hit = ctx._word_cache.get(key)
-    if hit is None:
-        if len(word) == 1 and word[0][0] == "T" and word[0][2] == 1:
-            terms: dict = {}
-            for key2, coeff in _basis_mul_T(ctx, (0, window, mu), word[0][1]):
-                _accumulate(terms, key2, coeff)
-        else:
-            terms = _fold(ctx, {(0, window, mu): ctx.R.one}, word)
-        hit = ctx._word_cache[key] = tuple(terms.items())
-    return hit
+    table = ctx._word_cache.get(word)
+    if table is None:
+        table = ctx._word_cache[word] = _Table(lambda i: _unit_terms(ctx, word, i))
+    return table
+
+
+def _unit_terms(ctx: DahaContext, word: tuple, i: int) -> tuple:
+    if len(word) == 1 and word[0][0] == "T" and word[0][2] == 1:
+        terms: dict = {}
+        for key, coeff in _basis_mul_T(ctx, ctx.decode(i), word[0][1]):
+            _accumulate(terms, ctx.key(*key), coeff)
+    else:
+        terms = _fold(ctx, {i: ctx.R.one}, word)
+    return tuple([(key - i, coeff) for key, coeff in terms.items()])
+
+
+def shift_table(ctx: DahaContext, vec: tuple) -> dict:
+    """Pair number i -> key offset of Y^vec: Q^k T_w Y^mu Y^vec is key K + offset."""
+    table = ctx._moves.get(vec)
+    if table is None:
+        def fill(i):
+            window, mu = ctx._pairs[i]
+            return ctx.key(0, window, tuple([a + b for a, b in zip(mu, vec)])) - i
+
+        table = ctx._moves[vec] = _Table(fill)
+    return table
+
+
+def _rotation_table(ctx: DahaContext, exp: int) -> dict:
+    """Pair number i -> (key offset, central-constant power) of Q^exp (_basis_mul_Q)."""
+    table = ctx._moves.get(("Q", exp))
+    if table is None:
+        def fill(i):
+            key, zpow = _basis_mul_Q(ctx, ctx.decode(i), exp)
+            return ctx.key(*key) - i, zpow
+
+        table = ctx._moves["Q", exp] = _Table(fill)
+    return table
 
 
 def _fold(ctx: DahaContext, support: dict, word: Iterable[Token]) -> dict:
-    """A flat support {(k, window, mu): coeff} times word, one letter at a time.
+    """A flat support {key: coeff} times word, one letter at a time.
 
-    T_i reads its cached one-letter entries, and so does T_i^{-1} = q^{-2}
-    T_i + (q^{-2} - 1), merging the terms that meet; Y and Q send each key
-    to one key (Q with a central-constant power), and X is _mul_X.  No
-    coefficient of the result is zero.
+    T_i reads the entry table of the one-token word T_i, and so does
+    T_i^{-1} = q^{-2} T_i + (q^{-2} - 1), merging the terms that meet; Y
+    and Q send each key to one key through their per-letter tables (Q
+    with a central-constant power), and X is _mul_X.  No coefficient of
+    the result is zero.
     """
     ell, R = ctx.ell, ctx.R
     for kind, i, exp in word:
@@ -308,23 +395,27 @@ def _fold(ctx: DahaContext, support: dict, word: Iterable[Token]) -> dict:
         elif kind == "Y":
             if not 1 <= i <= ell:
                 raise ValueError(f"Y index {i} out of range")
-            support = {(k, w, mu[: i - 1] + (mu[i - 1] + exp,) + mu[i:]): c
-                       for (k, w, mu), c in support.items()}
+            shift = shift_table(ctx, (0,) * (i - 1) + (exp,) + (0,) * (ell - i))
+            support = {key + shift[key & KEY_MASK]: c for key, c in support.items()}
         elif exp not in (1, -1):
             raise ValueError(f"{kind} exponent must be +-1, got {exp}")
         elif kind == "Q":
-            support = dict(_basis_mul_Q(ctx, key, c, exp) for key, c in support.items())
+            rotation, out = _rotation_table(ctx, exp), {}
+            for key, c in support.items():
+                delta, zpow = rotation[key & KEY_MASK]
+                out[key + delta] = c * zpow
+            support = out
         elif kind == "T":
             if not 1 <= i < ell:
                 raise ValueError(f"T index {i} out of range")
-            letter, out = (("T", i, 1),), {}
+            table, out = word_table(ctx, (("T", i, 1),)), {}
             qm2, rest = (R.qpow(-2), R.qpow(-2) - R.one) if exp == -1 else (None, None)
-            for (k, window, mu), c in support.items():
+            for key, c in support.items():
                 c1 = c if qm2 is None else c * qm2
-                for (_, win2, mu2), c2 in word_terms(ctx, letter, window, mu):
-                    _accumulate(out, (k, win2, mu2), c1 * c2)
+                for delta, c2 in table[key & KEY_MASK]:
+                    _accumulate(out, key + delta, c1 * c2)
                 if qm2 is not None:
-                    _accumulate(out, (k, window, mu), c * rest)
+                    _accumulate(out, key, c * rest)
             support = out
         else:
             raise ValueError(f"unknown token kind {kind!r}")

@@ -418,8 +418,8 @@ class SparseVector:
 
     support maps basis keys to nonzero coefficients.  A coefficient needs
     only +, unary -, * by a scalar on the right and truthiness, so it may
-    itself be a vector.  No operation changes a support in place; sums,
-    scalings and linear images build new ones.  A subclass names the
+    itself be a vector.  No operation changes a support in place; sums
+    and linear images build new ones.  A subclass names the
     owner slot as its callers read it and writes one term in _term.
     """
 
@@ -456,13 +456,12 @@ class SparseVector:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, coeff):
-        """Every coefficient times coeff, on the right."""
+    def __mul__(self, coeff):
+        """Every coefficient times coeff, on the right: linear's product when
+        the coefficients are themselves vectors (toroidal.key_T_apply)."""
         if not coeff:
             return type(self)(self.owner, {})
         return type(self)(self.owner, {k: c * coeff for k, c in self.support.items()})
-
-    __mul__ = scale
 
     def linear(self, terms):
         """Image under the linear map sending key to the sum of c * key2 over terms(key)."""
@@ -472,11 +471,14 @@ class SparseVector:
                 _accumulate(acc, key2, coeff * c)
         return type(self)(self.owner, acc)
 
+    # the sort key of render's key order, None for the keys themselves
+    _order = None
+
     def render(self, limit: int | None = None) -> str:
         """Terms in key order joined by " + ", past limit cut to a key count."""
         if not self.support:
             return "0"
-        keys = sorted(self.support)
+        keys = sorted(self.support, key=self._order)
         parts = [self._term(key, self.support[key]) for key in keys[:limit]]
         if limit is not None and len(keys) > limit:
             parts.append(f"... ({len(keys)} keys)")

@@ -33,7 +33,8 @@ relation are a relation table in verify; this module checks nothing.
 Equality is decided per key through the parabolic symmetrizer of the
 repeated-label blocks: a factor w kills the key exactly when w times
 the block symmetrizer vanishes.  The test is linear in w, so sums are
-taken flat, {key: {Hecke basis key: coeff}} in any order, and pruned
+taken flat, {key: {Hecke basis key: coeff}} in any order (a Hecke
+basis key is hecke's int k * 2^KEY_BITS + i), and pruned
 once by _collect, the one normalize; equality is emptiness of a
 difference.  A one-term factor c Q^k T_w Y^mu, a nonzero scalar times a
 unit, never kills its key (the symmetrizer is nonzero), nor does any
@@ -47,8 +48,10 @@ the sort's T letters) and one coefficient.  A wrap-node current's
 terms join the term lists of the rotation, the node-1 mode and the
 inverse rotation into one word each, the mode's Y shift written inside
 it as Y letters.  _add_product applies a term to a factor through
-hecke.word_terms, the image of a unit factor T_w Y^mu under a word,
-cached once per algebra context, or as one scaled copy when the term
+hecke's shift table of the Y shift and hecke.word_table, the images of
+the unit factors T_w Y^mu under a word, one table per word and algebra
+context, read by each term at its key's pair number; or as one scaled
+copy when the term
 has no word and its target part is empty (the dead-key test sums the
 symmetrizer's words the same way).  The sums are exact, so pruning and
 residuals are those of the formulas on whole factors.
@@ -57,8 +60,9 @@ Right multiplication by a word adds to the Q-power k of a basis word
 Q^k T_w Y^mu the word's own degree (T and Y letters 0, Q and X letters
 +-1) and reads k nowhere else, and key death is tested by right
 multiplication too.  So vectors w_b (x) k of one key can be evaluated
-as the one vector sum_b Q^(N b) w_b (x) k (join_batch, N = 2^32): every
-letter maps the band of Q-degrees around N b to itself, _collect tests
+as the one vector sum_b Q^(N b) w_b (x) k (join_batch, N = 2^32, which
+adds N b * 2^KEY_BITS to each key): every letter maps the band of
+Q-degrees around N b to itself, _collect tests
 death per band, and split_batch cuts any image back into the images of
 the w_b (x) k, term for term.  Only this module knows that tag.
 """
@@ -68,12 +72,15 @@ from __future__ import annotations
 import itertools
 
 from qtschur.hecke import (
+    KEY_BITS,
+    KEY_MASK,
     AffinePermutation,
     DahaContext,
     DahaElement,
     default_battery,
     right_mul_T,
-    word_terms,
+    shift_table,
+    word_table,
 )
 from qtschur.looprep import (
     ChevalleyGen,
@@ -222,10 +229,10 @@ def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
     scalar._accumulate does, written in place, and stores a new product
     without a zero test for the same reason.
     """
-    support = w.support
+    support, ctx = w.support, w.ctx
     if vec is not None:
-        support = {(k, window, tuple([a + b for a, b in zip(mu, vec)])): c
-                   for (k, window, mu), c in support.items()}
+        shift = shift_table(ctx, vec)
+        support = {key + shift[key & KEY_MASK]: c for key, c in support.items()}
     if not word:
         if not acc:
             acc.update({key: c * coeff for key, c in support.items()})
@@ -233,20 +240,20 @@ def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
             for key, c in support.items():
                 _accumulate(acc, key, c * coeff)
         return
-    ctx = w.ctx
-    for (k, window, mu), c in support.items():
+    table = word_table(ctx, word)
+    for key, c in support.items():
         c1 = c * coeff
-        for (dk, win2, mu2), c2 in word_terms(ctx, word, window, mu):
-            key, x = (k + dk, win2, mu2), c1 * c2
-            cur = acc.get(key)
+        for delta, c2 in table[key & KEY_MASK]:
+            key2, x = key + delta, c1 * c2
+            cur = acc.get(key2)
             if cur is None:
-                acc[key] = x
+                acc[key2] = x
             else:
                 cur = cur + x
                 if cur:
-                    acc[key] = cur
+                    acc[key2] = cur
                 else:
-                    del acc[key]
+                    del acc[key2]
 
 
 def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVector":
@@ -299,7 +306,7 @@ def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
             continue
         bands: dict = {}
         for hk, c in part.items():
-            bands.setdefault((hk[0] + _HALF_BAND) // _BAND, {})[hk] = c
+            bands.setdefault((hk + _HALF_BAND) >> _BAND_BITS, {})[hk] = c
         kept: dict = {}
         for band in bands.values():
             if len(band) == 1 or not space.key_is_dead(labels, DahaElement(daha, band)):
@@ -312,14 +319,17 @@ def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
 # ----------------------------------------------------------------------
 # batches: vectors of one key evaluated as one (see the module docstring)
 
-# the Q-degree distance N between two vectors of a batch; every Q-power
-# of a battery factor and of its images lies far inside one band
-_BAND = 1 << 32
+# the Q-degree distance N = 2^32 between two vectors of a batch, as a
+# key distance (keys are k * 2^KEY_BITS + i); every Q-power of a battery
+# factor and of its images lies far inside one band
+_BAND_BITS = 32 + KEY_BITS
+_BAND = 1 << _BAND_BITS
 _HALF_BAND = _BAND >> 1
 
 
 def join_batch(vectors: list) -> "FunctorVector":
-    """The sum of Q^(_BAND * b) w_b (x) k over the one-key vectors w_b (x) k of one space."""
+    """The sum of Q^(N b) w_b (x) k over the one-key vectors w_b (x) k of one space:
+    key K of w_b moves to K + _BAND * b."""
     space = vectors[0].space
     ((labels, _),) = vectors[0].support.items()
     part: dict = {}
@@ -328,10 +338,10 @@ def join_batch(vectors: list) -> "FunctorVector":
         if fv.space is not space or key != labels:
             raise ValueError("a batch holds one-key vectors of one key and space")
         shift = _BAND * b
-        for (k, window, mu), c in w.support.items():
-            if not -_HALF_BAND <= k < _HALF_BAND:
-                raise ValueError(f"Q-power {k} is outside a batch band")
-            part[k + shift, window, mu] = c
+        for key, c in w.support.items():
+            if not -_HALF_BAND <= key < _HALF_BAND:
+                raise ValueError(f"Q-power {key >> KEY_BITS} is outside a batch band")
+            part[key + shift] = c
     return FunctorVector(space, {labels: DahaElement(space.daha, part)})
 
 
@@ -340,11 +350,12 @@ def split_batch(fv: "FunctorVector", count: int) -> list:
     -_BAND * b into vector b; a term outside every band raises ValueError."""
     parts: list = [{} for _ in range(count)]
     for labels, w in fv.support.items():
-        for (k, window, mu), c in w.support.items():
-            b = (k + _HALF_BAND) // _BAND
+        for key, c in w.support.items():
+            b = (key + _HALF_BAND) >> _BAND_BITS
             if not 0 <= b < count:
-                raise ValueError(f"Q-power {k} lies outside the {count} bands of the batch")
-            parts[b].setdefault(labels, {})[k - _BAND * b, window, mu] = c
+                raise ValueError(
+                    f"Q-power {key >> KEY_BITS} lies outside the {count} bands of the batch")
+            parts[b].setdefault(labels, {})[key - _BAND * b] = c
     daha = fv.space.daha
     return [
         FunctorVector(fv.space, {labels: DahaElement(daha, p) for labels, p in part.items()})

@@ -202,19 +202,15 @@ class Report:
     def ok(self) -> bool:
         return self.summary()["fail"] == 0
 
-    def to_payload(self) -> dict:
-        return {"suite": self.suite, "params": self.params,
-                "results": list(self.results), "summary": self.summary()}
-
     def _chunks(self):
         """The report's JSON text in pieces between head and tail: one per
         failing or excluded row, and one per run of consecutive passing rows
         of an instance, which is all of its rows when none fails.
 
-        Joined, the pieces are json.dumps(self.to_payload(),
-        sort_keys=True, indent=2) + "\\n": sort_keys puts params first,
-        then results, suite and summary.  The vector names are encoded
-        once per report.
+        Joined, the pieces are json.dumps({"suite", "params", "results":
+        the rows, "summary"}, sort_keys=True, indent=2) + "\\n": sort_keys
+        puts params first, then results, suite and summary.  The vector
+        names are encoded once per report.
         """
         head = json.dumps({"params": self.params}, sort_keys=True, indent=2)
         yield head[:-2] + ',\n  "results": ['

@@ -13,6 +13,7 @@ weight exponent in closed form).
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -20,7 +21,7 @@ from typing import Iterable
 from qtschur import hecke
 from qtschur import toroidal as tor
 from qtschur.hecke import AffinePermutation, DahaElement, Token
-from qtschur.scalar import Scalar, q_pow
+from qtschur.scalar import Scalar, SparseVector, q_pow
 from qtschur.superdata import ParityData
 
 
@@ -161,28 +162,65 @@ def inverse_word(word: Iterable[Token]) -> list[Token]:
 def stepwise_word(e: DahaElement, word: Iterable[Token]) -> DahaElement:
     """e times word, letter by letter on whole elements, with no word cache.
 
-    T_i rewrites each basis word by the exchange and quadratic rules
+    The terms are held by decoded key (k, window, mu) and encoded once at
+    the end, so the reference does not read the key encoding.  T_i
+    rewrites each basis word by the exchange and quadratic rules
     (hecke._basis_mul_T), T_i^-1 = q^-2 T_i + (q^-2 - 1), Y_j shifts
     mu_j, Q rotates (hecke._basis_mul_Q), and X_j^+-1 is its T and Q
     word times q^(-2 (j - 1) exp).
     """
-    ctx, R = e.ctx, e.ctx.R
+    ctx = e.ctx
+    terms = _stepwise_terms(ctx, {ctx.decode(key): c for key, c in e.support.items()}, word)
+    return DahaElement(ctx, {ctx.key(*key): c for key, c in terms.items()})
+
+
+def _stepwise_terms(ctx, terms: dict, word) -> dict:
+    R = ctx.R
+
+    def linear(images):
+        out: dict = {}
+        for key, c in terms.items():
+            for key2, c2 in images(key):
+                x = c * c2
+                total = x if key2 not in out else out[key2] + x
+                if total:
+                    out[key2] = total
+                else:
+                    out.pop(key2, None)
+        return out
+
     for kind, idx, exp in word:
         if kind == "T":
-            image = e.linear(lambda key: hecke._basis_mul_T(ctx, key, idx))
-            qm2 = R.qpow(-2)
-            e = image if exp == 1 else image.scale(qm2) + e.scale(qm2 - R.one)
+            image = linear(lambda key: hecke._basis_mul_T(ctx, key, idx))
+            if exp == -1:
+                qm2 = R.qpow(-2)
+                terms = {key: c * (qm2 - R.one) for key, c in terms.items()}
+                for key, c in image.items():
+                    total = c * qm2 if key not in terms else terms[key] + c * qm2
+                    if total:
+                        terms[key] = total
+                    else:
+                        del terms[key]
+            else:
+                terms = image
         elif kind == "Y":
-            e = DahaElement(ctx, {
+            terms = {
                 (k, window, mu[: idx - 1] + (mu[idx - 1] + exp,) + mu[idx:]): c
-                for (k, window, mu), c in e.support.items()
-            })
+                for (k, window, mu), c in terms.items()
+            }
         elif kind == "Q":
-            e = e.linear(lambda key: [hecke._basis_mul_Q(ctx, key, R.one, exp)])
+            terms = linear(lambda key: [hecke._basis_mul_Q(ctx, key, exp)])
         else:
-            e = stepwise_word(e, hecke.x_letter_word(ctx.ell, idx, exp))
-            e = e.scale(R.qpow(-2 * (idx - 1) * exp))
-    return e
+            terms = _stepwise_terms(ctx, terms, hecke.x_letter_word(ctx.ell, idx, exp))
+            terms = {key: c * R.qpow(-2 * (idx - 1) * exp) for key, c in terms.items()}
+    return terms
+
+
+def scale(v: SparseVector, coeff) -> SparseVector:
+    """v with every coefficient times coeff, on the right (zero for a zero coeff)."""
+    if not coeff:
+        return type(v)(v.owner, {})
+    return type(v)(v.owner, {key: c * coeff for key, c in v.support.items()})
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +236,7 @@ def wrap_current_by_conjugation(family: str, r: int, v: tor.FunctorVector) -> to
     """
     space = v.space
     image = tor.psi_inverse(tor.toroidal_mode_apply(family, 1, r, tor.psi_apply(v)))
-    return image.scale(space.R.q1pow(space.pd.sign(space.kappa) * r))
+    return scale(image, space.R.q1pow(space.pd.sign(space.kappa) * r))
 
 
 # ----------------------------------------------------------------------
@@ -217,3 +255,43 @@ def weight_exponent(pd: ParityData, labels, i: int) -> int:
     li = sum(1 for j in labels if j == lo)
     li1 = sum(1 for j in labels if j == hi)
     return pd.sign(lo) * li - pd.sign(hi) * li1
+
+
+# ----------------------------------------------------------------------
+# reports
+
+
+def report_json(report) -> str:
+    """The report as json.dumps encodes a payload built from its verdict blocks.
+
+    One row per vector an instance runs on, in battery order, and one
+    excluded row per excluded instance; the summary counts the rows'
+    statuses.  Reads Verdicts' blocks, instances, names and stages, and
+    none of the code that turns them into rows.
+    """
+    verdicts, rows = report.results, []
+    for instance, block in zip(verdicts.instances, verdicts.blocks):
+        relation, nodes, modes, form, *_, vectors = instance
+        head = {"relation": relation, "nodes": list(nodes), "modes": list(modes)}
+        if block is None:
+            rows.append(dict(head, vector="-", status="excluded",
+                             note="mn = 2 incompatible with kappa >= 4"))
+            continue
+        if form is not None:
+            head["form"] = form
+        codes, residuals = block
+        lo = 0 if vectors is None else vectors.start
+        for pos, code in enumerate(codes):
+            row = dict(head, vector=verdicts.names[lo + pos], status="fail" if code else "pass")
+            if len(verdicts.stages) > 1:
+                for s, stage in enumerate(verdicts.stages, 1):
+                    row[stage] = ("pass" if not code or s < code
+                                  else "fail" if s == code else "skipped")
+            if code:
+                row["residual"] = residuals[pos]
+            rows.append(row)
+    summary = {status: sum(row["status"] == status for row in rows)
+               for status in ("pass", "fail", "excluded")}
+    payload = {"suite": report.suite, "params": report.params, "results": rows,
+               "summary": summary}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

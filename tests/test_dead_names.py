@@ -17,8 +17,6 @@ ALLOWED = {
     # perfbench traces the report serialization through it, and the
     # digest tests hash the report text it returns
     "to_json",
-    # the reference layout that Report.write is checked against
-    "to_payload",
     # the zero-mode dictionary's relation table and battery, which
     # acceptance criterion 4 evaluates; no suite runs them
     "dictionary_instances",

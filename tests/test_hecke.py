@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from qtschur import hecke
 from qtschur.hecke import (
+    KEY_BITS,
     AffinePermutation,
     DahaContext,
+    DahaElement,
     affine_permutations_upto,
     apply_word,
     composite,
@@ -28,7 +30,7 @@ from qtschur.hecke import (
     right_mul_T,
     right_mul_X,
     right_mul_Y,
-    word_terms,
+    word_table,
     x_letter_word,
 )
 from qtschur.scalar import NumericContext, SymbolicContext
@@ -40,6 +42,7 @@ from oracles import (
     inverse_word,
     rotate_down,
     rotate_up,
+    scale,
     specialize,
     stepwise_word,
 )
@@ -50,6 +53,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def sym_ctx(ell):
     return DahaContext(ell, SymbolicContext(formal_zeta=True))
+
+
+def decoded(e):
+    """e's support by decoded key (k, window, mu)."""
+    return {e.ctx.decode(key): c for key, c in e.support.items()}
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +148,7 @@ def test_q_letter_rotates_the_window_in_closed_form(ell):
     mu = tuple(range(ell))
     for w in affine_permutations_upto(ell, 3):
         for exp, rotate in ((1, rotate_down), (-1, rotate_up)):
-            (k, window, _), _ = hecke._basis_mul_Q(ctx, (0, w.window, mu), ctx.R.one, exp)
+            (k, window, _), _ = hecke._basis_mul_Q(ctx, (0, w.window, mu), exp)
             assert k == exp
             assert AffinePermutation(window) == rotate(w)
 
@@ -152,6 +160,65 @@ def test_enumeration_frozen():
 
 
 # ----------------------------------------------------------------------
+# basis keys: k * 2**KEY_BITS + the pair number of (window, mu)
+
+KEY_CONTEXT = sym_ctx(3)
+BAND = 1 << 32  # the Q-degree distance of two vectors of a batch (toroidal)
+
+
+@given(
+    st.integers(-3, 3),
+    st.integers(-1, 19),
+    st.sampled_from(affine_permutations_upto(3, 2)),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_keys_decode_to_what_they_encode(k, band, w, mu):
+    # a Q-power in any batch band keeps the pair number and reads back whole
+    ctx = KEY_CONTEXT
+    q = k + band * BAND
+    key = ctx.key(q, w.window, mu)
+    assert ctx.decode(key) == (q, w.window, tuple(mu))
+    assert key >> KEY_BITS == q
+    assert key - ctx.key(k, w.window, mu) == (band * BAND) << KEY_BITS
+    assert ctx.key(*ctx.decode(key)) == key
+
+
+def test_key_numbering_raises_past_its_width(monkeypatch):
+    monkeypatch.setattr(hecke, "KEY_BITS", 3)
+    monkeypatch.setattr(hecke, "KEY_MASK", 7)
+    ctx = sym_ctx(2)
+    pairs = [((1, 2), (a, -a)) for a in range(9)]
+    keys = [ctx.key(-1, window, mu) for window, mu in pairs[:8]]
+    assert keys == [-8 + i for i in range(8)]
+    assert [ctx.decode(key) for key in keys] == [(-1, *pair) for pair in pairs[:8]]
+    # the ninth pair does not fit in three bits: refused, never wrapped
+    with pytest.raises(ValueError):
+        ctx.key(0, *pairs[8])
+    assert ctx.key(2, *pairs[7]) == (2 << 3) + 7
+    with pytest.raises(ValueError):
+        ctx.basis(0, *pairs[8])
+
+
+def test_render_follows_decoded_keys_not_numbering():
+    # numbered in the reverse of (k, window, mu) order, the terms still
+    # render in that order, as in a context that numbered them in it
+    triples = sorted([
+        (-1, (1, 2), (0, 1)), (0, (1, 2), (0, 0)), (0, (1, 2), (1, 0)),
+        (0, (2, 1), (0, 0)), (1, (0, 3), (-1, 0)), (1, (2, 1), (1, 0)),
+    ])
+    backward, forward = sym_ctx(2), sym_ctx(2)
+    R = backward.R
+    coeffs = {t: R.qpow(n) - R.one for n, t in enumerate(triples)}
+    e = DahaElement(backward, {backward.key(*t): coeffs[t] for t in reversed(triples)})
+    f = DahaElement(forward, {forward.key(*t): coeffs[t] for t in triples})
+    assert sorted(e.support) != sorted(e.support, key=backward.decode)
+    assert e.render() == f.render()
+    assert e.render(limit=2) == f.render(limit=2)
+    assert e.render().index("Q^-1") < e.render().index("T[0,3]")
+
+
+# ----------------------------------------------------------------------
 # single-letter rewrites, frozen by hand at l = 2
 
 
@@ -160,7 +227,7 @@ def test_tfold_frozen():
     R = ctx.R
     t1 = ctx.basis(0, (2, 1), (0, 0))
     sq = right_mul_T(t1, 1)
-    assert sq.support == {
+    assert decoded(sq) == {
         (0, (1, 2), (0, 0)): R.qpow(2),
         (0, (2, 1), (0, 0)): R.qpow(2) - R.one,
     }
@@ -170,7 +237,7 @@ def test_tinverse_frozen():
     ctx = sym_ctx(2)
     R = ctx.R
     e = right_mul_T(ctx.one(), 1, -1)
-    assert e.support == {
+    assert decoded(e) == {
         (0, (2, 1), (0, 0)): R.qpow(-2),
         (0, (1, 2), (0, 0)): R.qpow(-2) - R.one,
     }
@@ -183,26 +250,26 @@ def test_exchange_frozen():
     qq = R.qpow(2) - R.one
     # Y_1 T_1 = T_1 Y_2 + (q^2 - 1) Y_1
     e = right_mul_T(ctx.basis(0, (1, 2), (1, 0)), 1)
-    assert e.support == {
+    assert decoded(e) == {
         (0, (2, 1), (0, 1)): R.one,
         (0, (1, 2), (1, 0)): qq,
     }
     # Y_2 T_1 = T_1 Y_1 - (q^2 - 1) Y_1
     e = right_mul_T(ctx.basis(0, (1, 2), (0, 1)), 1)
-    assert e.support == {
+    assert decoded(e) == {
         (0, (2, 1), (1, 0)): R.one,
         (0, (1, 2), (1, 0)): -qq,
     }
     # Y_1^2 T_1 = T_1 Y_2^2 + (q^2 - 1)(Y_1^2 + Y_1 Y_2)
     e = right_mul_T(ctx.basis(0, (1, 2), (2, 0)), 1)
-    assert e.support == {
+    assert decoded(e) == {
         (0, (2, 1), (0, 2)): R.one,
         (0, (1, 2), (2, 0)): qq,
         (0, (1, 2), (1, 1)): qq,
     }
     # symmetric exponents slide through untouched
     e = right_mul_T(ctx.basis(0, (1, 2), (1, 1)), 1)
-    assert e.support == {(0, (2, 1), (1, 1)): R.one}
+    assert decoded(e) == {(0, (2, 1), (1, 1)): R.one}
 
 
 def test_exchange_roundtrip():
@@ -218,11 +285,11 @@ def test_q_rotation_frozen():
     ctx = sym_ctx(2)
     R = ctx.R
     e = right_mul_Q(ctx.basis(0, (1, 2), (3, 5)))
-    assert e.support == {(1, (1, 2), (5, 3)): R.zetapow(-3)}
+    assert decoded(e) == {(1, (1, 2), (5, 3)): R.zetapow(-3)}
     assert right_mul_Q(e, -1) == ctx.basis(0, (1, 2), (3, 5))
     # the rotation shifts windows: Q^-1 T_1 Q = T_0
     e = right_mul_Q(right_mul_T(right_mul_Q(ctx.one(), -1), 1), 1)
-    assert e.support == {(0, (0, 3), (0, 0)): R.one}
+    assert decoded(e) == {(0, (0, 3), (0, 0)): R.one}
 
 
 def test_q_roundtrip_battery():
@@ -243,10 +310,10 @@ def test_x_letter_words_frozen():
 def test_x_at_window_one():
     ctx = sym_ctx(1)
     e = right_mul_X(ctx.one(), 1)
-    assert e.support == {(1, (1,), (0,)): ctx.R.one}
+    assert decoded(e) == {(1, (1,), (0,)): ctx.R.one}
     # X_1 Y_1 = zeta Y_1 X_1 in the smallest case
     lhs = right_mul_Y(right_mul_X(ctx.one(), 1), 1)
-    rhs = right_mul_X(right_mul_Y(ctx.one(), 1), 1).scale(ctx.R.zetapow(1))
+    rhs = scale(right_mul_X(right_mul_Y(ctx.one(), 1), 1), ctx.R.zetapow(1))
     assert lhs == rhs
 
 
@@ -399,20 +466,21 @@ def test_word_terms_match_apply_word(case):
 
     saved, hecke._basis_mul_T = hecke._basis_mul_T, counted
     try:
-        terms = word_terms(ctx, word, window, mu)
+        i = ctx.key(0, window, mu)
+        terms = word_table(ctx, word)[i]
         built = len(calls)
-        assert word_terms(ctx, word, window, mu) is terms
+        assert word_table(ctx, word)[i] is terms
         assert len(calls) == built
     finally:
         hecke._basis_mul_T = saved
-    shifted = {}
-    for (dk, win2, mu2), coeff in terms:
-        assert coeff and (k + dk, win2, mu2) not in shifted
-        shifted[(k + dk, win2, mu2)] = coeff
+    shifted, key = {}, ctx.key(k, window, mu)
+    for delta, coeff in terms:
+        assert coeff and ctx.decode(key + delta) not in shifted
+        shifted[ctx.decode(key + delta)] = coeff
     # the reference multiplies whole elements letter by letter, with no cache
-    want = stepwise_word(ctx.basis(k, window, mu), word).support
+    want = decoded(stepwise_word(ctx.basis(k, window, mu), word))
     assert shifted == want
-    assert apply_word(ctx.basis(k, window, mu), word).support == want
+    assert decoded(apply_word(ctx.basis(k, window, mu), word)) == want
 
 
 def test_specialization_coherence():

@@ -48,16 +48,30 @@ def test_count_calls_prints_the_plan_shape():
     assert int(lines["batches per stage"]) == len(ctx.batches(0, len(ctx.instances))) == 4
     assert int(lines["plan nodes"].replace(",", "")) == len(ctx.letters)
     assert int(lines["peak live node images"]) == ctx.peak < len(ctx.letters)
-    # the word cache of each stage's algebra context after the same run
+    # the entries of the word tables of each stage's algebra context after
+    # the same run
     ctx.verdicts(0, len(ctx.instances))
     for stage, battery, _ in ctx.stages:
-        cached = len(battery[0][1].space.daha._word_cache)
+        cached = sum(map(len, battery[0][1].space.daha._word_cache.values()))
         assert int(lines[f"word-cache entries, {stage}"].replace(",", "")) == cached > 0
     # the child's table holds the run's values, and a product or a sum
     # of them is memoized at most once per operand pair
     values = int(lines["interned Scalars"].replace(",", ""))
     entries = int(lines["Scalar memo entries"].replace(",", ""))
     assert 0 < values and 0 < entries <= 2 * values**2
+
+
+def test_count_calls_exits_quietly_when_the_reader_stops():
+    # count_calls.py ... | head -3: a reader that closes the pipe early
+    # ends the script with exit code 1 and no traceback
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "count_calls.py"), "--ell", "1", "--modes", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == ""
 
 
 def test_bench_run_keeps_untraced_names(tmp_path):

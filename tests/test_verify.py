@@ -33,6 +33,8 @@ from qtschur.verify import (
     toroidal_instances,
 )
 
+from oracles import report_json, scale
+
 PD31 = ParityData.standard(3, 1)
 
 
@@ -344,11 +346,6 @@ def _digest(report):
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
-def _dumped(report):
-    """The report as json itself encodes it: the reference for Report.write."""
-    return json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
-
-
 def _written(report):
     fh = io.StringIO()
     report.write(fh)
@@ -359,13 +356,13 @@ def _written(report):
 def test_report_bytes_pinned(suite, cfg, digest):
     report = run_suite(suite, cfg)
     assert _digest(report) == digest
-    assert _written(report) == _dumped(report)
+    assert _written(report) == report_json(report)
 
 
 def test_report_without_rows_matches_json():
     empty = SuiteContext([], [("symbolic", SymbolicContext(formal_zeta=True), [])])
     report = Report("daha", {"m": 3, "parity": "+++-"}, Verdicts(empty, []))
-    assert _written(report) == report.to_json() == _dumped(report)
+    assert _written(report) == report.to_json() == report_json(report)
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, [0, True], [1.0]])
@@ -443,7 +440,7 @@ def test_no_operation_changes_an_operand(monkeypatch):
                     with pytest.raises(ValueError):
                         u + v
                     return
-                for w in (u + v, u - v, -v, v.scale(R.qpow(1)), v.scale(R.zero),
+                for w in (u + v, u - v, -v, scale(v, R.qpow(1)), scale(v, R.zero),
                           v.linear(lambda key: [(key, R.qpow(-1))])):
                     operands.setdefault(id(w), (w, _frozen(w)))
                 assert (u == v) in (True, False) and bool(v) is not v.is_zero()
@@ -488,7 +485,7 @@ def _reference_difference(R, lhs, rhs, u):
             for letter in reversed(word):
                 v = verify.apply_letter(*letter, v)
             c = verify._resolve(R, coeff)
-            v = v if c is None else v.scale(c)
+            v = v if c is None else scale(v, c)
             acc = v if acc is None else acc + v
         sums.append(acc)
     return sums[0] if sums[1] is None else sums[0] - sums[1]
@@ -524,7 +521,7 @@ def test_one_term_difference_drops_dead_keys():
     R = SymbolicContext(formal_zeta=True)
     space = tor.FunctorSpace(PD31, 2, R)
     one = space.daha.one()
-    w = hecke.right_mul_T(one, 1) - one.scale(R.qpow(2))
+    w = hecke.right_mul_T(one, 1) - scale(one, R.qpow(2))
     u = tor.FunctorVector(space, {(1, 1): w})
     assert u and space.key_is_dead((1, 1), w)
     diff = _plan_difference(R, [(verify._ONE, ())], [], u)
@@ -840,7 +837,7 @@ def test_report_bytes_match_json_where_failing_rows_split_an_instance(monkeypatc
              if codes[0] == codes[-1] == 0 and any(codes)]
     assert split and report.summary()["fail"] == count
     written = _written(report)
-    assert written == _dumped(report)
+    assert written == report_json(report)
     assert hashlib.sha256(written.encode()).hexdigest() == (
         "1fe3f867cc0d84efc1a05c5833c4cdfc3050257fc6b8ca97b60443efba44f99f"
     )
@@ -881,7 +878,7 @@ def test_memo_does_not_hide_dropped_d_power(monkeypatch):
     # the row encoder also lays out residual and note fields as json does
     for report in (both, symbolic):
         assert {"residual", "note"} <= {key for row in report.results for key in row}
-        assert _written(report) == _dumped(report)
+        assert _written(report) == report_json(report)
 
 
 def test_failing_residuals_survive_worker_processes(monkeypatch):
@@ -971,7 +968,7 @@ def test_run_suite_builds_rows_only_while_writing(monkeypatch):
     written = _written(report)
     # one row per instance (its template, or its excluded row), one per failing row
     assert len(built) == len(report.results.instances) + report.summary()["fail"]
-    assert written == _dumped(report)
+    assert written == report_json(report)
     assert hashlib.sha256(written.encode()).hexdigest() == PINNED_REPORTS[0][2]
 
 
@@ -997,7 +994,7 @@ def test_writer_renders_failing_and_excluded_rows_whole(monkeypatch, mode, fault
     written = _written(report)
     assert report.summary()["fail"] == fails and report.summary()["excluded"] == 2
     assert len(built) == len(report.results.instances) + fails
-    assert written == _dumped(report)
+    assert written == report_json(report)
     assert digest is None or hashlib.sha256(written.encode()).hexdigest() == digest
     assert {"form", "note"} <= {key for row in report.results for key in row}
 
@@ -1178,7 +1175,7 @@ def test_batch_prunes_a_dead_vector_on_its_own():
     space = tor.FunctorSpace(PD31, 2, R)
     one = space.daha.one()
     x = hecke.right_mul_Y(one, 1)
-    dead = hecke.right_mul_T(x, 1) - x.scale(R.qpow(2))
+    dead = hecke.right_mul_T(x, 1) - scale(x, R.qpow(2))
     live = hecke.right_mul_T(one, 1) + one
     u_dead, u_live = (tor.FunctorVector(space, {(1, 1): w}) for w in (dead, live))
     assert space.key_is_dead((1, 1), dead) and not space.key_is_dead((1, 1), live)
@@ -1201,14 +1198,15 @@ def test_split_batch_rejects_a_term_outside_its_bands():
     joined = tor.join_batch([u, v])
     assert [part.support for part in tor.split_batch(joined, 2)] == [u.support, v.support]
     (labels, w), = joined.support.items()
-    (_, window, mu), = u.support[labels].support
-    band = tor._BAND
+    daha = space.daha
+    (_, window, mu), = map(daha.decode, u.support[labels].support)
+    band = tor._BAND >> hecke.KEY_BITS  # the band in Q-degrees
     for k in (2 * band, band + band // 2, -band, -band // 2 - 1):
-        stray = hecke.DahaElement(space.daha, {**w.support, (k, window, mu): R.one})
+        stray = hecke.DahaElement(daha, {**w.support, daha.key(k, window, mu): R.one})
         with pytest.raises(ValueError):
             tor.split_batch(tor.FunctorVector(space, {labels: stray}), 2)
     # a term at the edge of band 1 still belongs to vector 1
-    edge = hecke.DahaElement(space.daha, {(band + band // 2 - 1, window, mu): R.one})
+    edge = hecke.DahaElement(daha, {daha.key(band + band // 2 - 1, window, mu): R.one})
     assert tor.split_batch(tor.FunctorVector(space, {labels: edge}), 2)[0].is_zero()
     far = space.basis((1,), space.daha.basis(band // 2, window, mu))
     with pytest.raises(ValueError):
