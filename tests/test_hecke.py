@@ -494,11 +494,12 @@ def test_specialization_coherence():
         se = apply_word(sctx.one(), word)
         ne = apply_word(nctx.one(), word)
         spec = {}
-        for key, coeff in se.support.items():
+        for key, coeff in decoded(se).items():
             val = specialize(coeff, q0, d0, zeta0=z0)
             if val:
                 spec[key] = val
-        assert spec == ne.support, word
+        # by decoded key: the two contexts number their pairs apart
+        assert spec == decoded(ne), word
 
 
 def test_bad_letters_raise_under_optimize():
