@@ -190,12 +190,14 @@ class DahaContext:
         self.R = coeffs
         self._pairs: list = []  # pair number -> (window, mu)
         self._numbers: dict = {}  # (window, mu) -> pair number
-        # word -> its entry table (see word_table); filled on demand,
-        # values deterministic
-        self._word_cache: dict = {}
-        # mu shift vector -> {i: key offset}; ("Q", exp) -> {i: (key offset,
-        # central-constant power)}
-        self._moves: dict = {}
+        # per-letter and per-word tables by pair number, each made and
+        # filled on first read, values deterministic: word -> its entry
+        # table (see word_table); Y-exponent shift vector -> key offset
+        # (see y_shifted); Q exponent -> (key offset, central-constant
+        # power) of _basis_mul_Q
+        self._word_cache = _Tables(self, _unit_terms)
+        self._shifts = _Tables(self, _shift_offset)
+        self._rotations = _Tables(self, _rotation_entry)
 
     def key(self, k: int, window, mu) -> int:
         """The key of Q^k T_window Y^mu, numbering (window, mu) on first sight."""
@@ -264,6 +266,21 @@ class _Table(dict):
     def __missing__(self, i: int):
         hit = self[i] = self.fill(i)
         return hit
+
+
+class _Tables(dict):
+    """One context's _Tables by letter or word, each made on its first read."""
+
+    __slots__ = ("ctx", "fill")
+
+    def __init__(self, ctx: "DahaContext", fill):
+        super().__init__()
+        self.ctx, self.fill = ctx, fill
+
+    def __missing__(self, name):
+        ctx, fill = self.ctx, self.fill
+        table = self[name] = _Table(lambda i: fill(ctx, name, i))
+        return table
 
 
 # ----------------------------------------------------------------------
@@ -339,10 +356,7 @@ def word_table(ctx: DahaContext, word: tuple) -> dict:
     any other word's from _fold's image of the unit, whose T letters read
     T_i's table.
     """
-    table = ctx._word_cache.get(word)
-    if table is None:
-        table = ctx._word_cache[word] = _Table(lambda i: _unit_terms(ctx, word, i))
-    return table
+    return ctx._word_cache[word]
 
 
 def _unit_terms(ctx: DahaContext, word: tuple, i: int) -> tuple:
@@ -355,28 +369,28 @@ def _unit_terms(ctx: DahaContext, word: tuple, i: int) -> tuple:
     return tuple([(key - i, coeff) for key, coeff in terms.items()])
 
 
-def shift_table(ctx: DahaContext, vec: tuple) -> dict:
-    """Pair number i -> key offset of Y^vec: Q^k T_w Y^mu Y^vec is key K + offset."""
-    table = ctx._moves.get(vec)
-    if table is None:
-        def fill(i):
-            window, mu = ctx._pairs[i]
-            return ctx.key(0, window, tuple([a + b for a, b in zip(mu, vec)])) - i
+def y_shifted(ctx: DahaContext, support: dict, vec: tuple) -> dict:
+    """A flat support times Y^vec: each key K moved to K + its pair's offset.
 
-        table = ctx._moves[vec] = _Table(fill)
-    return table
+    A Y shift is injective on keys, so no two terms meet.
+    """
+    shift = ctx._shifts[vec]
+    return {key + shift[key & KEY_MASK]: c for key, c in support.items()}
 
 
-def _rotation_table(ctx: DahaContext, exp: int) -> dict:
-    """Pair number i -> (key offset, central-constant power) of Q^exp (_basis_mul_Q)."""
-    table = ctx._moves.get(("Q", exp))
-    if table is None:
-        def fill(i):
-            key, zpow = _basis_mul_Q(ctx, ctx.decode(i), exp)
-            return ctx.key(*key) - i, zpow
+def _shift_offset(ctx: DahaContext, vec: tuple, i: int) -> int:
+    window, mu = ctx._pairs[i]
+    return ctx.key(0, window, tuple([a + b for a, b in zip(mu, vec)])) - i
 
-        table = ctx._moves["Q", exp] = _Table(fill)
-    return table
+
+def _rotation_entry(ctx: DahaContext, exp: int, i: int) -> tuple:
+    key, zpow = _basis_mul_Q(ctx, ctx.decode(i), exp)
+    return ctx.key(*key) - i, zpow
+
+
+def q_shift(k: int) -> int:
+    """The key offset of Q^k on the left: key(j + k, w, mu) - key(j, w, mu)."""
+    return k << KEY_BITS
 
 
 def _fold(ctx: DahaContext, support: dict, word: Iterable[Token]) -> dict:
@@ -395,12 +409,11 @@ def _fold(ctx: DahaContext, support: dict, word: Iterable[Token]) -> dict:
         elif kind == "Y":
             if not 1 <= i <= ell:
                 raise ValueError(f"Y index {i} out of range")
-            shift = shift_table(ctx, (0,) * (i - 1) + (exp,) + (0,) * (ell - i))
-            support = {key + shift[key & KEY_MASK]: c for key, c in support.items()}
+            support = y_shifted(ctx, support, (0,) * (i - 1) + (exp,) + (0,) * (ell - i))
         elif exp not in (1, -1):
             raise ValueError(f"{kind} exponent must be +-1, got {exp}")
         elif kind == "Q":
-            rotation, out = _rotation_table(ctx, exp), {}
+            rotation, out = ctx._rotations[exp], {}
             for key, c in support.items():
                 delta, zpow = rotation[key & KEY_MASK]
                 out[key + delta] = c * zpow

@@ -48,7 +48,7 @@ the sort's T letters) and one coefficient.  A wrap-node current's
 terms join the term lists of the rotation, the node-1 mode and the
 inverse rotation into one word each, the mode's Y shift written inside
 it as Y letters.  _add_product applies a term to a factor through
-hecke's shift table of the Y shift and hecke.word_table, the images of
+hecke.y_shifted for the Y shift and hecke.word_table, the images of
 the unit factors T_w Y^mu under a word, one table per word and algebra
 context, read by each term at its key's pair number; or as one scaled
 copy when the term
@@ -72,15 +72,15 @@ from __future__ import annotations
 import itertools
 
 from qtschur.hecke import (
-    KEY_BITS,
     KEY_MASK,
     AffinePermutation,
     DahaContext,
     DahaElement,
     default_battery,
+    q_shift,
     right_mul_T,
-    shift_table,
     word_table,
+    y_shifted,
 )
 from qtschur.looprep import (
     ChevalleyGen,
@@ -231,8 +231,7 @@ def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
     """
     support, ctx = w.support, w.ctx
     if vec is not None:
-        shift = shift_table(ctx, vec)
-        support = {key + shift[key & KEY_MASK]: c for key, c in support.items()}
+        support = y_shifted(ctx, support, vec)
     if not word:
         if not acc:
             acc.update({key: c * coeff for key, c in support.items()})
@@ -322,8 +321,8 @@ def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
 # the Q-degree distance N = 2^32 between two vectors of a batch, as a
 # key distance (keys are k * 2^KEY_BITS + i); every Q-power of a battery
 # factor and of its images lies far inside one band
-_BAND_BITS = 32 + KEY_BITS
-_BAND = 1 << _BAND_BITS
+_BAND = q_shift(1 << 32)
+_BAND_BITS = _BAND.bit_length() - 1
 _HALF_BAND = _BAND >> 1
 
 
@@ -340,7 +339,7 @@ def join_batch(vectors: list) -> "FunctorVector":
         shift = _BAND * b
         for key, c in w.support.items():
             if not -_HALF_BAND <= key < _HALF_BAND:
-                raise ValueError(f"Q-power {key >> KEY_BITS} is outside a batch band")
+                raise ValueError(f"Q-power {space.daha.decode(key)[0]} is outside a batch band")
             part[key + shift] = c
     return FunctorVector(space, {labels: DahaElement(space.daha, part)})
 
@@ -354,7 +353,8 @@ def split_batch(fv: "FunctorVector", count: int) -> list:
             b = (key + _HALF_BAND) >> _BAND_BITS
             if not 0 <= b < count:
                 raise ValueError(
-                    f"Q-power {key >> KEY_BITS} lies outside the {count} bands of the batch")
+                    f"Q-power {fv.space.daha.decode(key)[0]} lies outside the {count} bands"
+                    " of the batch")
             parts[b].setdefault(labels, {})[key - _BAND * b] = c
     daha = fv.space.daha
     return [

@@ -21,7 +21,7 @@ from typing import Iterable
 from qtschur import hecke
 from qtschur import toroidal as tor
 from qtschur.hecke import AffinePermutation, DahaElement, Token
-from qtschur.scalar import Scalar, SparseVector, q_pow
+from qtschur.scalar import Scalar, q_pow
 from qtschur.superdata import ParityData
 
 
@@ -216,13 +216,6 @@ def _stepwise_terms(ctx, terms: dict, word) -> dict:
     return terms
 
 
-def scale(v: SparseVector, coeff) -> SparseVector:
-    """v with every coefficient times coeff, on the right (zero for a zero coeff)."""
-    if not coeff:
-        return type(v)(v.owner, {})
-    return type(v)(v.owner, {key: c * coeff for key, c in v.support.items()})
-
-
 # ----------------------------------------------------------------------
 # wrap-around-node currents
 
@@ -236,7 +229,7 @@ def wrap_current_by_conjugation(family: str, r: int, v: tor.FunctorVector) -> to
     """
     space = v.space
     image = tor.psi_inverse(tor.toroidal_mode_apply(family, 1, r, tor.psi_apply(v)))
-    return scale(image, space.R.q1pow(space.pd.sign(space.kappa) * r))
+    return image * space.R.q1pow(space.pd.sign(space.kappa) * r)
 
 
 # ----------------------------------------------------------------------

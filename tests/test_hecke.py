@@ -42,7 +42,6 @@ from oracles import (
     inverse_word,
     rotate_down,
     rotate_up,
-    scale,
     specialize,
     stepwise_word,
 )
@@ -313,7 +312,7 @@ def test_x_at_window_one():
     assert decoded(e) == {(1, (1,), (0,)): ctx.R.one}
     # X_1 Y_1 = zeta Y_1 X_1 in the smallest case
     lhs = right_mul_Y(right_mul_X(ctx.one(), 1), 1)
-    rhs = scale(right_mul_X(right_mul_Y(ctx.one(), 1), 1), ctx.R.zetapow(1))
+    rhs = right_mul_X(right_mul_Y(ctx.one(), 1), 1) * ctx.R.zetapow(1)
     assert lhs == rhs
 
 

@@ -48,7 +48,7 @@ from qtschur.toroidal import (
     weight_apply,
 )
 
-from oracles import scale, weight_exponent, wrap_current_by_conjugation
+from oracles import weight_exponent, wrap_current_by_conjugation
 
 R31 = SymbolicContext(m=3, n=1)
 PD31 = ParityData.standard(3, 1)
@@ -82,7 +82,7 @@ def evaluated(space, battery, bound=0, balance=False):
 def test_sort_single_descent_even_pair():
     sp = space31(2)
     got = sp.basis((2, 1))
-    want = scale(sp.basis((1, 2), right_mul_T(sp.daha.one(), 1)), R31.qpow(-1))
+    want = sp.basis((1, 2), right_mul_T(sp.daha.one(), 1)) * R31.qpow(-1)
     assert got == want
     assert list(got.support) == [(1, 2)]
 
@@ -97,7 +97,7 @@ def test_sort_fixes_nondecreasing_key():
 def test_sort_odd_pair_flips_sign():
     sp = FunctorSpace(PD22, 2, R22)
     got = sp.basis((4, 3))
-    want = scale(sp.basis((3, 4), right_mul_T(sp.daha.one(), 1)), -R22.qpow(-1))
+    want = sp.basis((3, 4), right_mul_T(sp.daha.one(), 1)) * -R22.qpow(-1)
     assert got == want
 
 
@@ -108,7 +108,7 @@ def test_sort_confluence_through_braid():
     one = sp.daha.one()
     left = sp.basis((3, 2, 1))
     w = right_mul_T(right_mul_T(right_mul_T(one, 2), 1), 2)
-    right = scale(sp.basis((1, 2, 3), w), R31.qpow(-3))
+    right = sp.basis((1, 2, 3), w) * R31.qpow(-3)
     assert left == right
 
 
@@ -132,7 +132,7 @@ def test_repeated_label_kernel():
     sp = space31(2)
     one = sp.daha.one()
     # even repeated label: T_1 acts by q^2, so (T_1 - q^2) w kills the key
-    w = right_mul_T(one, 1) - scale(one, R31.qpow(2))
+    w = right_mul_T(one, 1) - one * R31.qpow(2)
     assert sp.basis((1, 1), w).is_zero()
     assert not sp.basis((1, 1), right_mul_T(one, 1)).is_zero()
     # odd repeated label: T_1 acts by -1
@@ -140,7 +140,7 @@ def test_repeated_label_kernel():
     assert sp.basis((4, 4), w).is_zero()
     assert not sp.basis((4, 4), one).is_zero()
     # the kernel test respects the balanced identification
-    assert sp.basis((1, 1), right_mul_T(one, 1)) == scale(sp.basis((1, 1)), R31.qpow(2))
+    assert sp.basis((1, 1), right_mul_T(one, 1)) == sp.basis((1, 1)) * R31.qpow(2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -174,7 +174,7 @@ def test_raising_mode_single_slot(r):
     # monomial (q1^{mu} Y_1)^{-r} with the label lowered
     sp = space31(1)
     got = toroidal_mode_apply("E", 1, r, sp.basis((2,)))
-    w = scale(right_mul_Y(sp.daha.one(), 1, -r), R31.q1pow(-r))
+    w = right_mul_Y(sp.daha.one(), 1, -r) * R31.q1pow(-r)
     assert got == sp.basis((1,), w)
 
 
@@ -182,7 +182,7 @@ def test_raising_mode_single_slot(r):
 def test_lowering_mode_single_slot(r):
     sp = space31(1)
     got = toroidal_mode_apply("F", 1, r, sp.basis((1,)))
-    w = scale(right_mul_Y(sp.daha.one(), 1, -r), R31.q1pow(-r))
+    w = right_mul_Y(sp.daha.one(), 1, -r) * R31.q1pow(-r)
     assert got == sp.basis((2,), w)
 
 
@@ -199,10 +199,10 @@ def test_diagonal_mode_tail():
     one = sp.daha.one()
     got = toroidal_mode_apply("K+", 1, 1, sp.basis((1,)))
     jump = R31.qpow(1) - R31.qpow(-1)
-    w = scale(right_mul_Y(one, 1, -1), jump * R31.q1pow(-1))
+    w = right_mul_Y(one, 1, -1) * (jump * R31.q1pow(-1))
     assert got == sp.basis((1,), w)
     got = toroidal_mode_apply("K-", 1, -1, sp.basis((1,)))
-    w = scale(right_mul_Y(one, 1, 1), (R31.qpow(-1) - R31.qpow(1)) * R31.q1pow(1))
+    w = right_mul_Y(one, 1, 1) * ((R31.qpow(-1) - R31.qpow(1)) * R31.q1pow(1))
     assert got == sp.basis((1,), w)
     # out-of-range modes vanish
     assert toroidal_mode_apply("K+", 1, -1, sp.basis((1,))).is_zero()
@@ -231,7 +231,7 @@ def test_diagonal_weights(ell):
                 got = apply_letter("K+", 0, 0, u)
             else:
                 got = toroidal_mode_apply("K+", i, 0, u)
-            want = scale(u, R31.qpow(weight_exponent(sp.pd, labels, i)))
+            want = u * R31.qpow(weight_exponent(sp.pd, labels, i))
             assert got == want
             assert weight_apply(i, u) == want
 
@@ -256,7 +256,7 @@ def test_rotation_example():
     one = sp.daha.one()
     got = psi_apply(sp.basis((2, 4)))
     w = right_mul_T(right_mul_X(one, 2, -1), 1)
-    want = scale(sp.rotated(1).basis((1, 3), w), R31.qpow(-1))
+    want = sp.rotated(1).basis((1, 3), w) * R31.qpow(-1)
     assert got == want
 
 
@@ -303,7 +303,7 @@ def _whole_factor_dead(space, labels, w):
     """w times the symmetrizer of labels, letter by letter, is zero."""
     acc = space.daha.zero()
     for word, coeff in space.symmetrizer(labels):
-        acc = acc + scale(apply_word(w, word), coeff)
+        acc = acc + apply_word(w, word) * coeff
     return acc.is_zero()
 
 
@@ -321,7 +321,7 @@ def _rotation_formula(space, step, labels, w):
             w = right_mul_X(w, a, -step)
     labels2 = tuple((j + step - 1) % kappa + 1 for j in labels)
     word, coeff, target = space.rotated(step).sort_schedule(labels2)
-    return target, scale(apply_word(w, word), coeff)
+    return target, apply_word(w, word) * coeff
 
 
 def _whole_factor_rotate(space, items, step):
@@ -361,7 +361,7 @@ def test_kernels_match_whole_factor_formulas(R):
     for labels in sp.all_keys():
         for w in factors:
             tw = right_mul_T(w, 1)
-            for v in (w, tw - scale(w, R.qpow(2)), tw + w, sp.daha.zero()):
+            for v in (w, tw - w * R.qpow(2), tw + w, sp.daha.zero()):
                 dead = sp.key_is_dead(labels, v)
                 assert dead == _whole_factor_dead(sp, labels, v), (labels, v)
                 seen.add(dead)
@@ -467,7 +467,7 @@ def _sorted_add(space, acc, labels, w):
     if w.is_zero():
         return
     word, coeff, key = space.sort_schedule(tuple(labels))
-    w = scale(apply_word(w, word), coeff)
+    w = apply_word(w, word) * coeff
     acc[key] = acc[key] + w if key in acc else w
 
 
@@ -485,7 +485,7 @@ def _reference_mode(family, i, r, fv):
                 w2 = w
                 for j, e in enumerate(vec, 1):
                     w2 = right_mul_Y(w2, j, e) if e else w2
-                w2 = scale(w2, coeff if sign > 0 else -coeff)
+                w2 = w2 * (coeff if sign > 0 else -coeff)
                 _sorted_add(space, acc, labels2, w2)
     return _pruned(space, acc)
 
@@ -509,7 +509,7 @@ def _reference_chevalley(kind, node, fv, variant):
                     w2 = right_mul_Y(w2, j, -shift)
                     if variant == "vertical":
                         c = c * space.R.dpow(-shift)
-            _sorted_add(space, acc, labels2, scale(w2, c))
+            _sorted_add(space, acc, labels2, w2 * c)
     return _pruned(space, acc)
 
 
@@ -664,12 +664,12 @@ def test_chevalley_variants_differ_by_letter():
     aff = functor_chevalley_apply("e", 0, u)
     assert aff == sp.basis((4,), right_mul_Y(one, 1, -1))
     vert = functor_chevalley_apply("e", 0, u, variant="vertical")
-    assert vert == scale(aff, R31.dpow(-1))
+    assert vert == aff * R31.dpow(-1)
     u4 = sp.basis((4,))
     aff = functor_chevalley_apply("f", 0, u4)
-    assert aff == scale(sp.basis((1,), right_mul_Y(one, 1, 1)), R31.rational(-1))
+    assert aff == sp.basis((1,), right_mul_Y(one, 1, 1)) * R31.rational(-1)
     vert = functor_chevalley_apply("f", 0, u4, variant="vertical")
-    assert vert == scale(aff, R31.dpow(1))
+    assert vert == aff * R31.dpow(1)
 
 
 def test_symbolic_images_keep_int_coefficients():
@@ -756,7 +756,7 @@ def _left_times(w, fv, space):
     for labels, f in fv.support.items():
         parts[labels] = w.ctx.zero()
         for key, c in f.support.items():
-            parts[labels] = parts[labels] + scale(apply_word(w, _spelled(f.ctx.decode(key))), c)
+            parts[labels] = parts[labels] + apply_word(w, _spelled(f.ctx.decode(key))) * c
     return tor.FunctorVector(space, parts)
 
 
@@ -832,7 +832,7 @@ def _dead_vectors(sp):
             for i in range(1, sp.ell):
                 if labels[i - 1] == labels[i]:
                     eigen = -R.one if sp.pd.vector_parity(labels[i]) else R.qpow(2)
-                    w = right_mul_T(x, i) - scale(x, eigen)
+                    w = right_mul_T(x, i) - x * eigen
                     out.append(tor.FunctorVector(sp, {labels: w}))
     return out
 

@@ -33,7 +33,7 @@ from qtschur.verify import (
     toroidal_instances,
 )
 
-from oracles import report_json, scale
+from oracles import report_json
 
 PD31 = ParityData.standard(3, 1)
 
@@ -440,7 +440,7 @@ def test_no_operation_changes_an_operand(monkeypatch):
                     with pytest.raises(ValueError):
                         u + v
                     return
-                for w in (u + v, u - v, -v, scale(v, R.qpow(1)), scale(v, R.zero),
+                for w in (u + v, u - v, -v, v * R.qpow(1), v * R.zero,
                           v.linear(lambda key: [(key, R.qpow(-1))])):
                     operands.setdefault(id(w), (w, _frozen(w)))
                 assert (u == v) in (True, False) and bool(v) is not v.is_zero()
@@ -485,7 +485,7 @@ def _reference_difference(R, lhs, rhs, u):
             for letter in reversed(word):
                 v = verify.apply_letter(*letter, v)
             c = verify._resolve(R, coeff)
-            v = v if c is None else scale(v, c)
+            v = v if c is None else v * c
             acc = v if acc is None else acc + v
         sums.append(acc)
     return sums[0] if sums[1] is None else sums[0] - sums[1]
@@ -521,7 +521,7 @@ def test_one_term_difference_drops_dead_keys():
     R = SymbolicContext(formal_zeta=True)
     space = tor.FunctorSpace(PD31, 2, R)
     one = space.daha.one()
-    w = hecke.right_mul_T(one, 1) - scale(one, R.qpow(2))
+    w = hecke.right_mul_T(one, 1) - one * R.qpow(2)
     u = tor.FunctorVector(space, {(1, 1): w})
     assert u and space.key_is_dead((1, 1), w)
     diff = _plan_difference(R, [(verify._ONE, ())], [], u)
@@ -1175,7 +1175,7 @@ def test_batch_prunes_a_dead_vector_on_its_own():
     space = tor.FunctorSpace(PD31, 2, R)
     one = space.daha.one()
     x = hecke.right_mul_Y(one, 1)
-    dead = hecke.right_mul_T(x, 1) - scale(x, R.qpow(2))
+    dead = hecke.right_mul_T(x, 1) - x * R.qpow(2)
     live = hecke.right_mul_T(one, 1) + one
     u_dead, u_live = (tor.FunctorVector(space, {(1, 1): w}) for w in (dead, live))
     assert space.key_is_dead((1, 1), dead) and not space.key_is_dead((1, 1), live)
