@@ -9,7 +9,10 @@ instance under cProfile.  Prints cProfile's total call count, which
 does not depend on the host's load, and the call counts of the
 operators and normalize steps that a change to the evaluator must keep
 or cut: toroidal_mode_apply, functor_chevalley_apply, _collect and
-key_is_dead.  Then the plan's shape: the number of batches each stage
+key_is_dead.  Then how many scaled views the run made and how many it
+materialized (read through .support, into a new dict), the profiled
+calls of ScaledView.__init__ and of its support property.  Then the
+plan's shape: the number of batches each stage
 evaluates (battery vectors of one key, run as one vector), the node
 count of the plan and the peak number of node images one batch and
 stage holds at once, the Hecke word-cache entries of each stage's
@@ -33,10 +36,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qtschur.hecke import DahaElement
 from qtschur.scalar import table_sizes
-from qtschur.toroidal import FunctorVector
+from qtschur.toroidal import FunctorVector, ScaledView
 from qtschur.verify import SUITES, RunConfig, SuiteContext
 
 COUNTED = ("toroidal_mode_apply", "functor_chevalley_apply", "_collect", "key_is_dead")
+# lines counted by function object, as names like __init__ are not unique
+VIEWS = (("scaled views made", ScaledView.__init__),
+         ("views materialized", ScaledView.support.fget))
 
 
 def word_cache_entries(vector) -> int:
@@ -73,6 +79,10 @@ def main() -> int:
     print(f"{'total calls':<26} {stats.total_calls:>12,}")
     for name in COUNTED:
         print(f"{name:<26} {calls[name]:>12,}")
+    for name, fn in VIEWS:
+        code = fn.__code__
+        entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+        print(f"{name:<26} {entry[1] if entry else 0:>12,}")
     print(f"{'batches per stage':<26} {len(ctx.batches(0, len(ctx.instances))):>12,}")
     print(f"{'plan nodes':<26} {len(ctx.letters):>12,}")
     print(f"{'peak live node images':<26} {ctx.peak:>12,}")

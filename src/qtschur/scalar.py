@@ -394,8 +394,8 @@ class NumericContext:
 def _accumulate(acc: dict, key, coeff) -> None:
     """Add coeff at key of the support dict acc, keeping no zero coefficient.
 
-    The two hottest loops, the word loop of toroidal._add_product and the
-    loop of verify._difference into non-empty parts, write this step in
+    The two hottest loops, the word loop of toroidal._add_product and
+    toroidal._add_scaled's loop into a part it owns, write this step in
     place, one Python call per term less.  They store a new entry
     without this zero test: it is a support's coefficient or a product of
     two such, and both coefficient rings are integral domains, so it is
@@ -419,11 +419,18 @@ class SparseVector:
     support maps basis keys to nonzero coefficients.  A coefficient needs
     only +, unary -, * by a scalar on the right and truthiness, so it may
     itself be a vector.  No operation changes a support in place; sums
-    and linear images build new ones.  A subclass names the
-    owner slot as its callers read it and writes one term in _term.
+    and linear images build new ones, so supports may be shared.  A
+    subclass names the owner slot as its callers read it and writes one
+    term in _term.
+
+    base and scale are the support a scaled view shares and its one
+    coefficient (toroidal.ScaledView): a vector is its own base, with
+    scale None for 1.  Results are built by _like, which a view makes
+    build plain vectors.
     """
 
     __slots__ = ("owner", "support")
+    scale = None
 
     def __init__(self, owner, support: dict):
         self.owner = owner
@@ -448,10 +455,10 @@ class SparseVector:
         support = dict(self.support)
         for key, coeff in other.support.items():
             _accumulate(support, key, coeff)
-        return type(self)(self.owner, support)
+        return self._like(support)
 
     def __neg__(self):
-        return type(self)(self.owner, {k: -c for k, c in self.support.items()})
+        return self._like({k: -c for k, c in self.support.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -460,8 +467,8 @@ class SparseVector:
         """Every coefficient times coeff, on the right: linear's product when
         the coefficients are themselves vectors (toroidal.key_T_apply)."""
         if not coeff:
-            return type(self)(self.owner, {})
-        return type(self)(self.owner, {k: c * coeff for k, c in self.support.items()})
+            return self._like({})
+        return self._like({k: c * coeff for k, c in self.support.items()})
 
     def linear(self, terms):
         """Image under the linear map sending key to the sum of c * key2 over terms(key)."""
@@ -469,23 +476,30 @@ class SparseVector:
         for key, coeff in self.support.items():
             for key2, c in terms(key):
                 _accumulate(acc, key2, coeff * c)
-        return type(self)(self.owner, acc)
+        return self._like(acc)
+
+    def _like(self, support: dict):
+        return type(self)(self.owner, support)
 
     # the sort key of render's key order, None for the keys themselves
     _order = None
 
     def render(self, limit: int | None = None) -> str:
         """Terms in key order joined by " + ", past limit cut to a key count."""
-        if not self.support:
+        support = self.support
+        if not support:
             return "0"
-        keys = sorted(self.support, key=self._order)
-        parts = [self._term(key, self.support[key]) for key in keys[:limit]]
+        keys = sorted(support, key=self._order)
+        parts = [self._term(key, support[key]) for key in keys[:limit]]
         if limit is not None and len(keys) > limit:
             parts.append(f"... ({len(keys)} keys)")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}<{self.render(limit=4)}>"
+
+
+SparseVector.base = SparseVector.support
 
 
 # ----------------------------------------------------------------------

@@ -50,11 +50,15 @@ inverse rotation into one word each, the mode's Y shift written inside
 it as Y letters.  _add_product applies a term to a factor through
 hecke.y_shifted for the Y shift and hecke.word_table, the images of
 the unit factors T_w Y^mu under a word, one table per word and algebra
-context, read by each term at its key's pair number; or as one scaled
-copy when the term
-has no word and its target part is empty (the dead-key test sums the
-symmetrizer's words the same way).  The sums are exact, so pruning and
-residuals are those of the formulas on whole factors.
+context, read by each term at its key's pair number (the dead-key test
+sums the symmetrizer's words the same way).  A term with no word and no
+Y shift only rescales its factor, as do most weights and finite-node
+Chevalley letters: into an empty target part it makes a ScaledView, the
+factor's support shared as a base with one coefficient, and two views
+of one base on one key add coefficients (_add_scaled); the coefficient
+is multiplied in only when the view meets a word, a term on another
+base, split_batch or a reader of .support.  The sums are exact, so
+pruning and residuals are those of the formulas on whole factors.
 
 Right multiplication by a word adds to the Q-power k of a basis word
 Q^k T_w Y^mu the word's own degree (T and Y letters 0, Q and X letters
@@ -222,14 +226,17 @@ class FunctorSpace:
 def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
     """Add coeff * w * Y^vec * word (vec None for no Y letters) to a flat support.
 
-    With no word and an empty acc it is one scaled copy of w, exactly:
-    both coefficient rings are integral domains, so no product of
-    nonzero coefficients is zero, and a Y shift is injective on keys,
-    so no two terms meet.  The word loop adds each term as
-    scalar._accumulate does, written in place, and stores a new product
-    without a zero test for the same reason.
+    A view's coefficient is multiplied into coeff.  With no word and an
+    empty acc the result is one scaled copy of w's base, exactly: both
+    coefficient rings are integral domains, so no product of nonzero
+    coefficients is zero, and a Y shift is injective on keys, so no two
+    terms meet.  The word loop adds each term as scalar._accumulate
+    does, written in place, and stores a new product without a zero
+    test for the same reason.
     """
-    support, ctx = w.support, w.ctx
+    support, ctx, scale = w.base, w.ctx, w.scale
+    if scale is not None:
+        coeff = scale * coeff
     if vec is not None:
         support = y_shifted(ctx, support, vec)
     if not word:
@@ -255,6 +262,87 @@ def _add_product(acc: dict, w: DahaElement, vec, word, coeff) -> None:
                     del acc[key2]
 
 
+class ScaledView(DahaElement):
+    """A scaled view: a base support shared with other elements, times one coefficient.
+
+    _add_scaled makes one in place of a scaled copy; its value, ==, hash
+    and render are the copy's.  Nothing writes into the base: .support
+    builds a new dict, and a word (_add_product) and split_batch multiply
+    the coefficient in per term.  verify._difference also holds a whole
+    plain or Hecke vector this way, and reads it only through .support.
+    """
+
+    __slots__ = ("base", "scale")
+
+    def __init__(self, owner, base: dict, scale):
+        self.owner, self.base, self.scale = owner, base, scale
+
+    @property
+    def support(self) -> dict:
+        scale = self.scale
+        return {key: c * scale for key, c in self.base.items()}
+
+    def _like(self, support: dict) -> DahaElement:
+        return DahaElement(self.owner, support)
+
+    def __eq__(self, other) -> bool:
+        # a subclass's == runs first either way round, so plain == view lands here
+        return (
+            isinstance(other, DahaElement)
+            and other.owner is self.owner
+            and other.support == self.support
+        )
+
+    __hash__ = DahaElement.__hash__
+
+
+def _owned(part) -> dict:
+    """A new dict holding an element's or a view's value."""
+    return dict(part.base) if part.scale is None else part.support
+
+
+def _add_scaled(acc: dict, key, w, c) -> None:
+    """Add w times c (None for 1) to the part acc[key], as a scaled view where it can.
+
+    An absent part becomes a view of w's base (w itself when c is None).
+    A view of the same base adds the coefficients, and a zero sum drops
+    the key: both coefficient rings are integral domains and no base
+    holds a zero, so the copies' terms would all cancel.  Any other part
+    becomes a dict that acc owns (a view or element copied first), and
+    w's terms go into it as scalar._accumulate adds them, written in
+    place, a new entry stored without a zero test for the same reason.
+    """
+    base, scale = w.base, w.scale
+    if c is not None:
+        scale = c if scale is None else scale * c
+    part = acc.get(key)
+    if part is None:
+        acc[key] = w if scale is w.scale else ScaledView(w.owner, base, scale)
+        return
+    if type(part) is not dict:
+        if part.base is base:
+            one = w.owner.R.one
+            total = (one if part.scale is None else part.scale) + (one if scale is None else scale)
+            if total:
+                acc[key] = ScaledView(w.owner, base, total)
+            else:
+                del acc[key]
+            return
+        part = acc[key] = _owned(part)
+    for k, x in base.items():
+        if scale is not None:
+            x = x * scale
+        cur = part.get(k)
+        if cur is None:
+            part[k] = x
+        else:
+            cur = cur + x
+            if cur:
+                part[k] = cur
+            else:
+                del part[k]
+
+
 def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVector":
     """fv under a letter that acts on keys and right-multiplies factors.
 
@@ -262,7 +350,8 @@ def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVecto
     None, Hecke word, coeff); its terms are sorted in out (fv's space by
     default), merged and cached per (letter, key) as (target, vector,
     word, coeff), the word ending in the sort's T letters, and applied
-    to every factor by _add_product.
+    to every factor: a term with no word and no Y shift by _add_scaled,
+    any other by _add_product into a dict part.
     """
     space = fv.space
     out = space if out is None else out
@@ -272,7 +361,13 @@ def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVecto
         if terms is None:
             terms = _cached_terms(space, letter, build, labels, out)
         for target, vec, word, coeff in terms:
-            _add_product(acc.setdefault(target, {}), w, vec, word, coeff)
+            if vec is None and not word:
+                _add_scaled(acc, target, w, coeff)
+                continue
+            part = acc.get(target)
+            if type(part) is not dict:
+                part = acc[target] = {} if part is None else _owned(part)
+            _add_product(part, w, vec, word, coeff)
     return _collect(out, acc)
 
 
@@ -289,29 +384,37 @@ def _cached_terms(space: FunctorSpace, letter, build, labels, out: FunctorSpace)
 
 
 def _collect(space: FunctorSpace, acc: dict) -> "FunctorVector":
-    """The vector of a flat sum {key: {Hecke basis key: coeff}}, each dead part dropped.
+    """The vector of a flat sum {key: part}, each dead part dropped.
 
-    Death is tested per Q-degree band of a part (see join_batch), so each
-    vector of a batch is pruned as it would be alone; an unbatched vector
-    has one band.  A one-term band never kills its key, nor does any part
-    at a key with no repeated label (its symmetrizer is 1), so only the
-    rest go to key_is_dead.
+    A part is a dict {Hecke basis key: coeff} or an element (a scaled view
+    included), whose death is that of its base.  Death is tested per
+    Q-degree band of a part (see join_batch), so each vector of a batch
+    is pruned as it would be alone; an unbatched vector has one band.  A
+    one-term band never kills its key, nor does any part at a key with
+    no repeated label (its symmetrizer is 1), so only the rest go to
+    key_is_dead.
     """
     out, daha = {}, space.daha
     for labels, part in acc.items():
-        if len(part) < 2 or len(set(labels)) == len(labels):
-            if part:
-                out[labels] = DahaElement(daha, part)
+        if type(part) is dict:
+            part = DahaElement(daha, part)
+        base = part.base
+        if len(base) < 2 or len(set(labels)) == len(labels):
+            if base:
+                out[labels] = part
             continue
         bands: dict = {}
-        for hk, c in part.items():
+        for hk, c in base.items():
             bands.setdefault((hk + _HALF_BAND) >> _BAND_BITS, {})[hk] = c
         kept: dict = {}
         for band in bands.values():
             if len(band) == 1 or not space.key_is_dead(labels, DahaElement(daha, band)):
                 kept.update(band)
-        if kept:
-            out[labels] = DahaElement(daha, kept)
+        if len(kept) == len(base):
+            out[labels] = part
+        elif kept:
+            out[labels] = (DahaElement(daha, kept) if part.scale is None
+                           else ScaledView(daha, kept, part.scale))
     return FunctorVector(space, out)
 
 
@@ -349,13 +452,14 @@ def split_batch(fv: "FunctorVector", count: int) -> list:
     -_BAND * b into vector b; a term outside every band raises ValueError."""
     parts: list = [{} for _ in range(count)]
     for labels, w in fv.support.items():
-        for key, c in w.support.items():
+        scale = w.scale
+        for key, c in w.base.items():
             b = (key + _HALF_BAND) >> _BAND_BITS
             if not 0 <= b < count:
                 raise ValueError(
                     f"Q-power {fv.space.daha.decode(key)[0]} lies outside the {count} bands"
                     " of the batch")
-            parts[b].setdefault(labels, {})[key - _BAND * b] = c
+            parts[b].setdefault(labels, {})[key - _BAND * b] = c if scale is None else c * scale
     daha = fv.space.daha
     return [
         FunctorVector(fv.space, {labels: DahaElement(daha, p) for labels, p in part.items()})

@@ -922,12 +922,14 @@ def _node_image(images: list, letters: list, parents: list, node: int):
 def _difference(images: list, letters: list, parents: list, values: list, slots, nodes):
     """lhs(u) - rhs(u) of one planned instance (see SuiteContext), summed flat.
 
-    Every term goes into one support: {basis key: coeff}, or {key:
-    {Hecke basis key: coeff}} on balanced vectors, whose dead keys
-    toroidal._collect drops once.  Key death is linear in the factor, so
-    neither verdict nor residual depends on the order of the terms or on
-    the side they sit on.  Sharing the images of u = images[0] is sound as
-    no operation changes a support in place (checked in tests/test_verify.py).
+    Every term goes into one support: {key: part} on balanced vectors,
+    whose dead keys toroidal._collect drops once, or the one part of any
+    other vector.  toroidal._add_scaled adds each: the first image on a
+    key becomes a scaled view of it.  Key death is linear in the factor,
+    so neither verdict nor residual depends on the order of the terms or
+    on the side they sit on.  Sharing the images of u = images[0] is
+    sound as no operation changes a support in place (checked in
+    tests/test_verify.py).
     """
     acc, owner = {}, None
     for slot, node in zip(slots, nodes):
@@ -942,25 +944,11 @@ def _difference(images: list, letters: list, parents: list, values: list, slots,
         if c is not None and not c:
             continue  # a coefficient that is zero at the numeric point adds nothing
         for key, part in v.support.items() if kind is tor.FunctorVector else [(None, v)]:
-            into, terms = acc.get(key), part.support
-            if into is None:  # an empty part takes a scaled copy (see toroidal._add_product)
-                acc[key] = dict(terms) if c is None else {k: x * c for k, x in terms.items()}
-            else:  # scalar._accumulate written in place (see its docstring)
-                for k, x in terms.items():
-                    if c is not None:
-                        x = x * c
-                    cur = into.get(k)
-                    if cur is None:
-                        into[k] = x
-                    else:
-                        cur = cur + x
-                        if cur:
-                            into[k] = cur
-                        else:
-                            del into[k]
+            tor._add_scaled(acc, key, part, c)
     if kind is tor.FunctorVector:
         return tor._collect(owner, acc)
-    return kind(owner, acc.get(None, {}))
+    part = acc.get(None, {})
+    return kind(owner, part if type(part) is dict else part.support)
 
 
 # ----------------------------------------------------------------------

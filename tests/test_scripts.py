@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qtschur import toroidal as tor
 from qtschur.verify import RunConfig, SuiteContext
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -36,7 +37,7 @@ def test_script_exits_zero(argv):
     assert proc.stdout
 
 
-def test_count_calls_prints_the_plan_shape():
+def test_count_calls_prints_the_plan_shape(monkeypatch):
     # toroidal m3 n1 ell1 R0: 4 keys, each a batch of the 7 battery factors
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "count_calls.py"), "--ell", "1", "--modes", "0"],
@@ -48,9 +49,26 @@ def test_count_calls_prints_the_plan_shape():
     assert int(lines["batches per stage"]) == len(ctx.batches(0, len(ctx.instances))) == 4
     assert int(lines["plan nodes"].replace(",", "")) == len(ctx.letters)
     assert int(lines["peak live node images"]) == ctx.peak < len(ctx.letters)
-    # the entries of the word tables of each stage's algebra context after
-    # the same run
+    # the scaled views the same run makes and reads through .support,
+    # counted in process, and the entries of the word tables of each
+    # stage's algebra context after it
+    counts = {"made": 0, "materialized": 0}
+    init, support = tor.ScaledView.__init__, tor.ScaledView.support.fget
+
+    def counted_init(view, *args):
+        counts["made"] += 1
+        init(view, *args)
+
+    def counted_support(view):
+        counts["materialized"] += 1
+        return support(view)
+
+    monkeypatch.setattr(tor.ScaledView, "__init__", counted_init)
+    monkeypatch.setattr(tor.ScaledView, "support", property(counted_support))
     ctx.verdicts(0, len(ctx.instances))
+    monkeypatch.undo()
+    assert int(lines["scaled views made"].replace(",", "")) == counts["made"] > 0
+    assert int(lines["views materialized"].replace(",", "")) == counts["materialized"] > 0
     for stage, battery, _ in ctx.stages:
         cached = sum(map(len, battery[0][1].space.daha._word_cache.values()))
         assert int(lines[f"word-cache entries, {stage}"].replace(",", "")) == cached > 0

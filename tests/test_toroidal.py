@@ -405,6 +405,8 @@ def test_collect_matches_the_full_product_on_every_part(monkeypatch, suite):
         out = orig(space, acc)
         want = {}
         for labels, part in acc.items():
+            # a part is a dict or an element, a scaled view read by its value
+            part = part if type(part) is dict else part.support
             w = DahaElement(space.daha, part)
             if part and not space.key_is_dead(labels, w):
                 want[labels] = w
@@ -438,6 +440,32 @@ def test_a_word_term_cancelled_by_a_later_one_leaves_no_key(R):
     assert acc.keys() - want.keys()
     tor._add_product(acc, w, None, word, -coeff)
     assert acc == want
+
+
+@pytest.mark.parametrize("R", [
+    SymbolicContext(m=3, n=1), NumericContext(2, 3, 3, 1)
+], ids=["symbolic", "numeric"])
+def test_a_view_equals_hashes_and_renders_like_its_copy(R):
+    # a weight letter only rescales a factor, so its image holds a scaled
+    # view of the input's factor; the view equals (either way round),
+    # hashes and renders like the copied element, vector operations on it
+    # build plain elements, and nothing writes into the shared base
+    space = FunctorSpace(PD31, 2, R)
+    one = space.daha.one()
+    w = right_mul_T(one, 1) + right_mul_X(one, 2)
+    base = dict(w.support)
+    view = weight_apply(2, tor.FunctorVector(space, {(1, 2): w})).support[1, 2]
+    assert type(view) is tor.ScaledView and view.base is w.support
+    c = view.scale
+    copy = DahaElement(space.daha, {key: x * c for key, x in w.support.items()})
+    assert c == R.qpow(1) and view.support == copy.support
+    assert view == copy and copy == view and not view != copy and not copy != view
+    assert view != w and w != view
+    assert hash(view) == hash(copy) and view.render() == copy.render()
+    for got, want in [(-view, -copy), (view * c, copy * c), (view * R.zero, copy * R.zero),
+                      (view + w, copy + w), (w + view, w + copy), (view - view, copy - copy)]:
+        assert type(got) is DahaElement and got == want
+    assert w.support == base
 
 
 def test_second_rotation_reuses_kernels(monkeypatch):

@@ -423,26 +423,32 @@ def _plan_difference(R, lhs, rhs, u):
 def test_no_operation_changes_an_operand(monkeypatch):
     # the plan shares images between relations, which is sound only if no
     # letter, no vector operation and no relation difference changes a
-    # support in place: every operand is frozen when first seen and
-    # compared at the end; each difference sums images of the vector's
-    # one images list
-    seen = set()
+    # support in place: every operand, and the base a scaled view among
+    # its factors shares, is frozen when first seen and compared at the
+    # end; each difference sums images of the vector's one images list
+    seen, views = set(), 0
     letter_image = verify.apply_letter
 
     for ctx, extra in _small_tables():
         for k, (_, u) in enumerate(ctx.stages[0][1]):
-            operands = {}
+            operands, bases = {}, {}
             R = u.owner.R
 
+            def frozen(v):
+                for c in v.support.values():
+                    if isinstance(c, tor.ScaledView) and id(c.base) not in bases:
+                        bases[id(c.base)] = (c.base, tuple(c.base.items()))
+                return _frozen(v)
+
             def operate(v):
-                operands[id(v)] = (v, _frozen(v))
+                operands[id(v)] = (v, frozen(v))
                 if v.owner is not u.owner:
                     with pytest.raises(ValueError):
                         u + v
                     return
                 for w in (u + v, u - v, -v, v * R.qpow(1), v * R.zero,
                           v.linear(lambda key: [(key, R.qpow(-1))])):
-                    operands.setdefault(id(w), (w, _frozen(w)))
+                    operands.setdefault(id(w), (w, frozen(w)))
                 assert (u == v) in (True, False) and bool(v) is not v.is_zero()
                 v.render(limit=2)
                 if isinstance(v, hecke.DahaElement):
@@ -460,11 +466,13 @@ def test_no_operation_changes_an_operand(monkeypatch):
             monkeypatch.setattr(verify, "apply_letter", image)
             operate(u)
             for _, diff in _differences(ctx, k):
-                operands.setdefault(id(diff), (diff, _frozen(diff)))
+                operands.setdefault(id(diff), (diff, frozen(diff)))
             for letter in extra:
                 image(*letter, u)
-            assert all(_frozen(v) == frozen for v, frozen in operands.values()), k
-    assert {op for op, _ in seen} == {
+            assert all(_frozen(v) == was for v, was in operands.values()), k
+            assert all(tuple(base.items()) == was for base, was in bases.values()), k
+            views += len(bases)
+    assert views and {op for op, _ in seen} == {
         "E", "F", "K+", "K-", "e", "f", "t", "tinv", "wt", "psi", "S", "T", "X", "Y", "Q"
     }
     assert {(op, t) for op, t in seen if op in ("E", "e", "S", "T")} == {
@@ -556,7 +564,7 @@ _VANISHING = ((1, 0, 0, 0), (-1, 0, 0, 0))
 def test_a_zero_coefficient_term_adds_nothing(R):
     # a term whose slot value is the ring's zero gives the support of the
     # difference without it, whether it comes first into empty parts (the
-    # scaled copy) or after other terms; on balanced vectors and on Hecke
+    # scaled view) or after other terms; on balanced vectors and on Hecke
     # elements, its image a different vector from the other term's
     space = tor.FunctorSpace(PD31, 2, R)
     one = space.daha.one()
@@ -605,9 +613,56 @@ def test_a_term_cancelled_by_a_later_one_leaves_no_key(R):
         assert _supports(got) == image and not _falsy(got)
 
 
+@pytest.mark.parametrize("R", [
+    SymbolicContext(m=3, n=1), NumericContext(2, 3, 3, 1)
+], ids=["symbolic", "numeric"])
+def test_views_of_one_base_add_their_coefficients(monkeypatch, R):
+    # the first image on a key of a difference is a scaled view of its
+    # factor, and a later view of that factor on the key, from u itself
+    # or from a weight letter's image of u, adds its coefficient to the
+    # view's: a zero sum leaves no key, any other sum is the copying
+    # reference in value and in rendered text, also at the repeated-label
+    # key (2, 2), where _collect tests the view's base; a term on another
+    # base (w T_1) first copies the view into a dict
+    space = tor.FunctorSpace(PD31, 2, R)
+    one = space.daha.one()
+    w = hecke.right_mul_T(one, 1) + hecke.right_mul_Y(one, 1)
+    u = tor.FunctorVector(space, {(1, 2): w, (2, 2): w * R.qpow(1)})
+    a, b, q = ([(((c, e, 0, 0),), ())] for c, e in ((2, 1), (1, -1), (1, 1)))  # 2 q, q^-1, q
+    weight, t1 = ([(verify._ONE, (letter,))] for letter in ((verify._WEIGHT, 2, None),
+                                                              ("T", 1, None)))
+    pairs = [(a, b), (a + b, []), (b, a + a), (q, weight), (b, t1)]
+    wants = [_reference_difference(R, lhs, rhs, u) for lhs, rhs in pairs]
+    sums = []
+
+    def collect(space, acc, orig=tor._collect):
+        sums.append(dict(acc))
+        return orig(space, acc)
+
+    monkeypatch.setattr(tor, "_collect", collect)
+    assert not _plan_difference(R, a, a, u) and sums.pop() == {}
+    keys = []
+    for (lhs, rhs), want in zip(pairs, wants):
+        got = _plan_difference(R, lhs, rhs, u)
+        acc = sums.pop()
+        keys.append(list(acc))
+        assert acc.keys() == got.support.keys() == want.support.keys()
+        for key, part in acc.items():
+            if rhs is t1:
+                assert type(part) is dict
+            else:
+                assert type(part) is tor.ScaledView and part.base is u.support[key].support
+                assert got.support[key] is part
+            assert got.support[key] == want.support[key] and want.support[key] == got.support[key]
+        assert got.render() == want.render()
+    # q u - t_2 u: t_2 scales the key (1, 2) by q, so that key cancels
+    assert keys[3] == [(2, 2)] and keys[4] == keys[0] == [(1, 2), (2, 2)]
+    assert u.support[1, 2].support == w.support
+
+
 @pytest.mark.parametrize("suite", ["toroidal", "affine"])
 def test_no_image_or_difference_holds_a_zero_coefficient(monkeypatch, suite):
-    # the scaled copies into empty parts keep every support free of zero
+    # the scaled views into empty parts keep every support free of zero
     # coefficients, in both stages of a two-slot run
     seen = collections.Counter()
     letter_image, difference = verify.apply_letter, verify._difference
