@@ -11,17 +11,18 @@ operators and normalize steps that a change to the evaluator must keep
 or cut: toroidal_mode_apply, functor_chevalley_apply, _collect and
 key_is_dead.  Then how many scaled views the run made and how many it
 materialized (read through .support, into a new dict), the profiled
-calls of ScaledView.__init__ and of its support property.  Then the
-plan's shape: the number of batches each stage
-evaluates (battery vectors of one key, run as one vector), the node
-count of the plan and the peak number of node images one batch and
-stage holds at once, the Hecke word-cache entries of each stage's
-algebra context (the entries of all its per-word tables; none for the
-finite suite, which has no algebra factor), and the size of the Scalar
-intern table after the run: the interned values and their memoized
-products and sums.  Wall time under the profiler is printed last, for
-orientation only.  A reader that stops early (``... | head -3``) ends
-the script quietly, with exit code 1.
+calls of ScaledView.__init__ and of its support property, and how many
+node images were taken as scalar multiples of other nodes' images, the
+profiled calls of toroidal._scaled.  Then the plan's shape: the number
+of batches each stage evaluates (battery vectors of one key, run as one
+vector), the node count of the plan and the peak number of node images
+one batch and stage holds at once, the Hecke word-cache entries of each
+stage's algebra context (the entries of all its per-word tables; none
+for the finite suite, which has no algebra factor), and the size of the
+Scalar intern table after the run: the interned values and their
+memoized products and sums.  Wall time under the profiler is printed
+last, for orientation only.  A reader that stops early
+(``... | head -3``) ends the script quietly, with exit code 1.
 """
 
 import argparse
@@ -36,13 +37,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qtschur.hecke import DahaElement
 from qtschur.scalar import table_sizes
-from qtschur.toroidal import FunctorVector, ScaledView
+from qtschur.toroidal import FunctorVector, ScaledView, _scaled
 from qtschur.verify import SUITES, RunConfig, SuiteContext
 
 COUNTED = ("toroidal_mode_apply", "functor_chevalley_apply", "_collect", "key_is_dead")
 # lines counted by function object, as names like __init__ are not unique
 VIEWS = (("scaled views made", ScaledView.__init__),
-         ("views materialized", ScaledView.support.fget))
+         ("views materialized", ScaledView.support.fget),
+         ("images taken as multiples", _scaled))
 
 
 def word_cache_entries(vector) -> int:

@@ -9,14 +9,15 @@ first, for one suite (any of finite, affine, toroidal, daha, rotation;
 toroidal by default) and one verification stage: symbolic (the default,
 Laurent polynomials with int coefficients) or numeric (gcd-free values
 n / L^k in Z[1/L] at the default sample point q0 = 2, d0 = 3).  On a
-2-core x86_64 host, toroidal m3 n1 ell1 R1 takes 0.2-0.3 s symbolic
-against 0.15-0.2 s numeric, and toroidal ell 2 R0 takes 0.55-0.65 s
-symbolic against 0.35-0.4 s numeric, so time both when a change touches
-either.  Each instance is timed as a chunk of its own.  Such a chunk
-still evaluates the battery vectors of one key as one batch, but the
-images of the table's word-suffix nodes are shared within one instance
-only: a full run, whose chunks span many instances, shares more and
-spends less per row.  For call counts that do not depend on the host's
+2-core x86_64 host, toroidal m3 n1 ell1 R1 takes 0.15-0.25 s in either
+stage, and toroidal ell 2 R0 takes 0.2-0.3 s symbolic against 0.35-0.4 s
+numeric, so the numeric stage is the slower one there; time both when
+a change touches either.  Each instance is timed as a chunk of its own.
+Such a chunk still evaluates the battery vectors of one key as one
+batch, but the images of the table's word-suffix nodes are shared, and
+taken as multiples of one another, within one instance only: a full
+run, whose chunks span many instances, shares more and spends less per
+row.  For call counts that do not depend on the host's
 load, see scripts/count_calls.py.
 """
 

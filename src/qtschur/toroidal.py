@@ -59,6 +59,10 @@ of one base on one key add coefficients (_add_scaled); the coefficient
 is multiplied in only when the view meets a word, a term on another
 base, split_batch or a reader of .support.  The sums are exact, so
 pruning and residuals are those of the formulas on whole factors.
+Every letter is linear over the ring: _multiple recognises a vector
+that is s times another part for part, and _scaled makes s times a
+vector as views, for verify's plan to take a letter's image of s u as
+s times its image of u.
 
 Right multiplication by a word adds to the Q-power k of a basis word
 Q^k T_w Y^mu the word's own degree (T and Y letters 0, Q and X letters
@@ -341,6 +345,31 @@ def _add_scaled(acc: dict, key, w, c) -> None:
                 part[k] = cur
             else:
                 del part[k]
+
+
+def _multiple(v, u):
+    """s when the vector v is s times u part for part, else None: each part of v
+    a view, of one scale s, of the base of u's part at its key, which is no view
+    (a view's image under a diagonal letter scales its scale, not 1, by s)."""
+    if type(v) is not FunctorVector or v.space is not u.space or len(v.support) != len(u.support):
+        return None
+    s, parts = None, u.support
+    for key, part in v.support.items():
+        w = parts.get(key)
+        if (w is None or w.scale is not None or part.scale is None or part.base is not w.base
+                or s is not None and part.scale != s):
+            return None
+        s = part.scale
+    return s
+
+
+def _scaled(fv: "FunctorVector", s) -> "FunctorVector":
+    """s times fv, each part a view of the base of fv's part.  No key is tested:
+    s is nonzero in an integral domain, so s fv has fv's dead keys."""
+    return FunctorVector(fv.space, {
+        key: ScaledView(w.owner, w.base, s if w.scale is None else w.scale * s)
+        for key, w in fv.support.items()
+    })
 
 
 def _letter_apply(fv: "FunctorVector", letter, build, out=None) -> "FunctorVector":

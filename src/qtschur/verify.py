@@ -38,8 +38,9 @@ instances, evaluated as one vector (toroidal.join_batch): the letters
 only right-multiply factors, and that never moves a term from one
 vector's Q-degree band to another's.  Any other vector is a batch of
 its own.  Each batch goes through every instance with one list of node
-images, each filled in once when first needed and dropped after its
-last reader.  A chunk keeps verdict codes and the failures' residual
+images, each filled in once when first needed, as a letter's image or
+as a scalar multiple of another node's, and dropped after its last
+reader.  A chunk keeps verdict codes and the failures' residual
 text, not rows.
 Reports are deterministic: same configuration and seed give
 byte-identical JSON, independent of the worker count.  Report.write
@@ -901,31 +902,46 @@ def apply_letter(op: str, node: int, arg, v):
     raise ValueError(f"unknown operator letter {op!r}")
 
 
-def _node_image(images: list, letters: list, parents: list, node: int):
+def _node_image(images: list, multiples: list, plan: "SuiteContext", node: int):
     """images[node] (None while not computed), filled in from its nearest computed
     ancestor, so each node's letter is applied at most once per images list.
     A zero input is its own image and skips the operator: every operator but
-    the rotation maps a space to itself, and psi(0) is the rotated space's zero."""
+    the rotation maps a space to itself, and psi(0) is the rotated space's zero.
+
+    multiples[node] is (other, s) when images[node] is s times images[other]
+    part for part (toroidal._multiple).  A letter commutes with scalars, so
+    at a child of such a node whose letter's node on other is live, the image
+    is s times that node's (toroidal._scaled) and is recorded as its multiple.
+    """
     chain = []
     while images[node] is None:
         chain.append(node)
-        node = parents[node]
+        node = plan.parents[node]
     v = images[node]
     for node in reversed(chain):
-        op, at, arg = letters[node]
-        if v.support or op == _PSI:
-            v = apply_letter(op, at, arg, v)
+        letter, parent = plan.letters[node], plan.parents[node]
+        shared = multiples[parent]
+        other = shared and plan.children.get((letter, shared[0]))
+        if other is not None and images[other] is not None:
+            v = tor._scaled(images[other], shared[1])
+            multiples[node] = (other, shared[1])
+        elif v.support or letter[0] == _PSI:
+            u, v = v, apply_letter(*letter, v)
+            s = tor._multiple(v, u)
+            if s is not None:
+                multiples[node] = (parent, s)
         images[node] = v
     return v
 
 
-def _difference(images: list, letters: list, parents: list, values: list, slots, nodes):
+def _difference(images: list, multiples: list, plan: "SuiteContext", values: list, slots, nodes):
     """lhs(u) - rhs(u) of one planned instance (see SuiteContext), summed flat.
 
     Every term goes into one support: {key: part} on balanced vectors,
     whose dead keys toroidal._collect drops once, or the one part of any
     other vector.  toroidal._add_scaled adds each: the first image on a
-    key becomes a scaled view of it.  Key death is linear in the factor,
+    key becomes a scaled view of it, and a multiple's parts (see _node_image)
+    add to the views of their bases.  Key death is linear in the factor,
     so neither verdict nor residual depends on the order of the terms or
     on the side they sit on.  Sharing the images of u = images[0] is
     sound as no operation changes a support in place (checked in
@@ -935,7 +951,7 @@ def _difference(images: list, letters: list, parents: list, values: list, slots,
     for slot, node in zip(slots, nodes):
         v = images[node]
         if v is None:
-            v = _node_image(images, letters, parents, node)
+            v = _node_image(images, multiples, plan, node)
         if owner is None:
             owner, kind = v.owner, type(v)
         elif v.owner is not owner:
@@ -1016,7 +1032,8 @@ class SuiteContext:
     to verdict blocks, not rows (see Verdicts).
 
     The plan: each distinct word suffix is a node, letters[node] applied
-    to the image of parents[node]; node 0 is the battery vector.  Per
+    to the image of parents[node], children[letter, parent] the node;
+    node 0 is the battery vector.  Per
     instance, slots and nodes are None (excluded: no left side) or
     tuples, term t (left side first) the image at nodes[t] times
     values[slots[t]].  drops[i] lists the nodes whose last reader is
@@ -1031,7 +1048,7 @@ class SuiteContext:
         """stages: (stage name, ring, battery) triples, numeric first."""
         self.instances = instances
         self.letters, self.parents, self.slots, self.nodes = [None], [0], [], []
-        node_of, slot_of, shared = {}, {}, {}
+        self.children, slot_of, shared = {}, {}, {}
         for *_, lhs, rhs, _ in instances:
             if not lhs:
                 self.slots.append(None)
@@ -1042,9 +1059,9 @@ class SuiteContext:
                 for coeff, word in side:
                     node = 0
                     for letter in reversed(word):
-                        child = node_of.get((letter, node))
+                        child = self.children.get((letter, node))
                         if child is None:
-                            child = node_of[letter, node] = len(self.letters)
+                            child = self.children[letter, node] = len(self.letters)
                             self.letters.append(letter)
                             self.parents.append(node)
                         node = child
@@ -1108,16 +1125,15 @@ class SuiteContext:
             vectors = range(size) if vectors is None else vectors
             blocks.append((bytearray(len(vectors)), {}))
             live.append((vectors.start, vectors.stop, slots, nodes, *blocks[-1], self.drops[i]))
-        letters, parents = self.letters, self.parents
         for batch in self.batches(lo, hi):
             k0, count = batch[0], len(batch)
             for code, (_, battery, values) in enumerate(self.stages, 1):
-                images = [None] * len(letters)
+                images, multiples = [None] * len(self.letters), [None] * len(self.letters)
                 us = [battery[k][1] for k in batch]
                 images[0] = tor.join_batch(us) if count > 1 else us[0]
                 for start, stop, slots, nodes, codes, residuals, drops in live:
                     if start <= k0 < stop and not all(codes[k - start] for k in batch):
-                        diff = _difference(images, letters, parents, values, slots, nodes)
+                        diff = _difference(images, multiples, self, values, slots, nodes)
                         if diff:
                             parts = tor.split_batch(diff, count) if count > 1 else (diff,)
                             limit = 5 if isinstance(diff, tor.FunctorVector) else None

@@ -343,8 +343,8 @@ def test_tree_paper_values():
     _, _, values = ctx.stages[0]
     wants = [{((4,), (1,)): sp.R.one}, {((1,), (-1,)): -sp.R.one}]
     for k, ((_, u), want) in enumerate(zip(battery, wants)):
-        images = [u] + [None] * (len(ctx.letters) - 1)
-        got = _difference(images, ctx.letters, ctx.parents, values, ctx.slots[k], ctx.nodes[k])
+        images, multiples = [u] + [None] * (len(ctx.letters) - 1), [None] * len(ctx.letters)
+        got = _difference(images, multiples, ctx, values, ctx.slots[k], ctx.nodes[k])
         assert got.support == want
 
 

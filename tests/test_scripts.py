@@ -49,11 +49,11 @@ def test_count_calls_prints_the_plan_shape(monkeypatch):
     assert int(lines["batches per stage"]) == len(ctx.batches(0, len(ctx.instances))) == 4
     assert int(lines["plan nodes"].replace(",", "")) == len(ctx.letters)
     assert int(lines["peak live node images"]) == ctx.peak < len(ctx.letters)
-    # the scaled views the same run makes and reads through .support,
-    # counted in process, and the entries of the word tables of each
-    # stage's algebra context after it
-    counts = {"made": 0, "materialized": 0}
-    init, support = tor.ScaledView.__init__, tor.ScaledView.support.fget
+    # the scaled views the same run makes and reads through .support, and
+    # the node images it takes as multiples, counted in process, and the
+    # entries of the word tables of each stage's algebra context after it
+    counts = {"made": 0, "materialized": 0, "multiples": 0}
+    init, support, scaled = tor.ScaledView.__init__, tor.ScaledView.support.fget, tor._scaled
 
     def counted_init(view, *args):
         counts["made"] += 1
@@ -63,12 +63,18 @@ def test_count_calls_prints_the_plan_shape(monkeypatch):
         counts["materialized"] += 1
         return support(view)
 
+    def counted_scaled(fv, s):
+        counts["multiples"] += 1
+        return scaled(fv, s)
+
     monkeypatch.setattr(tor.ScaledView, "__init__", counted_init)
+    monkeypatch.setattr(tor, "_scaled", counted_scaled)
     monkeypatch.setattr(tor.ScaledView, "support", property(counted_support))
     ctx.verdicts(0, len(ctx.instances))
     monkeypatch.undo()
     assert int(lines["scaled views made"].replace(",", "")) == counts["made"] > 0
     assert int(lines["views materialized"].replace(",", "")) == counts["materialized"] > 0
+    assert int(lines["images taken as multiples"].replace(",", "")) == counts["multiples"] > 0
     for stage, battery, _ in ctx.stages:
         cached = sum(map(len, battery[0][1].space.daha._word_cache.values()))
         assert int(lines[f"word-cache entries, {stage}"].replace(",", "")) == cached > 0

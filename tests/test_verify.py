@@ -408,9 +408,10 @@ def _differences(ctx, k):
     vector k, through the evaluator's plan, with one images list for them all."""
     _, battery, values = ctx.stages[0]
     images = [battery[k][1]] + [None] * (len(ctx.letters) - 1)
+    multiples = [None] * len(ctx.letters)
     for i, (*_, vectors) in enumerate(ctx.instances):
         if ctx.slots[i] is not None and (vectors is None or k in vectors):
-            yield i, verify._difference(images, ctx.letters, ctx.parents, values,
+            yield i, verify._difference(images, multiples, ctx, values,
                                         ctx.slots[i], ctx.nodes[i])
 
 
@@ -697,7 +698,9 @@ def test_plan_applies_each_letter_once_per_input(monkeypatch, suite, cfg):
     # the plan keeps all sharing: within one (batch, stage), no letter is
     # applied twice to the same input object.  A batch starts when its
     # vector is joined; the inputs are kept alive until the next batch
-    # comes in, so no id is reused meanwhile
+    # comes in, so no id is reused meanwhile.  The applications per letter
+    # are pinned (3,830 and 2,888 in all), so that a change which stops
+    # taking images as scalar multiples of other nodes' images shows here
     ctx = SuiteContext.for_suite(suite, cfg)
     applied, inputs, calls = set(), [], collections.Counter()
     letter_image, join = verify.apply_letter, tor.join_batch
@@ -724,8 +727,34 @@ def test_plan_applies_each_letter_once_per_input(monkeypatch, suite, cfg):
     batches = ctx.batches(0, len(ctx.instances))
     assert {len(batch) for batch in batches} == {{1: 7, 2: 19}[cfg.ell]}
     assert calls.pop("batch") == len(ctx.stages) * len(batches)
-    assert set(calls) == ({"E", "F", "K+", "K-", "wt"} if suite == "toroidal"
-                          else {"e", "f", "t", "tinv"})
+    assert calls == {
+        "toroidal": {"E": 1100, "F": 1100, "K+": 888, "K-": 710, "wt": 32},
+        "affine": {"e": 968, "f": 968, "t": 792, "tinv": 160},
+    }[suite]
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("suite", ["toroidal", "affine"])
+def test_letters_commute_with_scalars(suite, ell):
+    # the plan takes a letter's image of s u, s times u as scaled views, to
+    # be s times its image of u: every letter of the table, evaluated with
+    # no plan on each key's batch vector, in both rings, s = q + d no unit
+    ctx = SuiteContext.for_suite(suite, RunConfig(m=3, n=1, ell=ell, modes=1))
+    letters = set(ctx.letters[1:])
+    for _, battery, _ in ctx.stages:
+        R = battery[0][1].space.R
+        s = R.qpow(1) + R.dpow(1)
+        keys = collections.defaultdict(list)
+        for _, u in battery:
+            keys[next(iter(u.support))].append(u)
+        for vectors in keys.values():
+            u = tor.join_batch(vectors)
+            su = tor._scaled(u, s)
+            assert tor._multiple(su, u) == s and su == u * s
+            for letter in letters:
+                got, want = verify.apply_letter(*letter, su), verify.apply_letter(*letter, u) * s
+                assert got.support.keys() == want.support.keys(), letter
+                assert got == want, letter
 
 
 def test_toroidal_suite_makes_no_rotation_call(monkeypatch):
@@ -1007,6 +1036,37 @@ def test_report_bytes_independent_of_term_order(monkeypatch, suite, cfg, module,
         verify._WORKER_CONTEXTS.clear()
         monkeypatch.setattr(verify, "_table", lambda *args: [rewrite(row) for row in table(*args)])
         assert _written(run_suite(suite, cfg)) == expected, rewrite.__name__
+
+
+# the sharing of scalar multiples changes no verdict: each gated fault, and
+# m(i, j) forced to 0, give the same codes and residual texts with the
+# recogniser of multiples switched off, in either stage
+SHARED_CASES = [case[:5] for case in GATED_FAULTS] + [
+    ("toroidal", RunConfig(m=3, n=1, ell=1, modes=0), verify, "mmatrix",
+     lambda _: lambda pd, i, j: 0),
+]
+
+
+@pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+@pytest.mark.parametrize(
+    "suite, cfg, module, name, fault", SHARED_CASES,
+    ids=[suite + _longer(cfg) for suite, cfg, *_ in SHARED_CASES],
+)
+def test_multiples_change_no_verdict(monkeypatch, suite, cfg, module, name, fault, mode):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    ctx = SuiteContext.for_suite(suite, dataclasses.replace(cfg, mode=mode))
+    taken, scaled = [], tor._scaled
+    monkeypatch.setattr(tor, "_scaled", lambda fv, s: taken.append(s) or scaled(fv, s))
+    shared = ctx.verdicts(0, len(ctx.instances))
+    assert any(block and block[0].count(0) < len(block[0]) for block in shared)
+    # the toroidal and affine tables take images as multiples; in the
+    # rotation table the letter after a diagonal one, psi^-1, has no node on
+    # the diagonal letter's input, and plain tensors and Hecke elements
+    # have no scaled views
+    assert bool(taken) == (suite in ("toroidal", "affine"))
+    monkeypatch.setattr(tor, "_multiple", lambda v, u: None)
+    taken.clear()
+    assert ctx.verdicts(0, len(ctx.instances)) == shared and not taken
 
 
 def test_run_suite_builds_rows_only_while_writing(monkeypatch):
